@@ -12,16 +12,23 @@ This module provides the coefficient rings everything else is built on:
 plus cyclotomic polynomials, q-integers, cyclotomic trial-division
 factoring and the substitutions q -> 1/q, q -> value, q -> power series.
 
+The fraction-free layer works on plain int tuples instead: zpolys in Z[q]
+and zxpolys in Z[q][x], with exact division by q - 1 and by monic
+polynomials, the quotients of q-factorials the recursions scale by, and the
+cyclotomic reduction of num / [n]_q! to a canonical QRat.
+
 All values are immutable after construction.  There is no floating-point
 mode anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -665,6 +672,168 @@ def subst_q(f: QRat, target) -> "QRat | Fraction | QSeries":
     if isinstance(target, tuple) and len(target) == 2 and target[0] == "series":
         return f.series(target[1])
     return f.evaluate(target)
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomials in q (the fraction-free layer)
+#
+# A zpoly is a tuple of Python ints, lowest degree first, with no trailing
+# zeros; the zero polynomial is ().  A zxpoly is a polynomial in x over Z[q]:
+# a tuple of zpolys indexed by x-degree.  The per-tree recursions run on these
+# and meet QRat only through qrat_over_q_factorial.
+
+
+def zpoly_trim(a: Sequence[int]) -> tuple[int, ...]:
+    end = len(a)
+    while end and not a[end - 1]:
+        end -= 1
+    return tuple(a[:end])
+
+
+def zpoly_add_scaled(acc: list[int], p: Sequence[int], c: int = 1, shift: int = 0) -> None:
+    """acc += c * q^shift * p, in place (acc grows as needed)."""
+    end = shift + len(p)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    if c == 1:
+        acc[shift:end] = [x + y for x, y in zip(acc[shift:end], p)]
+    else:
+        acc[shift:end] = [x + c * y for x, y in zip(acc[shift:end], p)]
+
+
+def zpoly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Schoolbook product of two trimmed integer polynomials."""
+    if not a or not b:
+        return ()
+    if len(a) < len(b):
+        a, b = b, a
+    la = len(a)
+    out = [0] * (la + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            out[j:j + la] = [x + cb * y for x, y in zip(out[j:j + la], a)]
+    return tuple(out)
+
+
+def zxpoly_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
+    """Product of two polynomials in x over Z[q]."""
+    if not a or not b:
+        return ()
+    out: list[list[int]] = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    zpoly_add_scaled(out[i + j], zpoly_mul(ca, cb))
+    return zxpoly_trim(out)
+
+
+def zxpoly_trim(a: Sequence[Sequence[int]]) -> tuple:
+    """Trim every q-coefficient, then drop zero coefficients at the top in x."""
+    cs = [zpoly_trim(c) for c in a]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def zpoly_div_q_minus_1(a: Sequence[int]) -> tuple[int, ...]:
+    """Exact quotient a / (q - 1) by synthetic division at q = 1.
+
+    The remainder is a(1); a nonzero one raises ExactDivisionError.
+    """
+    a = zpoly_trim(a)
+    if sum(a):
+        raise ExactDivisionError(f"{QPoly(a)} is not divisible by q - 1")
+    return tuple(itertools.accumulate(a[:0:-1]))[::-1]
+
+
+def zpoly_divmod(a: Sequence[int], m: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by a monic integer polynomial m."""
+    if not m or m[-1] != 1:
+        raise ValueError("zpoly_divmod needs a monic divisor")
+    dm = len(m) - 1
+    r = list(zpoly_trim(a))
+    if len(r) <= dm:
+        return (), tuple(r)
+    low = [(i, c) for i, c in enumerate(m[:-1]) if c]
+    quot = [0] * (len(r) - dm)
+    for k in range(len(r) - 1 - dm, -1, -1):
+        c = r[k + dm]
+        if c:
+            quot[k] = c
+            for i, mc in low:
+                r[k + i] -= c * mc
+    return tuple(quot), zpoly_trim(r[:dm])
+
+
+def zpoly_exact_div(a: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
+    quot, rem = zpoly_divmod(a, m)
+    if rem:
+        raise ExactDivisionError(f"{QPoly(a)} is not divisible by {QPoly(m)}")
+    return quot
+
+
+@lru_cache(maxsize=None)
+def zcyclotomic(d: int) -> tuple[int, ...]:
+    """The d-th cyclotomic polynomial with int coefficients."""
+    return tuple(int(c) for c in cyclotomic(d).coeffs)
+
+
+@lru_cache(maxsize=None)
+def _q_factorial(n: int) -> QPoly:
+    return math.prod((q_int_poly(k) for k in range(2, n + 1)), start=QPOLY_ONE)
+
+
+@lru_cache(maxsize=None)
+def q_factorial_quotient(n: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """[n]_q! / prod_{p in parts} [p]_q! as an integer polynomial, such as the
+    rising product [m+1]_q ... [n]_q (parts = (m,)) or a q-multinomial
+    (parts summing to n).  A quotient that is not a polynomial raises
+    ExactDivisionError.  Each key is computed once, through QRat; the engine
+    asks for few distinct keys, so this gcd runs per table entry, not per
+    tree."""
+    den = math.prod((_q_factorial(p) for p in parts), start=QPOLY_ONE)
+    quot = QRat(_q_factorial(n), den)
+    if not quot.is_polynomial():
+        raise ExactDivisionError(f"[{n}]_q! is not divisible by the q-factorials of {parts}")
+    return tuple(int(c) for c in quot.num.coeffs)
+
+
+def _divisible_by_cyclotomic(a: Sequence[int], d: int) -> bool:
+    # Phi_d divides q^d - 1, so a mod Phi_d is (a folded mod q^d - 1) mod Phi_d
+    folded = [sum(a[i::d]) for i in range(d)]
+    return not zpoly_divmod(folded, zcyclotomic(d))[1]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> QPoly:
+    out: tuple[int, ...] = (1,)
+    for d, e in exponents:
+        for _ in range(e):
+            out = zpoly_mul(out, zcyclotomic(d))
+    return QPoly(out)
+
+
+def qrat_over_q_factorial(num: Sequence[int], n: int) -> QRat:
+    """The canonical QRat equal to num / [n]_q!, for an integer polynomial num.
+
+    [n]_q! = prod_{d=2..n} Phi_d^floor(n/d); each Phi_d is split off num by
+    trial division at most floor(n/d) times.  The Phi_d are monic and
+    irreducible, so what is left is already reduced with a monic denominator
+    and no gcd is needed.
+    """
+    num = zpoly_trim(num)
+    if not num:
+        return QRAT_ZERO
+    left = []
+    for d in range(2, n + 1):
+        e = n // d
+        while e and _divisible_by_cyclotomic(num, d):
+            num = zpoly_exact_div(num, zcyclotomic(d))
+            e -= 1
+        if e:
+            left.append((d, e))
+    return QRat._raw(QPoly(num), _cyclotomic_product(tuple(left)))
 
 
 # ---------------------------------------------------------------------------

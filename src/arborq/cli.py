@@ -27,7 +27,7 @@ from .serialize import canonical_json, series_from_obj, value_to_obj
 from .series import TreeSeries
 
 CACHE_DIR_ENV = "ARBORQ_CACHE_DIR"
-COSTLY_ORDER = 9
+COSTLY_ORDER = 10
 
 SERIES_RING = {
     "pawn": "xpoly",
@@ -183,12 +183,7 @@ def cmd_compute(args) -> int:
         except cache_mod.CacheError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    if payload is not None:
-        series = series_from_obj(
-            {"order": payload["order"], "ring": SERIES_RING[args.series],
-             "entries": payload["entries"]}
-        )
-    else:
+    if payload is None:
         series = _compute_series(args.series, args.n, args.order, args.workers)
         entries = [[tr.encoding(t), value_to_obj(series.ring, v)] for t, v in series.items()]
         payload = {
@@ -199,6 +194,12 @@ def cmd_compute(args) -> int:
         }
         if cache_dir:
             cache_mod.store(cache_dir, key, payload)
+    elif args.format != "json":
+        # csv and tex need the series; a json hit renders the checked payload
+        series = series_from_obj(
+            {"order": payload["order"], "ring": SERIES_RING[args.series],
+             "entries": payload["entries"]}
+        )
 
     if args.format == "json":
         text = _render_json(payload)

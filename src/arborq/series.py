@@ -107,11 +107,6 @@ class TreeSeries:
             self.order, ring or self.ring, {t: fn(t, v) for t, v in self.coeffs.items()}
         )
 
-    def homogeneous(self, n: int) -> TreeSeries:
-        return TreeSeries(
-            self.order, self.ring, {t: v for t, v in self.coeffs.items() if tr.size(t) == n}
-        )
-
     def truncate(self, order: int) -> TreeSeries:
         """Explicit re-truncation; only downward is meaningful."""
         if order > self.order:

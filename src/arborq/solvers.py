@@ -1,11 +1,20 @@
 """Solvers and closed forms for the named tree series.
 
 Everything here is driven by per-tree recursions obtained by extracting the
-degree-n homogeneous component of the defining functional equations; the
-left side always contributes (q^n - 1) times the unknown coefficient, the
-right side only smaller trees (leaf prunings and root branches).  The tests
-re-derive each recursion by evaluating both sides of the original equation
-with the tree-series primitives, so the derivations themselves are guarded.
+degree-n homogeneous component of the defining functional equations: the
+unknown coefficient of a tree of size n appears on the left times q^n - 1,
+the right side involves only smaller trees (leaf prunings and root
+branches).  The tests re-derive each recursion by evaluating both sides of
+the original equation with the tree-series primitives, so the derivations
+themselves are guarded.
+
+pawn, omega and omega_bar share one fraction-free engine.  It stores
+N_T = [n]_q! * value_T in Z[q][x], where [n]_q! clears every denominator of
+a size-n tree.  Multiplied by [n-1]_q!, each recursion has integer
+polynomials on the right and (q - 1) N_T on the left, so a tree costs one
+exact division by q - 1 and no gcd.  Values become canonical reduced QRat
+only at the output edge, by trial division of N_T with the cyclotomic
+factors of [n]_q!.
 
 The per-tree solvers are demand-driven and memoized: asking for one
 coefficient only computes the trees reachable from it by leaf pruning and
@@ -28,14 +37,21 @@ from .algebra import (
     QRAT_ZERO,
     QRat,
     QSeries,
-    XPOLY_ONE,
     XPoly,
     one_plus_qx,
+    q_factorial_quotient,
     q_int_poly,
     q_integer,
+    qrat_over_q_factorial,
     qrat_sum,
     xpoly_fraction,
     xpoly_sum,
+    zpoly_add_scaled,
+    zpoly_div_q_minus_1,
+    zpoly_mul,
+    zpoly_trim,
+    zxpoly_mul,
+    zxpoly_trim,
 )
 from . import trees as tr
 from .series import TreeSeries
@@ -52,32 +68,103 @@ def pmap(fn, items, workers: int = 1) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The fraction-free engine behind pawn, omega and omega_bar
+
+
+def _row(rows: list[list[int]], j: int) -> list[int]:
+    while len(rows) <= j:
+        rows.append([])
+    return rows[j]
+
+
+class FractionFreeRecursion:
+    """A per-tree recursion of the shape shared by pawn, omega and omega_bar,
+
+      (q^n - 1) v_T = sum_S count * w(n, |S|) * v_{T minus S}
+                      + b(n, k) * prod_c v_c,
+
+    summed over the proper nonempty leaf subsets S of T (n = #T; c runs over
+    the k root branches), solved in Z[q][x] without fractions.
+
+    The memo holds N_T = [n]_q! * v_T as a zxpoly (see algebra).  Multiplying
+    the recursion by [n-1]_q! gives
+
+      (q - 1) N_T = sum_S count * w(n, |S|) * [m+1]_q ... [n-1]_q * N_{T minus S}
+                    + b(n, k) * ([n-1]_q! / prod_c [#c]_q!) * prod_c N_c
+
+    with m = #(T minus S), so each tree costs one exact division by q - 1.
+    w(n, r) is a signed monomial (sign, exponent of q); b(n, k) is a zxpoly,
+    or None when the branch term is absent.
+    """
+
+    def __init__(self, leaf: tuple, prune_weight, branch_weight):
+        self.leaf = leaf
+        self.prune_weight = prune_weight
+        self.branch_weight = branch_weight
+        self.memo: dict[int, tuple] = {}
+
+    def numerator(self, t: int) -> tuple:
+        """N_T = [#T]_q! * v_T as a zxpoly."""
+        cached = self.memo.get(t)
+        if cached is not None:
+            return cached
+        n = tr.size(t)
+        if n == 1:
+            val = self.leaf
+        else:
+            # prunings that leave m vertices share the factor [m+1]...[n-1]
+            by_size: dict[int, list[list[int]]] = {}
+            for (rest, removed), count in tr.prune_leaf_subsets(t, proper_only=True).items():
+                sign, shift = self.prune_weight(n, removed)
+                rows = by_size.setdefault(tr.size(rest), [])
+                for j, p in enumerate(self.numerator(rest)):
+                    zpoly_add_scaled(_row(rows, j), p, sign * count, shift)
+            total: list[list[int]] = []
+            for m, rows in by_size.items():
+                rising = q_factorial_quotient(n - 1, (m,))
+                for j, p in enumerate(rows):
+                    zpoly_add_scaled(_row(total, j), zpoly_mul(zpoly_trim(p), rising))
+            kids = tr.children(t)
+            prod = self.branch_weight(n, len(kids))
+            if prod is not None:
+                for c in kids:
+                    prod = zxpoly_mul(prod, self.numerator(c))
+                multinomial = q_factorial_quotient(n - 1, tuple(tr.size(c) for c in kids))
+                for j, p in enumerate(prod):
+                    zpoly_add_scaled(_row(total, j), zpoly_mul(p, multinomial))
+            val = zxpoly_trim([zpoly_div_q_minus_1(p) for p in total])
+        self.memo[t] = val
+        return val
+
+    def reduced(self, t: int) -> tuple[QRat, ...]:
+        """v_T as canonical QRat coefficients indexed by x-degree (at least one)."""
+        n = tr.size(t)
+        return tuple(qrat_over_q_factorial(c, n) for c in self.numerator(t)) or (QRAT_ZERO,)
+
+
+def _alternating(n: int, removed: int) -> tuple[int, int]:
+    return (-1 if removed % 2 else 1, 0)
+
+
+# ---------------------------------------------------------------------------
 # The main two-variable series ("pawn" in the CLI)
 
 _PAWN: dict[int, XPoly] = {}
+
+# (q^n - 1) P_T = sum_S (-1)^|S| P_{T minus S} + q^n (1 + (q-1) x) prod_c P_c
+_PAWN_ENGINE = FractionFreeRecursion(
+    leaf=((1,), (0, 1)),
+    prune_weight=_alternating,
+    branch_weight=lambda n, k: ((0,) * n + (1,), (0,) * n + (-1, 1)),
+)
 
 
 def pawn_coeff(t: int) -> XPoly:
     """Coefficient of the tree t, a polynomial in x of degree #t over Q(q)."""
     cached = _PAWN.get(t)
-    if cached is not None:
-        return cached
-    n = tr.size(t)
-    if n == 1:
-        val = one_plus_qx()
-    else:
-        terms = []
-        for (rest, removed), count in tr.prune_leaf_subsets(t, proper_only=True).items():
-            c = -count if removed % 2 else count
-            terms.append(pawn_coeff(rest) * c)
-        prod = XPOLY_ONE
-        for c in tr.children(t):
-            prod = prod * pawn_coeff(c)
-        qn = QPoly.q_power(n)
-        terms.append(prod * XPoly((qn, qn * QPoly((-1, 1)))))
-        val = xpoly_sum(terms).scale(QRat(1, qn - 1))
-    _PAWN[t] = val
-    return val
+    if cached is None:
+        cached = _PAWN[t] = XPoly(_PAWN_ENGINE.reduced(t))
+    return cached
 
 
 def solve_pawn(order: int, workers: int = 1) -> TreeSeries:
@@ -244,6 +331,12 @@ def pawn_corolla(n: int) -> XPoly:
 
 _OMEGA: dict[int, QRat] = {}
 
+_OMEGA_ENGINE = FractionFreeRecursion(
+    leaf=((1,),),
+    prune_weight=lambda n, removed: (-1, n - removed),
+    branch_weight=lambda n, k: ((1,),) if k == 1 else None,
+)
+
 
 def omega_coeff(t: int) -> QRat:
     """Coefficient in the series whose corolla coefficients are the
@@ -252,24 +345,18 @@ def omega_coeff(t: int) -> QRat:
                       - sum_{nonempty leaf subsets S} q^(n-|S|) w_{T minus S}.
     """
     cached = _OMEGA.get(t)
-    if cached is not None:
-        return cached
-    n = tr.size(t)
-    if n == 1:
-        val = QRAT_ONE
-    else:
-        terms = []
-        kids = tr.children(t)
-        if len(kids) == 1:
-            terms.append(omega_coeff(kids[0]))
-        for (rest, removed), count in tr.prune_leaf_subsets(t, proper_only=True).items():
-            terms.append(omega_coeff(rest) * QRat(QPoly.q_power(n - removed).scale(-count)))
-        val = qrat_sum(terms) / QRat(QPoly.q_power(n) - 1)
-    _OMEGA[t] = val
-    return val
+    if cached is None:
+        cached = _OMEGA[t] = _OMEGA_ENGINE.reduced(t)[0]
+    return cached
 
 
 _OMEGA_BAR: dict[int, QRat] = {}
+
+_OMEGA_BAR_ENGINE = FractionFreeRecursion(
+    leaf=((1,),),
+    prune_weight=_alternating,
+    branch_weight=lambda n, k: ((0,) * (n - 1) + (1,),) if k == 1 else None,
+)
 
 
 def omega_bar_coeff(t: int) -> QRat:
@@ -278,22 +365,9 @@ def omega_bar_coeff(t: int) -> QRat:
                       + [root has one child] q^(n-1) w_{T'}.
     """
     cached = _OMEGA_BAR.get(t)
-    if cached is not None:
-        return cached
-    n = tr.size(t)
-    if n == 1:
-        val = QRAT_ONE
-    else:
-        terms = []
-        for (rest, removed), count in tr.prune_leaf_subsets(t, proper_only=True).items():
-            c = -count if removed % 2 else count
-            terms.append(omega_bar_coeff(rest) * c)
-        kids = tr.children(t)
-        if len(kids) == 1:
-            terms.append(omega_bar_coeff(kids[0]) * QRat(QPoly.q_power(n - 1)))
-        val = qrat_sum(terms) / QRat(QPoly.q_power(n) - 1)
-    _OMEGA_BAR[t] = val
-    return val
+    if cached is None:
+        cached = _OMEGA_BAR[t] = _OMEGA_BAR_ENGINE.reduced(t)[0]
+    return cached
 
 
 def omega_bar_via_transform(t: int) -> QRat:

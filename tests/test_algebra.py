@@ -4,6 +4,8 @@ cyclotomic factoring, Newton polygons, serialization round-trips."""
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -26,12 +28,18 @@ from arborq.algebra import (
     factor_cyclotomic,
     newton_polygon,
     one_plus_qx,
+    q_factorial_quotient,
     q_int_poly,
     q_integer,
     qpoly_gcd,
     qpoly_lcm,
+    qrat_over_q_factorial,
     subst_q,
     xpoly_fraction,
+    zcyclotomic,
+    zpoly_div_q_minus_1,
+    zpoly_divmod,
+    zpoly_mul,
 )
 from arborq.serialize import qrat_from_obj, qrat_to_obj, xpoly_from_obj, xpoly_to_obj
 
@@ -334,3 +342,76 @@ class TestQSeries:
         assert (a - a).is_zero()
         with pytest.raises(ValueError):
             a + QSeries((1,), 5)
+
+
+class TestFractionFree:
+    """The integer layer under the per-tree engine: exact divisions raise on
+    a remainder, and the cyclotomic reduction matches gcd reduction."""
+
+    def test_div_q_minus_1_exact(self):
+        a = zpoly_mul((-1, 1), (2, 0, -3, 5))
+        assert zpoly_div_q_minus_1(a) == (2, 0, -3, 5)
+        assert zpoly_div_q_minus_1(()) == ()
+        assert zpoly_div_q_minus_1(a + (0, 0)) == (2, 0, -3, 5)
+
+    def test_div_q_minus_1_remainder_raises(self):
+        with pytest.raises(ExactDivisionError):
+            zpoly_div_q_minus_1((1, 1))  # q + 1
+        with pytest.raises(ExactDivisionError):
+            zpoly_div_q_minus_1((3,))
+
+    def test_div_q_minus_1_raises_under_optimize(self):
+        code = (
+            "from arborq.algebra import ExactDivisionError, zpoly_div_q_minus_1\n"
+            "try:\n    zpoly_div_q_minus_1((1, 1))\n"
+            "except ExactDivisionError:\n    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": ":".join(sys.path)}, check=True,
+        ).stdout
+        assert out == "raised\n"
+
+    def test_divmod_monic(self):
+        a = (5, -1, 0, 2, 7)
+        m = zcyclotomic(3)
+        quot, rem = zpoly_divmod(a, m)
+        want_quot, want_rem = longdiv(list(a), list(m))
+        assert list(quot) == want_quot and list(rem) == want_rem
+        with pytest.raises(ValueError):
+            zpoly_divmod(a, (1, 2))
+
+    def test_q_factorial_quotient(self):
+        assert q_factorial_quotient(4, (2,)) == zpoly_mul((1, 1, 1), (1, 1, 1, 1))
+        assert q_factorial_quotient(3, (3,)) == (1,)
+        assert q_factorial_quotient(3, (1, 2)) == (1, 1, 1)
+        assert q_factorial_quotient(4, (2, 2)) == (1, 1, 2, 1, 1)  # Gaussian [4 choose 2]
+        assert QPoly(q_factorial_quotient(6, ())) == (
+            cyclotomic(2) ** 3 * cyclotomic(3) ** 2 * cyclotomic(4) * cyclotomic(5)
+            * cyclotomic(6)
+        )
+        with pytest.raises(ExactDivisionError):
+            q_factorial_quotient(3, (2, 2))  # [3]_q / [2]_q
+
+    @pytest.mark.parametrize(
+        "num, n",
+        [
+            ((1,), 4),                                     # nothing cancels
+            (zpoly_mul(zcyclotomic(3), (5, 2)), 4),        # Phi_2^2 survives below
+            (zpoly_mul(zpoly_mul(zcyclotomic(2), zcyclotomic(2)),
+                       zpoly_mul(zcyclotomic(2), (7,))), 4),  # Phi_2^3 over Phi_2^2
+            (zpoly_mul(q_factorial_quotient(5, ()), (-3, 0, 1)), 5),  # cancels completely
+            (zpoly_mul(zcyclotomic(5), (0, 4, -1)), 6),
+            ((), 3),
+        ],
+    )
+    def test_cyclotomic_reduction_matches_gcd(self, num, n):
+        want = QRat(QPoly(num), QPoly(q_factorial_quotient(n, ())))
+        got = qrat_over_q_factorial(num, n)
+        assert got.num == want.num and got.den == want.den
+
+    def test_cyclotomic_reduction_shapes(self):
+        r = qrat_over_q_factorial(zpoly_mul(zcyclotomic(3), (5, 2)), 4)
+        assert r.den == cyclotomic(2) ** 2 * cyclotomic(4)
+        r = qrat_over_q_factorial(zpoly_mul(q_factorial_quotient(5, ()), (-3, 0, 1)), 5)
+        assert r.is_polynomial() and r.num == QPoly((-3, 0, 1))

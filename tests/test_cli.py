@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -95,9 +96,28 @@ class TestCompute:
         assert json.loads(target.read_text())["series"] == "E"
 
     def test_cost_warning(self, capsys):
-        code, _, err = run_cli(["compute", "E", "--order", "9"], capsys)
+        code, _, err = run_cli(["compute", "E", "--order", "10"], capsys)
         assert code == 0
         assert "warning" in err
+
+
+class TestByteIdentity:
+    """sha256 of the canonical JSON (with its trailing newline) of series
+    whose values come from the fraction-free engine, pinned to the output of
+    the earlier gcd-reduced QRat recursions."""
+
+    @pytest.mark.parametrize(
+        "series, order, digest",
+        [
+            ("pawn", 8, "74e798a2d0ea2376cf018c012d8080226f3e9665c2e74ce143f9867b3b8592ba"),
+            ("omega", 9, "130ea4a6ca87cd79bd592ab2f4e81ec310e17490d5260af4cecc6ef571e3d351"),
+            ("omega_bar", 9, "56a3b988de5131f9cbcaa42cbc59360aec429460858f4ae6765dfc1ae7b44e2c"),
+        ],
+    )
+    def test_canonical_json_digest(self, series, order, digest, capsys):
+        code, out, _ = run_cli(["compute", series, "--order", str(order)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCache:
@@ -136,6 +156,20 @@ class TestCache:
             capsys,
         )
         assert fresh == cached
+
+    def test_json_hit_renders_payload_without_parsing(self, tmp_path, capsys, monkeypatch):
+        cdir = str(tmp_path / "cache")
+        args = ["compute", "pawn", "--order", "3", "--cache-dir", cdir]
+        _, fresh, _ = run_cli(args, capsys)
+
+        def no_parse(_obj):
+            raise AssertionError("json cache hit parsed the payload")
+
+        monkeypatch.setattr("arborq.cli.series_from_obj", no_parse)
+        code, cached, _ = run_cli(args, capsys)
+        assert code == 0 and cached == fresh
+        with pytest.raises(AssertionError):
+            main([*args, "--format", "csv"])
 
     def test_corruption_detected(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")
