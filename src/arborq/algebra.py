@@ -2,7 +2,8 @@
 
 This module provides the coefficient rings everything else is built on:
 
-  QPoly    polynomials in q over exact rationals (dense, no trailing zeros)
+  QPoly    polynomials in q over Q, stored as an integer polynomial over one
+           positive common denominator (ints / den, canonical)
   QRat     reduced rational functions in q (monic denominator, content in
            the numerator, so equality is structural)
   XPoly    polynomials in x with QRat coefficients
@@ -12,10 +13,15 @@ This module provides the coefficient rings everything else is built on:
 plus cyclotomic polynomials, q-integers, cyclotomic trial-division
 factoring and the substitutions q -> 1/q, q -> value, q -> power series.
 
-The fraction-free layer works on plain int tuples instead: zpolys in Z[q]
-and zxpolys in Z[q][x], with exact division by q - 1 and by monic
-polynomials, the quotients of q-factorials the recursions scale by, and the
-cyclotomic reduction of num / [n]_q! to a canonical QRat.
+The fraction-free layer works on plain int tuples: zpolys in Z[q] and
+zxpolys in Z[q][x], with products, exact division by q - 1 and integer
+(pseudo-)division, the quotients of q-factorials the recursions scale by, and
+the cyclotomic reduction of num / [n]_q! to a canonical QRat.  The per-tree
+recursions run on it directly; QPoly runs on it too, through its ints: a QPoly
+is ints / den with ints a zpoly and den a positive int coprime to the content
+of ints (zero is ((), 1)), so Q(q) arithmetic runs on Python ints.  The
+Fraction view of a QPoly (coeffs, coeff, leading) is made on demand for
+readers such as printing and tests, and is never stored.
 
 All values are immutable after construction.  There is no floating-point
 mode anywhere.
@@ -53,64 +59,104 @@ def _as_fraction(c) -> Fraction:
 
 
 class QPoly:
-    """Dense univariate polynomial in q with Fraction coefficients.
+    """Dense univariate polynomial in q over Q, stored as ints / den.
 
-    Trailing zero coefficients are never stored; the zero polynomial has an
-    empty coefficient tuple and degree -1.
+    ints is a tuple of Python ints, lowest degree first, with no trailing
+    zeros; den is a positive int with gcd(den, content(ints)) == 1.  The zero
+    polynomial is ((), 1) and has degree -1.  That form is canonical, so
+    equality and hashing compare (ints, den), and every operation runs on the
+    zpoly kernels of the fraction-free layer.  The Fraction view
+    (coeffs, coeff, leading) is built on demand and never stored.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = tuple(coeffs)
+        den = 1
+        for c in cs:
+            if isinstance(c, Fraction):
+                den = math.lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(f"not an exact rational: {c!r}")
+        # an int is its own numerator, over denominator 1
+        self.ints = zpoly_trim([c.numerator * (den // c.denominator) for c in cs])
+        # the lcm of reduced denominators is coprime to the scaled content
+        self.den = den
+
+    @staticmethod
+    def _raw(ints: tuple[int, ...], den: int = 1) -> QPoly:
+        # internal: caller guarantees the canonical form
+        p = object.__new__(QPoly)
+        p.ints = ints
+        p.den = den
+        return p
+
+    @staticmethod
+    def from_ints(ints: Sequence[int], den: int = 1) -> QPoly:
+        """The polynomial ints / den, for any int sequence and nonzero den."""
+        ints = zpoly_trim(ints)
+        if not ints:
+            return QPOLY_ZERO
+        if den < 0:
+            ints = tuple(-c for c in ints)
+            den = -den
+        if den != 1:
+            g = math.gcd(den, *ints)
+            if g != 1:
+                ints = tuple(c // g for c in ints)
+                den //= g
+        return QPoly._raw(ints, den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c) -> QPoly:
-        return QPoly((_as_fraction(c),))
+        c = _as_fraction(c)
+        return QPoly._raw((c.numerator,), c.denominator) if c else QPOLY_ZERO
 
     @staticmethod
     def q_power(k: int) -> QPoly:
         if k < 0:
             raise ValueError("q_power exponent must be nonnegative")
-        return QPoly((0,) * k + (1,))
+        return QPoly._raw((0,) * k + (1,))
 
     # -- basic structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return Fraction(self.ints[k], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QPoly.const(other)
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.ints == o.ints and self.den == o.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     # -- ring operations ----------------------------------------------------
 
@@ -125,18 +171,20 @@ class QPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        if not o.ints:
+            return self
+        if not self.ints:
+            return o
+        da, db = self.den, o.den
+        g = math.gcd(da, db)
+        acc = [c * (db // g) for c in self.ints]
+        zpoly_add_scaled(acc, o.ints, da // g)
+        return QPoly.from_ints(acc, da // g * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> QPoly:
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._raw(tuple(-c for c in self.ints), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -155,23 +203,14 @@ class QPoly:
             return self.scale(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return QPoly(out)
+        return QPoly.from_ints(zpoly_mul(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = QPoly.const(1)
+        result = QPOLY_ONE
         base = self
         while n:
             if n & 1:
@@ -183,34 +222,37 @@ class QPoly:
     def scale(self, c) -> QPoly:
         c = _as_fraction(c)
         if c == 0:
-            return QPoly()
-        return QPoly(tuple(cc * c for cc in self.coeffs))
+            return QPOLY_ZERO
+        n = c.numerator
+        return QPoly.from_ints(tuple(x * n for x in self.ints), self.den * c.denominator)
 
     def shift(self, k: int) -> QPoly:
         """Multiply by q^k."""
         if self.is_zero():
             return self
-        return QPoly((Fraction(0),) * k + self.coeffs)
+        return QPoly._raw((0,) * k + self.ints, self.den)
 
     def __divmod__(self, other: QPoly):
         if not isinstance(other, QPoly):
             other = QPoly.const(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.coeffs
-        dd = len(d) - 1
-        lead = d[-1]
-        quot = [Fraction(0)] * max(0, len(r) - dd)
-        while len(r) - 1 >= dd and r:
-            c = r[-1] / lead
-            shift = len(r) - 1 - dd
-            quot[shift] = c
-            for i, dc in enumerate(d):
-                r[shift + i] -= c * dc
-            while r and r[-1] == 0:
-                r.pop()
-        return QPoly(quot), QPoly(r)
+        a, b = self.ints, other.ints
+        steps = len(a) - len(b) + 1
+        if steps <= 0:
+            return QPOLY_ZERO, self
+        # pseudo-division: s * a = b * quot + rem over Z, so with da, db the
+        # denominators, self = other * (quot * db / (s * da)) + rem / (s * da);
+        # a lead of +-1 divides every step and needs no scaling
+        lead = b[-1]
+        s = 1 if lead in (1, -1) else lead ** steps
+        if s != 1:
+            a = tuple(c * s for c in a)
+        quot, rem = zpoly_divmod(a, b)
+        den = s * self.den
+        db = other.den
+        return (QPoly.from_ints(tuple(c * db for c in quot), den),
+                QPoly.from_ints(rem, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -227,53 +269,59 @@ class QPoly:
     def monic(self) -> QPoly:
         if self.is_zero():
             return self
-        lc = self.leading
-        return self if lc == 1 else self.scale(Fraction(1) / lc)
+        return QPoly.from_ints(self.ints, self.ints[-1])
 
     def evaluate(self, v) -> Fraction:
+        # homogeneous Horner: sum c_i n^i d^(m-i) / (d^m * den) for v = n/d
         v = _as_fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        n, d = v.numerator, v.denominator
+        acc = 0
+        dpow = 1
+        for c in reversed(self.ints):
+            acc = acc * n + c * dpow
+            dpow *= d
+        return Fraction(acc, dpow // d * self.den) if self.ints else Fraction(0)
 
     def derivative(self) -> QPoly:
-        return QPoly(tuple(c * (i + 1) for i, c in enumerate(self.coeffs[1:])))
+        return QPoly.from_ints(tuple(c * i for i, c in enumerate(self.ints) if i), self.den)
 
     def primitive_int(self) -> tuple[Fraction, tuple[int, ...]]:
         """Write self = content * p with p primitive over Z, positive leading."""
         if self.is_zero():
             return Fraction(0), ()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, abs(c))
-        if ints[-1] < 0:
+        g = math.gcd(*self.ints)
+        if self.ints[-1] < 0:
             g = -g
-        return Fraction(g, den), tuple(c // g for c in ints)
+        return Fraction(g, self.den), tuple(c // g for c in self.ints)
+
+    def terms(self) -> list[tuple[int, int, int]]:
+        """(exponent, numerator, denominator) of each nonzero coefficient in
+        lowest terms, lowest degree first."""
+        den = self.den
+        out = []
+        for e, c in enumerate(self.ints):
+            if c:
+                g = math.gcd(c, den)
+                out.append((e, c // g, den // g))
+        return out
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
+        for e, num, den in reversed(self.terms()):
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             mono = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
             if e == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = mag
+            elif mag == "1":
                 body = mono
-            elif abs(c).denominator == 1:
-                body = f"{abs(c)}{mono}"
+            elif den == 1:
+                body = f"{mag}{mono}"
             else:
-                body = f"({abs(c)}){mono}"
-            sign = " - " if c < 0 else (" + " if parts else "")
-            if c < 0 and not parts:
+                body = f"({mag}){mono}"
+            sign = " - " if num < 0 else (" + " if parts else "")
+            if num < 0 and not parts:
                 sign = "-"
             parts.append(sign + body)
         return "".join(parts)
@@ -282,9 +330,9 @@ class QPoly:
         return f"QPoly({self})"
 
 
-QPOLY_ZERO = QPoly()
-QPOLY_ONE = QPoly((1,))
-Q = QPoly((0, 1))
+QPOLY_ZERO = QPoly._raw(())
+QPOLY_ONE = QPoly._raw((1,))
+Q = QPoly._raw((0, 1))
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -295,42 +343,37 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     while r and len(r) - 1 >= db:
         lr = r[-1]
         shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, c in enumerate(b):
-            r[shift + i] -= lr * c
-        while r and r[-1] == 0:
+        r = [lb * c for c in r[:shift]] + [lb * x - lr * y for x, y in zip(r[shift:-1], b)]
+        while r and not r[-1]:
             r.pop()
     return r
 
 
-def _primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
-    if g == 0:
+def _primitive(a: Sequence[int]) -> list[int]:
+    if not a:
         return []
+    g = math.gcd(*a)
     if a[-1] < 0:
         g = -g
-    return [c // g for c in a]
+    return [c // g for c in a] if g != 1 else list(a)
 
 
 def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """Greatest common divisor, returned primitive over Z with positive lead.
 
-    Uses a primitive pseudo-remainder sequence on integer coefficients so that
-    intermediate coefficient growth stays controlled.
+    Uses a primitive pseudo-remainder sequence on the integer numerators (the
+    denominators are units) so that intermediate coefficient growth stays
+    controlled.
     """
-    if a.is_zero():
-        return QPoly(b.primitive_int()[1])
-    if b.is_zero():
-        return QPoly(a.primitive_int()[1])
-    pa = list(a.primitive_int()[1])
-    pb = list(b.primitive_int()[1])
+    pa = _primitive(a.ints)
+    pb = _primitive(b.ints)
     if len(pa) < len(pb):
         pa, pb = pb, pa
     while pb:
+        if len(pb) == 1:
+            return QPOLY_ONE
         pa, pb = pb, _primitive(_prem(pa, pb))
-    return QPoly(pa)
+    return QPoly._raw(tuple(pa))
 
 
 def qpoly_lcm(a: QPoly, b: QPoly) -> QPoly:
@@ -406,6 +449,15 @@ def factor_cyclotomic(p: QPoly, bound: int | None = None):
 # Rational functions in q
 
 
+def _monic_den(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+    """Divide num and den by the leading coefficient of den."""
+    lead = den.ints[-1]
+    if lead == den.den:
+        return num, den
+    return (QPoly.from_ints(tuple(c * den.den for c in num.ints), num.den * lead),
+            QPoly.from_ints(den.ints, lead))
+
+
 class QRat:
     """Reduced rational function in q.
 
@@ -429,13 +481,7 @@ class QRat:
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        lc = den.leading
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_den(num, den)
 
     @staticmethod
     def _raw(num: QPoly, den: QPoly) -> QRat:
@@ -463,7 +509,7 @@ class QRat:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     # -- field operations ----------------------------------------------------
 
@@ -490,12 +536,7 @@ class QRat:
         if h.degree > 0:
             num = num.exact_div(h)
             den = den.exact_div(h)
-        lc = den.leading
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return QRat._raw(num, den)
+        return QRat._raw(*_monic_den(num, den))
 
     __radd__ = __add__
 
@@ -528,12 +569,7 @@ class QRat:
         d1 = self.den.exact_div(g2) if g2.degree > 0 else self.den
         num = n1 * n2
         den = d1 * d2
-        lc = den.leading
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return QRat._raw(num, den)
+        return QRat._raw(*_monic_den(num, den))
 
     __rmul__ = __mul__
 
@@ -581,22 +617,23 @@ class QRat:
     def reciprocal_q(self) -> QRat:
         """Substitute q -> 1/q, clearing negative powers by a q^k rescale."""
         k = max(self.num.degree, self.den.degree, 0)
-        rn = QPoly(tuple(self.num.coeff(k - i) for i in range(k + 1)))
-        rd = QPoly(tuple(self.den.coeff(k - i) for i in range(k + 1)))
+        rn, rd = (QPoly.from_ints((p.ints + (0,) * (k + 1 - len(p.ints)))[::-1], p.den)
+                  for p in (self.num, self.den))
         return QRat(rn, rd)
 
     def series(self, order: int) -> QSeries:
         """Power-series expansion at q = 0 to the given order."""
         if self.is_zero():
             return QSeries((), order)
-        if self.den.coeff(0) == 0:
+        nc, dc = self.num.coeffs, self.den.coeffs
+        if dc[0] == 0:
             raise PoleError("pole at q = 0: no power-series expansion")
-        d0 = self.den.coeff(0)
+        d0 = dc[0]
         out = []
         for k in range(order + 1):
-            acc = self.num.coeff(k)
-            for i in range(1, k + 1):
-                di = self.den.coeff(i)
+            acc = nc[k] if k < len(nc) else Fraction(0)
+            for i in range(1, min(k, len(dc) - 1) + 1):
+                di = dc[i]
                 if di:
                     acc -= di * out[k - i]
             out.append(acc / d0)
@@ -680,7 +717,8 @@ def subst_q(f: QRat, target) -> "QRat | Fraction | QSeries":
 # A zpoly is a tuple of Python ints, lowest degree first, with no trailing
 # zeros; the zero polynomial is ().  A zxpoly is a polynomial in x over Z[q]:
 # a tuple of zpolys indexed by x-degree.  The per-tree recursions run on these
-# and meet QRat only through qrat_over_q_factorial.
+# and meet QRat only through qrat_over_q_factorial; QPoly keeps its integer
+# numerator as a zpoly, so these are also the kernels of all Q(q) arithmetic.
 
 
 def zpoly_trim(a: Sequence[int]) -> tuple[int, ...]:
@@ -748,9 +786,16 @@ def zpoly_div_q_minus_1(a: Sequence[int]) -> tuple[int, ...]:
 
 
 def zpoly_divmod(a: Sequence[int], m: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of a by a monic integer polynomial m."""
-    if not m or m[-1] != 1:
-        raise ValueError("zpoly_divmod needs a monic divisor")
+    """Quotient and remainder of a by a nonzero integer polynomial m over Z.
+
+    Each step divides a leading coefficient by lead(m).  A lead of +-1 (every
+    monic or cyclotomic divisor) always divides; for any other lead, scale a
+    by lead(m)^(deg a - deg m + 1) first (pseudo-division).  A step that does
+    not divide raises ValueError.
+    """
+    if not m:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = m[-1]
     dm = len(m) - 1
     r = list(zpoly_trim(a))
     if len(r) <= dm:
@@ -760,6 +805,10 @@ def zpoly_divmod(a: Sequence[int], m: Sequence[int]) -> tuple[tuple[int, ...], t
     for k in range(len(r) - 1 - dm, -1, -1):
         c = r[k + dm]
         if c:
+            if lead != 1:
+                c, rest = divmod(c, lead)
+                if rest:
+                    raise ValueError(f"{lead} does not divide the step coefficient {r[k + dm]}")
             quot[k] = c
             for i, mc in low:
                 r[k + i] -= c * mc
@@ -776,7 +825,7 @@ def zpoly_exact_div(a: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def zcyclotomic(d: int) -> tuple[int, ...]:
     """The d-th cyclotomic polynomial with int coefficients."""
-    return tuple(int(c) for c in cyclotomic(d).coeffs)
+    return cyclotomic(d).ints
 
 
 @lru_cache(maxsize=None)
@@ -796,7 +845,7 @@ def q_factorial_quotient(n: int, parts: tuple[int, ...]) -> tuple[int, ...]:
     quot = QRat(_q_factorial(n), den)
     if not quot.is_polynomial():
         raise ExactDivisionError(f"[{n}]_q! is not divisible by the q-factorials of {parts}")
-    return tuple(int(c) for c in quot.num.coeffs)
+    return quot.num.ints
 
 
 def _divisible_by_cyclotomic(a: Sequence[int], d: int) -> bool:
@@ -811,7 +860,7 @@ def _cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> QPoly:
     for d, e in exponents:
         for _ in range(e):
             out = zpoly_mul(out, zcyclotomic(d))
-    return QPoly(out)
+    return QPoly._raw(out)
 
 
 def qrat_over_q_factorial(num: Sequence[int], n: int) -> QRat:
@@ -833,7 +882,7 @@ def qrat_over_q_factorial(num: Sequence[int], n: int) -> QRat:
             e -= 1
         if e:
             left.append((d, e))
-    return QRat._raw(QPoly(num), _cyclotomic_product(tuple(left)))
+    return QRat._raw(QPoly._raw(num), _cyclotomic_product(tuple(left)))
 
 
 # ---------------------------------------------------------------------------
@@ -1128,7 +1177,7 @@ class XPoly:
                 parts.append(mono)
             elif cs == "-1":
                 parts.append(f"-{mono}")
-            elif c.is_polynomial() and len([cc for cc in c.num.coeffs if cc]) == 1 and "/" not in cs and "+" not in cs and " - " not in cs:
+            elif c.is_polynomial() and len([cc for cc in c.num.ints if cc]) == 1 and "/" not in cs and "+" not in cs and " - " not in cs:
                 parts.append(f"{cs}*{mono}")
             else:
                 parts.append(f"({cs})*{mono}")
@@ -1188,12 +1237,10 @@ class BivarPoly:
 
     def x_slice(self, j: int) -> QPoly:
         """The coefficient of x^j as a polynomial in q."""
-        if self.is_zero():
-            return QPoly()
-        out = [Fraction(0)] * (self.degree_q + 1)
-        for (e, jj), c in self.terms.items():
-            if jj == j:
-                out[e] = c
+        row = {e: c for (e, jj), c in self.terms.items() if jj == j}
+        out = [0] * (max(row, default=-1) + 1)
+        for e, c in row.items():
+            out[e] = c
         return QPoly(out)
 
     def __eq__(self, other):

@@ -3,7 +3,8 @@
 Each entry is one JSON file named after the hash of its key.  The payload
 hash is stored alongside and re-verified on every load, so a corrupted or
 hand-edited entry is reported instead of silently used.  Entries carry the
-serialization format version; gc removes entries from other versions.
+serialization format version; gc removes entries from other versions and
+temp files left by writers that died before renaming them into place.
 """
 
 from __future__ import annotations
@@ -11,11 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass
 
 from .serialize import canonical_json
 
 FORMAT_VERSION = 1
+# a writer renames its temp file within moments; one older than this is left
+# over from a writer that died, and gc removes it
+STALE_TMP_SECONDS = 600
 
 
 class CacheError(Exception):
@@ -54,7 +59,9 @@ def store(directory: str, key: dict, payload: dict) -> str:
     os.makedirs(directory, exist_ok=True)
     path = entry_path(directory, key)
     entry = {"key": key, "payload": payload, "sha256": payload_hash(payload)}
-    tmp = path + ".tmp"
+    # a per-process name (not ending in .json) so concurrent writers never
+    # share a temp file; os.replace makes the entry appear whole
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w") as fh:
         fh.write(canonical_json(entry) + "\n")
     os.replace(tmp, path)
@@ -111,14 +118,24 @@ def list_entries(directory: str) -> list[dict]:
 
 
 def gc(directory: str) -> int:
-    """Remove entries whose format version differs from the current one."""
+    """Remove entries whose format version differs from the current one, and
+    temp files older than STALE_TMP_SECONDS."""
     removed = 0
     if not os.path.isdir(directory):
         return removed
+    now = time.time()
     for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if name.endswith(".tmp"):
+            try:
+                if os.path.isfile(path) and now - os.path.getmtime(path) > STALE_TMP_SECONDS:
+                    os.remove(path)
+                    removed += 1
+            except FileNotFoundError:
+                pass  # renamed or removed meanwhile by its writer
+            continue
         if not name.endswith(".json"):
             continue
-        path = os.path.join(directory, name)
         try:
             entry = _read_entry(path)
             stale = entry.key.get("version") != FORMAT_VERSION

@@ -41,27 +41,27 @@ SERIES_RING = {
 
 
 def _compute_series(name: str, n: int | None, order: int, workers: int) -> TreeSeries:
+    # n was checked against the series by _check_compute_args
     if name == "pawn":
         return sv.solve_pawn(order, workers)
     if name == "E":
         return sv.series_E(order)
     if name == "F":
-        if n is None or n < 0:
-            raise SystemExit("error: series F requires --n >= 0")
         return sv.coloring_series(order, n, "weak")
     if name == "G":
-        if n is None or n < 0:
-            raise SystemExit("error: series G requires --n >= 0")
         return sv.coloring_series(order, n, "strict")
     if name == "omega":
         return sv.solve_omega(order, workers)
     if name == "omega_bar":
         return sv.solve_omega_bar(order, workers)
-    if name == "pawn_at":
-        if n is None:
-            raise SystemExit("error: series pawn_at requires --n (the q-integer)")
-        return sv.eval_pawn_at_qint(sv.solve_pawn(order, workers), n)
-    raise SystemExit(f"error: unknown series {name!r}")
+    return sv.eval_pawn_at_qint(sv.solve_pawn(order, workers), n)
+
+
+def _check_compute_args(parser: argparse.ArgumentParser, args) -> None:
+    if args.series in ("F", "G") and (args.n is None or args.n < 0):
+        parser.error(f"series {args.series} requires --n >= 0")
+    if args.series == "pawn_at" and args.n is None:
+        parser.error("series pawn_at requires --n (the q-integer)")
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +85,16 @@ def _qpoly_tex(p: QPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for e in range(p.degree, -1, -1):
-        c = p.coeff(e)
-        if c == 0:
-            continue
+    for e, num, den in reversed(p.terms()):
+        mag = str(abs(num))
         mono = "" if e == 0 else ("q" if e == 1 else f"q^{{{e}}}")
         if e == 0:
-            body = str(abs(c))
-        elif abs(c) == 1:
+            body = mag if den == 1 else f"{mag}/{den}"
+        elif mag == "1" and den == 1:
             body = mono
         else:
-            mag = str(abs(c)) if abs(c).denominator == 1 else f"\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-            body = f"{mag}{mono}"
-        sign = "-" if c < 0 else ("+" if parts else "")
+            body = (mag if den == 1 else f"\\tfrac{{{mag}}}{{{den}}}") + mono
+        sign = "-" if num < 0 else ("+" if parts else "")
         parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
     return " ".join(parts)
 
@@ -216,25 +213,66 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+# ---------------------------------------------------------------------------
+# Argument types: a bad value is a usage error (exit 2), never a failed check
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+
+def _suite(text: str) -> list[str]:
+    if text == "all":
+        return list(vf.THEOREM_NAMES)
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("no check named")
+    for name in names:
+        if name not in vf.THEOREM_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown check {name!r}; known: {', '.join(vf.THEOREM_NAMES)}")
+    return names
+
+
+def _range(text: str) -> tuple[int, int]:
     try:
         lo, _, hi = text.partition("..")
         return int(lo), int(hi or lo)
     except ValueError:
-        raise SystemExit(f"error: bad range {text!r}, expected e.g. 2..4")
+        raise argparse.ArgumentTypeError(f"bad range {text!r}, expected e.g. 2..4") from None
+
+
+def _partition(text: str) -> tuple[int, ...]:
+    try:
+        parts = tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad partition {text!r}, expected e.g. 2,1") from None
+    if any(p < 1 for p in parts):
+        raise argparse.ArgumentTypeError(f"partition parts must be positive, got {text!r}")
+    return parts
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = list(vf.THEOREM_NAMES)
-    else:
-        names = [s.strip() for s in args.suite.split(",") if s.strip()]
+    names = args.suite
     kwargs = {}
     if args.n_range:
-        kwargs["n_range"] = _parse_range(args.n_range)
+        kwargs["n_range"] = args.n_range
     if args.coloring_bound:
         kwargs["bound"] = args.coloring_bound
-    if args.workers and args.workers > 1:
+    if args.workers > 1:
         kwargs["workers"] = args.workers
     failures = 0
     for name in names:
@@ -258,12 +296,8 @@ def cmd_conjecture(args) -> int:
         report = vf.check_newton_sweep(args.max_size, progress=progress)
     elif args.name == "partition":
         try:
-            lam = tuple(int(p) for p in args.lam.split(",") if p) if args.lam else ()
-        except ValueError:
-            raise SystemExit(f"error: bad partition {args.lam!r}, expected e.g. 2,1")
-        try:
-            report = vf.check_partition_conjecture(lam, args.k, args.order_cap)
-        except ValueError as exc:
+            report = vf.check_partition_conjecture(args.lam, args.k, args.order_cap)
+        except ValueError as exc:  # the tree is above --order-cap
             print(f"INCONCLUSIVE  partition: {exc}")
             return 0
     else:
@@ -315,28 +349,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("series", choices=sorted(SERIES_RING))
     p.add_argument("--n", type=int, default=None,
                    help="parameter for F/G (color bound) or pawn_at (q-integer)")
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_positive, default=6)
     p.add_argument("--format", choices=("json", "csv", "tex"), default="json")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("verify", help="run theorem and oracle check suites")
-    p.add_argument("--suite", default="all",
+    p.add_argument("--suite", type=_suite, default="all",
                    help="'all' or comma-separated check names "
                         f"({', '.join(vf.THEOREM_NAMES)})")
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--n-range", default=None, help="like 2..4")
-    p.add_argument("--coloring-bound", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-order", type=_positive, default=None)
+    p.add_argument("--n-range", type=_range, default=None, help="like 2..4")
+    p.add_argument("--coloring-bound", type=_positive, default=None)
+    p.add_argument("--workers", type=_positive, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("conjecture", help="run a conjecture sweep")
     p.add_argument("name", choices=("corolla-denominator", "newton", "partition"))
-    p.add_argument("--max-n", type=int, default=12)
-    p.add_argument("--max-size", type=int, default=8)
-    p.add_argument("--lam", default="", help="partition, comma separated (e.g. 2,1)")
+    p.add_argument("--max-n", type=_nonnegative, default=12)
+    p.add_argument("--max-size", type=_positive, default=8)
+    p.add_argument("--lam", type=_partition, default=(),
+                   help="partition, comma separated (e.g. 2,1)")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--order-cap", type=int, default=12)
     p.set_defaults(fn=cmd_conjecture)
@@ -350,7 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "compute":
+        _check_compute_args(parser, args)
     return args.fn(args)
 
 

@@ -28,7 +28,7 @@ def frac_from_str(s: str) -> Fraction:
 
 
 def qpoly_to_pairs(p: QPoly) -> list:
-    return [[e, frac_to_str(c)] for e, c in enumerate(p.coeffs) if c != 0]
+    return [[e, f"{n}/{d}"] for e, n, d in p.terms()]
 
 
 def qpoly_from_pairs(pairs) -> QPoly:

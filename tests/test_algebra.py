@@ -3,12 +3,14 @@ cyclotomic factoring, Newton polygons, serialization round-trips."""
 
 from __future__ import annotations
 
+import math
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborq.algebra import (
     BivarPoly,
@@ -41,7 +43,14 @@ from arborq.algebra import (
     zpoly_divmod,
     zpoly_mul,
 )
-from arborq.serialize import qrat_from_obj, qrat_to_obj, xpoly_from_obj, xpoly_to_obj
+from arborq.serialize import (
+    qpoly_from_pairs,
+    qpoly_to_pairs,
+    qrat_from_obj,
+    qrat_to_obj,
+    xpoly_from_obj,
+    xpoly_to_obj,
+)
 
 
 def longdiv(a: list, b: list) -> tuple[list, list]:
@@ -107,6 +116,115 @@ class TestQPoly:
         assert p.evaluate(2) == F(1, 2) + 4 * F(3, 2)
         content, ints = p.primitive_int()
         assert content == F(1, 2) and ints == (1, 0, 3)
+
+
+def add_lists(a: list, b: list) -> list:
+    """Fraction-list oracle for a + b."""
+    n = max(len(a), len(b))
+    return [F(a[i] if i < len(a) else 0) + F(b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def mul_lists(a: list, b: list) -> list:
+    """Fraction-list oracle for a * b."""
+    out = [F(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += F(x) * F(y)
+    return out
+
+
+def trimmed(cs: list) -> tuple:
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def assert_canonical(p: QPoly) -> None:
+    assert p.den > 0
+    assert not p.ints or p.ints[-1] != 0
+    if p.ints:
+        assert math.gcd(p.den, *p.ints) == 1
+    else:
+        assert p.den == 1
+    assert all(type(c) is int for c in p.ints)
+
+
+COEFF = st.one_of(st.integers(-30, 30), st.fractions(-5, 5, max_denominator=12))
+COEFFS = st.lists(COEFF, max_size=7)
+LEAD = st.one_of(st.sampled_from([1, -1, 2, -3, F(1, 2), F(-4, 3)]),
+                 st.fractions(-5, 5, max_denominator=6).filter(bool))
+DIVISORS = st.tuples(st.lists(COEFF, max_size=4), LEAD).map(lambda t: [*t[0], t[1]])
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+class TestRepresentation:
+    """ints / den against the Fraction-list oracles, on random int and
+    Fraction coefficients, non-monic divisors and divisors with a negative
+    lead included."""
+
+    @PROPERTY
+    @given(COEFFS, COEFFS)
+    def test_ring_ops_match_fraction_lists(self, a, b):
+        pa, pb = QPoly(a), QPoly(b)
+        assert (pa + pb).coeffs == trimmed(add_lists(a, b))
+        assert (pa - pb).coeffs == trimmed(add_lists(a, [-F(c) for c in b]))
+        assert (pa * pb).coeffs == trimmed(mul_lists(a, b))
+        for v in (pa, pb, pa + pb, pa - pb, pa * pb, -pa):
+            assert_canonical(v)
+
+    @PROPERTY
+    @given(COEFFS, DIVISORS)
+    def test_divmod_matches_long_division(self, a, b):
+        pa, pb = QPoly(a), QPoly(b)
+        quot, rem = divmod(pa, pb)
+        oq, orr = longdiv(a, b)
+        assert quot.coeffs == trimmed(oq) and rem.coeffs == trimmed(orr)
+        assert_canonical(quot)
+        assert_canonical(rem)
+        assert quot * pb + rem == pa
+
+    @PROPERTY
+    @given(COEFFS, DIVISORS)
+    def test_exact_div(self, a, b):
+        pa, pb = QPoly(a), QPoly(b)
+        assert (pa * pb).exact_div(pb) == pa
+        if not divmod(pa, pb)[1].is_zero():
+            with pytest.raises(ExactDivisionError):
+                pa.exact_div(pb)
+
+    @PROPERTY
+    @given(COEFFS, COEFF)
+    def test_canonical_form_and_fraction_view(self, a, c):
+        p = QPoly(a)
+        assert_canonical(p)
+        assert p.coeffs == trimmed(a)
+        assert QPoly(p.coeffs) == p
+        for v in (p.scale(c), p.monic(), p.derivative(), p.shift(2)):
+            assert_canonical(v)
+        assert p.scale(c).coeffs == trimmed([F(x) * F(c) for x in a])
+        # the same value reached another way is equal and hashes equal
+        other = (p * QPoly((3, F(1, 2)))).exact_div(QPoly((6, 1))).scale(2)
+        assert other == p and hash(other) == hash(p)
+        assert p == QPoly.from_ints(p.ints, p.den) == QPoly.from_ints(
+            [7 * x for x in p.ints], 7 * p.den)
+
+    SMALL = st.lists(st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)),
+                     max_size=3)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(SMALL, SMALL), min_size=3, max_size=3))
+    def test_qrat_field_laws(self, pairs):
+        a, b, c = (QRat(QPoly(n), QPoly(d)) if QPoly(d) else QRat(QPoly(n)) for n, d in pairs)
+        assert a * (b + c) == a * b + a * c
+        assert a - a == QRat(0)
+        if a:
+            assert a / a == QRAT_ONE
+        for v in (a, a + b, a * b, a - c):
+            assert_canonical(v.num)
+            assert_canonical(v.den)
+            assert v.den.leading == 1
+            assert hash(QRat(v.num, v.den)) == hash(v)
 
 
 class TestCyclotomic:
@@ -253,6 +371,15 @@ class TestQRat:
     def test_serialization_roundtrip(self):
         r = QRat(QPoly((F(1, 2), -2, 1)), (Q + 1) * (Q - 1))
         assert qrat_from_obj(qrat_to_obj(r)) == r
+
+    def test_pairs_read_any_fraction_string(self):
+        p = QPoly((3, 0, F(-1, 2), F(5, 6)))
+        assert qpoly_to_pairs(p) == [[0, "3/1"], [2, "-1/2"], [3, "5/6"]]
+        # unreduced or slash-free forms read as Fraction reads them
+        assert qpoly_from_pairs([[0, "3"], [2, "-2/4"], [3, "10/12"]]) == p
+        assert qpoly_from_pairs([[0, "6/2"], [2, "-0.5"], [3, " 5/6 "]]) == p
+        with pytest.raises(ZeroDivisionError):
+            qpoly_from_pairs([[0, "1/0"]])
 
     def test_serialization_roundtrip_randomized(self):
         rng = random.Random(23)

@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,6 +199,31 @@ class TestCache:
         assert code == 0 and "removed 1" in out
         assert len(os.listdir(cdir)) == 1
 
+    def test_store_ignores_a_stale_shared_temp_path(self, tmp_path):
+        key = C.make_key("E", {}, 2)
+        payload = {"series": "E", "params": {}, "order": 2, "entries": []}
+        os.makedirs(C.entry_path(str(tmp_path), key) + ".tmp")
+        path = C.store(str(tmp_path), key, payload)
+        assert C.load(str(tmp_path), key) == payload
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [os.path.basename(path), os.path.basename(path) + ".tmp"])
+
+    def test_gc_removes_old_temp_files(self, tmp_path, capsys):
+        cdir = str(tmp_path)
+        path = C.store(cdir, C.make_key("E", {}, 2),
+                       {"series": "E", "params": {}, "order": 2, "entries": []})
+        old, fresh = path + ".111.tmp", path + ".222.tmp"
+        for tmp in (old, fresh):
+            with open(tmp, "w") as fh:
+                fh.write("{")
+        past = time.time() - C.STALE_TMP_SECONDS - 60
+        os.utime(old, (past, past))
+        code, out, _ = run_cli(["cache", "gc", "--dir", cdir], capsys)
+        assert code == 0 and "removed 1" in out
+        # a writer may still be renaming the fresh one; the entry is kept
+        assert sorted(os.listdir(cdir)) == sorted(
+            [os.path.basename(path), os.path.basename(fresh)])
+
     def test_list_empty_dir(self, tmp_path, capsys):
         code, out, _ = run_cli(["cache", "list", "--dir", str(tmp_path)], capsys)
         assert code == 0 and "0 entries" in out
@@ -264,3 +291,50 @@ class TestConjectureCommand:
             main(["conjecture", "partition", "--lam", "x,y", "--k", "3"])
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "valeur_n_negatif", "--n-range", "abc"])
+
+
+class TestUsageErrors:
+    """A bad argument is a usage error: argparse exits with code 2 and a
+    one-line message, never a traceback and never the exit code 1 of a failed
+    check or a vacuous PASS."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["compute", "pawn", "--order", "0"], "--order"),
+            (["compute", "F", "--n", "1", "--order", "-1"], "--order"),
+            (["compute", "pawn", "--order", "2", "--workers", "0"], "--workers"),
+            (["compute", "F", "--order", "3"], "--n"),
+            (["compute", "G", "--order", "3"], "--n"),
+            (["compute", "F", "--n", "-1", "--order", "3"], "--n"),
+            (["compute", "pawn_at", "--order", "3"], "--n"),
+            (["verify", "--suite", "prop_gen", "--workers", "0"], "--workers"),
+            (["verify", "--suite", "x_infinity", "--max-order", "0"], "--max-order"),
+            (["verify", "--suite", "nosuch"], "nosuch"),
+            (["verify", "--suite", ","], "--suite"),
+            (["verify", "--suite", "valeur_n_negatif", "--n-range", "abc"], "--n-range"),
+            (["conjecture", "newton", "--max-size", "0"], "--max-size"),
+            (["conjecture", "corolla-denominator", "--max-n", "-1"], "--max-n"),
+            (["conjecture", "partition", "--lam", "0", "--k", "3"], "--lam"),
+            (["conjecture", "partition", "--lam", "x,y", "--k", "3"], "--lam"),
+        ],
+    )
+    def test_exit_code_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and flag in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_no_traceback_from_the_command_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "arborq", "compute", "pawn", "--order", "0"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            "arborq compute: error: argument --order: must be >= 1, got 0")
