@@ -12,6 +12,9 @@ This module provides the coefficient rings everything else is built on:
 
 plus cyclotomic polynomials, q-integers, cyclotomic trial-division
 factoring and the substitutions q -> 1/q, q -> value, q -> power series.
+The factorization of a product of cyclotomics is memoized per polynomial;
+it certifies a value over such a denominator reduced without a gcd and
+gives the lcm of such denominators as a product of highest powers.
 
 The fraction-free layer works on plain int tuples: zpolys in Z[q] and
 zxpolys in Z[q][x], with products, exact division by q - 1 and integer
@@ -34,7 +37,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 
@@ -426,23 +429,35 @@ def factor_cyclotomic(p: QPoly, bound: int | None = None):
     if bound is None:
         bound = 2 * p.degree + 2
     factors: dict[int, int] = {}
-    rem = p
+    # Phi_d is monic over Z, so it splits off p = ints / den through ints
+    rem = p.ints
     for d in range(1, bound + 1):
-        if rem.degree == 0:
+        if len(rem) == 1:
             break
-        phi = cyclotomic(d)
-        if phi.degree > rem.degree:
-            continue
-        while True:
-            quot, r = divmod(rem, phi)
-            if not r.is_zero():
+        phi = zcyclotomic(d)
+        # the fold test is cheap; the division stays the authority on each split
+        while len(phi) <= len(rem) and _divisible_by_cyclotomic(rem, d):
+            quot, r = zpoly_divmod(rem, phi)
+            if r:
                 break
             rem = quot
             factors[d] = factors.get(d, 0) + 1
-            if rem.degree < phi.degree:
-                break
-    unit = rem.leading
-    return unit, factors, rem.monic()
+    rest = QPoly.from_ints(rem, p.den)
+    return rest.leading, factors, rest.monic()
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_exponents(p: QPoly) -> tuple[tuple[int, int], ...] | None:
+    """The pairs (d, m), d ascending, with p == prod Phi_d^m, or None.
+
+    Only a monic integer polynomial that factor_cyclotomic splits completely
+    (every d <= 2*deg(p) + 2) has such pairs.  Memoized per polynomial: the
+    values of a series share few distinct denominators.
+    """
+    if p.den != 1 or not p.ints or p.ints[-1] != 1:
+        return None
+    _, factors, rem = factor_cyclotomic(p)
+    return tuple(factors.items()) if rem.degree == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +900,21 @@ def qrat_over_q_factorial(num: Sequence[int], n: int) -> QRat:
     return QRat._raw(QPoly._raw(num), _cyclotomic_product(tuple(left)))
 
 
+def qrat_certified(num: QPoly, den: QPoly) -> QRat:
+    """The canonical QRat equal to num / den, without a gcd when den certifies
+    that num / den is already reduced.
+
+    When den is a product of cyclotomic polynomials (cyclotomic_exponents),
+    num / den is reduced exactly when no Phi_d of den divides num, since the
+    Phi_d are irreducible.  Any other input (a den that is not such a product,
+    or a num sharing a Phi_d with it) goes through QRat(num, den).
+    """
+    exps = cyclotomic_exponents(den) if num else None
+    if exps is not None and not any(_divisible_by_cyclotomic(num.ints, d) for d, _ in exps):
+        return QRat._raw(num, den)
+    return QRat(num, den)
+
+
 # ---------------------------------------------------------------------------
 # Truncated power series in q
 
@@ -1271,12 +1301,27 @@ class BivarPoly:
         return f"BivarPoly({self})"
 
 
+def xpoly_denominator(f: XPoly) -> QPoly:
+    """The monic lcm of the coefficient denominators of f.
+
+    When every denominator is a product of cyclotomic polynomials, the lcm is
+    the product of each Phi_d to its highest exponent, with no gcd; otherwise
+    the denominators are folded through qpoly_lcm.
+    """
+    dens = [c.den for c in f.coeffs if c]
+    top: dict[int, int] = {}
+    for den in dens:
+        exps = cyclotomic_exponents(den)
+        if exps is None:
+            return reduce(qpoly_lcm, dens, QPOLY_ONE)
+        for d, m in exps:
+            top[d] = max(top.get(d, 0), m)
+    return _cyclotomic_product(tuple(sorted(top.items())))
+
+
 def xpoly_fraction(f: XPoly) -> tuple[BivarPoly, QPoly]:
     """Write f as numerator/denominator with a monic lcm denominator in q."""
-    den = QPOLY_ONE
-    for c in f.coeffs:
-        if not c.is_zero():
-            den = qpoly_lcm(den, c.den)
+    den = xpoly_denominator(f)
     terms: dict[tuple[int, int], Fraction] = {}
     for j, c in enumerate(f.coeffs):
         if c.is_zero():

@@ -22,7 +22,8 @@ from . import cache as cache_mod
 from . import solvers as sv
 from . import trees as tr
 from . import verify as vf
-from .algebra import factor_cyclotomic, xpoly_fraction, QPoly, QRat, XPoly
+from .algebra import (QPOLY_ONE, QPoly, QRat, XPoly, cyclotomic_exponents,
+                      factor_cyclotomic, xpoly_denominator)
 from .serialize import canonical_json, series_from_obj, value_to_obj
 from .series import TreeSeries
 
@@ -102,7 +103,11 @@ def _qpoly_tex(p: QPoly) -> str:
 def _cyclo_tex(den: QPoly) -> str:
     if den.degree == 0:
         return ""
-    unit, factors, remainder = factor_cyclotomic(den)
+    exps = cyclotomic_exponents(den)
+    if exps is None:
+        unit, factors, remainder = factor_cyclotomic(den)
+    else:
+        unit, factors, remainder = 1, dict(exps), QPOLY_ONE
     bits = []
     if unit != 1:
         bits.append(str(unit))
@@ -122,17 +127,17 @@ def _qrat_tex(r: QRat) -> str:
 
 
 def _xpoly_tex(f: XPoly) -> str:
-    num, den = xpoly_fraction(f)
+    den = xpoly_denominator(f)
     rows = []
-    for j in range(num.degree_x, -1, -1):
-        row = num.x_slice(j)
-        if row.is_zero():
+    for j in range(f.degree, -1, -1):
+        c = f.coeffs[j]
+        if c.is_zero():
             continue
+        body = _qpoly_tex(c.num * den.exact_div(c.den))
         if j == 0:
-            rows.append(_qpoly_tex(row))
+            rows.append(body)
         else:
             mono = "x" if j == 1 else f"x^{{{j}}}"
-            body = _qpoly_tex(row)
             rows.append(f"({body}){mono}" if " " in body else f"{body}{mono}")
     numerator = " + ".join(rows) if rows else "0"
     if den.degree == 0:

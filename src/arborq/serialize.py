@@ -7,14 +7,25 @@ is a [x-exponent, rational-function] pair list, and a tree series is
 {"order", "ring", "entries"} with entries sorted by (size, encoding).
 The canonical JSON form (sorted keys, no spaces, trailing newline added by
 callers) is byte-stable across runs, which the cache hashes rely on.
+
+Reading a series back needs no polynomial gcd.  Each "p/r" string is parsed
+once by Fraction (frac_from_str is memoized; a series repeats few distinct
+strings) and a q-polynomial is built as one integer polynomial over the lcm
+of its denominators.  A stored value was written reduced over a product of
+cyclotomic polynomials, so algebra.qrat_certified checks that no Phi_d of
+the denominator divides the numerator instead of taking a gcd; any other
+input is reduced exactly by QRat, so a value read is the canonical QRat
+whatever the file holds.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import QPoly, QRat, QSeries, XPoly
+from .algebra import QPoly, QRat, QSeries, XPoly, qrat_certified
 from . import trees as tr
 from .series import TreeSeries
 
@@ -23,6 +34,7 @@ def frac_to_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+@lru_cache(maxsize=None)
 def frac_from_str(s: str) -> Fraction:
     return Fraction(s)
 
@@ -34,11 +46,12 @@ def qpoly_to_pairs(p: QPoly) -> list:
 def qpoly_from_pairs(pairs) -> QPoly:
     if not pairs:
         return QPoly()
-    top = max(e for e, _ in pairs)
-    coeffs = [Fraction(0)] * (top + 1)
-    for e, s in pairs:
-        coeffs[e] = frac_from_str(s)
-    return QPoly(coeffs)
+    coeffs = [(e, frac_from_str(s)) for e, s in pairs]
+    den = math.lcm(*(c.denominator for _, c in coeffs))
+    ints = [0] * (max(e for e, _ in coeffs) + 1)
+    for e, c in coeffs:
+        ints[e] = c.numerator * (den // c.denominator)
+    return QPoly.from_ints(ints, den)
 
 
 def qrat_to_obj(r: QRat) -> dict:
@@ -46,7 +59,7 @@ def qrat_to_obj(r: QRat) -> dict:
 
 
 def qrat_from_obj(obj) -> QRat:
-    return QRat(qpoly_from_pairs(obj["num"]), qpoly_from_pairs(obj["den"]))
+    return qrat_certified(qpoly_from_pairs(obj["num"]), qpoly_from_pairs(obj["den"]))
 
 
 def xpoly_to_obj(f: XPoly) -> list:

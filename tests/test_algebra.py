@@ -37,6 +37,7 @@ from arborq.algebra import (
     qpoly_lcm,
     qrat_over_q_factorial,
     subst_q,
+    xpoly_denominator,
     xpoly_fraction,
     zcyclotomic,
     zpoly_div_q_minus_1,
@@ -225,6 +226,56 @@ class TestRepresentation:
             assert_canonical(v.den)
             assert v.den.leading == 1
             assert hash(QRat(v.num, v.den)) == hash(v)
+
+
+def cyclotomic_power_product(exps) -> QPoly:
+    return math.prod((cyclotomic(d) ** m for d, m in exps), start=QPOLY_ONE)
+
+
+# (d, exponent in den, exponent in num): num and den share Phi_d when both > 0
+SHARED = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2), st.integers(0, 2)),
+                  max_size=4)
+# a cofactor of den that is no product of cyclotomics, non-monic, or rational
+COFACTOR = st.sampled_from([QPOLY_ONE, QPoly((2, 0, 1)), QPoly((1, 2)), QPoly((F(1, 2), 1)),
+                            QPoly.const(3), QPoly.const(F(-2, 5)), QPoly((1, 1, F(1, 3)))])
+
+
+class TestCertifiedLoad:
+    """Reading a value back skips the gcd only when den's cyclotomic
+    factorization proves num / den reduced; deliberately unreduced inputs
+    must still come out as the canonical QRat."""
+
+    @PROPERTY
+    @given(COEFFS, SHARED, COFACTOR)
+    def test_load_equals_gcd_reduction(self, cs, shared, cofactor):
+        num = QPoly(cs) * cyclotomic_power_product((d, m) for d, _, m in shared)
+        den = cyclotomic_power_product((d, m) for d, m, _ in shared) * cofactor
+        obj = {"num": qpoly_to_pairs(num), "den": qpoly_to_pairs(den)}
+        got = qrat_from_obj(obj)
+        assert got == QRat(num, den)
+        assert_canonical(got.num)
+        assert_canonical(got.den)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(COEFFS, SHARED, COFACTOR), min_size=1, max_size=3))
+    def test_xpoly_denominator_equals_gcd_lcm(self, coeffs):
+        f = XPoly(QRat(QPoly(cs) or 1, cyclotomic_power_product((d, m) for d, m, _ in shared)
+                       * cofactor) for cs, shared, cofactor in coeffs)
+        want = QPOLY_ONE
+        for c in f.coeffs:
+            want = qpoly_lcm(want, c.den)
+        assert xpoly_denominator(f) == want
+        num, den = xpoly_fraction(f)
+        assert den == want
+
+    def test_edge_cases(self):
+        for num, den in [(QPOLY_ONE - 1, Q + 1), (QPoly((3, 1)), QPoly.const(4)),
+                         (QPoly((3, 1)), QPOLY_ONE), (Q + 1, cyclotomic(12)),
+                         (cyclotomic(12), cyclotomic(12) * (Q - 1))]:
+            got = qrat_from_obj({"num": qpoly_to_pairs(num), "den": qpoly_to_pairs(den)})
+            assert got == QRat(num, den)
+        with pytest.raises(ZeroDivisionError):
+            qrat_from_obj({"num": [[0, "1/1"]], "den": []})
 
 
 class TestCyclotomic:

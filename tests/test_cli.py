@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from arborq import cache as C
+from arborq import algebra, cache as C
 from arborq.cli import main
 
 
@@ -172,6 +172,22 @@ class TestCache:
         assert code == 0 and cached == fresh
         with pytest.raises(AssertionError):
             main([*args, "--format", "csv"])
+
+    @pytest.mark.parametrize("series,order,fmt", [
+        ("pawn", 6, "csv"), ("pawn", 6, "tex"), ("omega", 7, "csv")])
+    def test_csv_and_tex_hits_run_no_gcd(self, tmp_path, capsys, monkeypatch, series, order, fmt):
+        # a stored value is reduced over a product of cyclotomics: reading and
+        # rendering it back needs no polynomial gcd
+        cdir = str(tmp_path / "cache")
+        args = ["compute", series, "--order", str(order), "--format", fmt]
+        _, fresh, _ = run_cli(args, capsys)
+        run_cli([*args, "--cache-dir", cdir], capsys)
+        calls = []
+        gcd = algebra.qpoly_gcd
+        monkeypatch.setattr(algebra, "qpoly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        code, cached, _ = run_cli([*args, "--cache-dir", cdir], capsys)
+        assert code == 0 and cached == fresh
+        assert not calls
 
     def test_corruption_detected(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")
