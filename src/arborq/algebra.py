@@ -26,6 +26,12 @@ of ints (zero is ((), 1)), so Q(q) arithmetic runs on Python ints.  The
 Fraction view of a QPoly (coeffs, coeff, leading) is made on demand for
 readers such as printing and tests, and is never stored.
 
+The gcd that keeps QRat reduced is GCDHEU (Char, Geddes & Gonnet, 1989): one
+big-integer gcd of the two primitive numerators evaluated at
+xi = 2 min(|a|, |b|) + 2, read back from its symmetric base-xi digits and
+accepted only when it divides both; xi grows on failure, and after
+GCDHEU_TRIES failed points the primitive pseudo-remainder sequence decides.
+
 All values are immutable after construction.  There is no floating-point
 mode anywhere.
 """
@@ -361,22 +367,85 @@ def _primitive(a: Sequence[int]) -> list[int]:
     return [c // g for c in a] if g != 1 else list(a)
 
 
+def _gcd_prs(pa: list[int], pb: list[int]) -> list[int]:
+    # primitive pseudo-remainder sequence, for primitive pa, pb with pb nonzero
+    while pb:
+        if len(pb) == 1:
+            return [1]
+        pa, pb = pb, _primitive(_prem(pa, pb))
+    return pa
+
+
+GCDHEU_TRIES = 6
+
+
+def _divides(g: list[int], a: list[int]) -> bool:
+    try:
+        return not zpoly_divmod(a, g)[1]
+    except ValueError:  # lead(g) does not divide a step coefficient
+        return False
+
+
+def _gcdheu(pa: list[int], pb: list[int]) -> list[int] | None:
+    """The primitive gcd of primitive nonconstant pa, pb through one integer
+    gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989), or None when
+    GCDHEU_TRIES evaluation points all fail.
+
+    With |p| the largest absolute coefficient and xi >= 2 min(|pa|, |pb|) + 2,
+    every root r of the argument of smaller norm has |r| < 1 + |p| <= xi / 2
+    (Cauchy), so each nonconstant factor k of the gcd has |k(xi)| > xi / 2,
+    more than any symmetric base-xi digit.  Hence, for G the polynomial
+    whose symmetric base-xi digits spell gcd(pa(xi), pb(xi)): a constant G
+    means the gcd is 1, and pp(G) dividing both pa and pb means pp(G) is the
+    gcd.
+    """
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
+    for _ in range(GCDHEU_TRIES):
+        va = vb = 0
+        for c in reversed(pa):
+            va = va * xi + c
+        for c in reversed(pb):
+            vb = vb * xi + c
+        h = math.gcd(va, vb)
+        digits = []
+        half = xi // 2
+        while h:
+            d = h % xi
+            if d > half:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        if len(digits) == 1:
+            return [1]
+        g = _primitive(digits)
+        if len(g) <= len(pb) and _divides(g, pb) and _divides(g, pa):
+            return g
+        xi = xi * 73794 // 27011  # the usual growth, about 1 + sqrt(3)
+    return None
+
+
 def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """Greatest common divisor, returned primitive over Z with positive lead.
 
-    Uses a primitive pseudo-remainder sequence on the integer numerators (the
-    denominators are units) so that intermediate coefficient growth stays
-    controlled.
+    Works on the primitive integer numerators (the denominators are units).
+    A constant argument gives 1 at once.  Otherwise the gcd is read off one
+    big-integer gcd of the two values at q = xi, xi = 2 min(|pa|, |pb|) + 2
+    and grown on failure (GCDHEU, see _gcdheu); a candidate is accepted only
+    when it divides both, so the result is exact.  When GCDHEU_TRIES points
+    fail, the primitive pseudo-remainder sequence decides.
     """
     pa = _primitive(a.ints)
     pb = _primitive(b.ints)
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    while pb:
-        if len(pb) == 1:
-            return QPOLY_ONE
-        pa, pb = pb, _primitive(_prem(pa, pb))
-    return QPoly._raw(tuple(pa))
+    if not pb:
+        return QPoly._raw(tuple(pa))
+    if len(pb) == 1:
+        return QPOLY_ONE
+    g = _gcdheu(pa, pb)
+    if g is None:
+        g = _gcd_prs(pa, pb)
+    return QPOLY_ONE if len(g) == 1 else QPoly._raw(tuple(g))
 
 
 def qpoly_lcm(a: QPoly, b: QPoly) -> QPoly:
@@ -417,27 +486,37 @@ def q_int_poly(n: int) -> QPoly:
     return QPoly((1,) * n)
 
 
-def factor_cyclotomic(p: QPoly, bound: int | None = None):
+@lru_cache(maxsize=None)
+def _totient(d: int) -> int:
+    """Euler's phi(d), the degree of Phi_d."""
+    out, m, p = d, d, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    return out - out // m if m > 1 else out
+
+
+def factor_cyclotomic(p: QPoly):
     """Split off cyclotomic factors by ascending trial division.
 
-    Returns (unit, factors, remainder) with p = unit * prod Phi_d^m * remainder,
-    the remainder monic with no cyclotomic factor of index <= bound
-    (default 2*deg(p) + 2).
+    Returns (unit, factors, remainder) with p = unit * prod Phi_d^m * remainder
+    and the remainder monic with no cyclotomic factor: every Phi_d of degree
+    phi(d) <= deg(remainder) is tried, and phi(d) >= sqrt(d / 2) bounds d.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if bound is None:
-        bound = 2 * p.degree + 2
     factors: dict[int, int] = {}
     # Phi_d is monic over Z, so it splits off p = ints / den through ints
     rem = p.ints
-    for d in range(1, bound + 1):
-        if len(rem) == 1:
-            break
-        phi = zcyclotomic(d)
+    d = 0
+    while len(rem) > 1 and d < 2 * (len(rem) - 1) ** 2:
+        d += 1
         # the fold test is cheap; the division stays the authority on each split
-        while len(phi) <= len(rem) and _divisible_by_cyclotomic(rem, d):
-            quot, r = zpoly_divmod(rem, phi)
+        while _totient(d) < len(rem) and _divisible_by_cyclotomic(rem, d):
+            quot, r = zpoly_divmod(rem, zcyclotomic(d))
             if r:
                 break
             rem = quot
@@ -451,8 +530,8 @@ def cyclotomic_exponents(p: QPoly) -> tuple[tuple[int, int], ...] | None:
     """The pairs (d, m), d ascending, with p == prod Phi_d^m, or None.
 
     Only a monic integer polynomial that factor_cyclotomic splits completely
-    (every d <= 2*deg(p) + 2) has such pairs.  Memoized per polynomial: the
-    values of a series share few distinct denominators.
+    has such pairs.  Memoized per polynomial: the values of a series share
+    few distinct denominators.
     """
     if p.den != 1 or not p.ints or p.ints[-1] != 1:
         return None
@@ -591,7 +670,8 @@ class QRat:
     def inverse(self) -> QRat:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return QRat(self.den, self.num)
+        # num and den are coprime already: swap them and make den monic
+        return QRat._raw(*_monic_den(self.den, self.num))
 
     def __truediv__(self, other):
         o = as_qrat_or_none(other)
@@ -779,6 +859,24 @@ def zxpoly_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
                 if cb:
                     zpoly_add_scaled(out[i + j], zpoly_mul(ca, cb))
     return zxpoly_trim(out)
+
+
+def zxpoly_div_x_minus(a: Sequence[Sequence[int]], r: Sequence[int]) -> tuple:
+    """Exact quotient a / (x - r) for a polynomial a in x over Z[q] and r in
+    Z[q], by synthetic division.
+
+    The remainder is a(r); a nonzero one raises ExactDivisionError.
+    """
+    out = []
+    carry: tuple[int, ...] = ()
+    for c in reversed(a):
+        acc = list(c)
+        zpoly_add_scaled(acc, zpoly_mul(r, carry))
+        carry = zpoly_trim(acc)
+        out.append(carry)
+    if carry:
+        raise ExactDivisionError(f"a polynomial in x is not divisible by x - ({QPoly(r)})")
+    return tuple(out[-2::-1])
 
 
 def zxpoly_trim(a: Sequence[Sequence[int]]) -> tuple:

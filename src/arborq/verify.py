@@ -25,9 +25,15 @@ from .algebra import (
     convex_hull_chains,
     cyclotomic,
     factor_cyclotomic,
+    q_factorial_quotient,
     q_int_poly,
-    q_integer,
+    qrat_over_q_factorial,
     xpoly_fraction,
+    zpoly_add_scaled,
+    zpoly_mul,
+    zpoly_trim,
+    zxpoly_div_x_minus,
+    zxpoly_mul,
 )
 from . import solvers as sv
 from . import trees as tr
@@ -113,24 +119,45 @@ def oracle_colorings(t: int, n: int, mode: str = "weak", bound: int = DEFAULT_CO
 
 def oracle_interpolate_pawn(t: int, bound: int = DEFAULT_INTERPOLATION_BOUND) -> XPoly:
     """Recover the coefficient of t by Lagrange interpolation in x through the
-    nodes ([m]_q, weak coloring value) for m = 0..#t, values from the raw
-    coloring oracle."""
+    nodes ([m]_q, v_m) for m = 0..n, n = #t, where v_m is the weak coloring
+    polynomial by {0..m} from the raw coloring oracle.
+
+    Fraction-free: [m]_q - [j]_q is q^j [m-j]_q for j < m and -q^m [j-m]_q
+    for j > m, so prod_{j != m} ([m]_q - [j]_q) = (-1)^(n-m) q^e_m [m]_q!
+    [n-m]_q! with e_m = m(m-1)/2 + m(n-m).  Over the common denominator
+    q^K [n]_q!, K = max e_m = n(n-1)/2, the numerator is
+
+        N(x) = sum_m (-1)^(n-m) q^(K-e_m) binom(n, m)_q v_m(q) W(x) / (x - [m]_q)
+
+    in Z[q][x], with W = prod_j (x - [j]_q) built once and each quotient an
+    exact synthetic division.  Each x-coefficient of N is reduced at the end:
+    its power of q is cancelled against q^K and the rest goes through
+    qrat_over_q_factorial, so no gcd runs.
+    """
     n = tr.size(t)
     if n > bound:
         raise ValueError(f"tree size {n} exceeds interpolation bound {bound}")
-    nodes = [q_integer(m) for m in range(n + 1)]
-    values = [QRat(oracle_colorings(t, m, "weak", bound=bound + 1)) for m in range(n + 1)]
-    total = XPoly()
-    for m in range(n + 1):
-        basis = XPOLY_ONE
-        denom = QRAT_ONE
-        for j in range(n + 1):
-            if j == m:
-                continue
-            basis = basis * XPoly((-nodes[j], QRAT_ONE))
-            denom = denom * (nodes[m] - nodes[j])
-        total = total + basis.scale(values[m] / denom)
-    return total
+    nodes = [(1,) * m for m in range(n + 1)]
+    w: tuple = ((1,),)
+    for r in nodes:
+        w = zxpoly_mul(w, (tuple(-c for c in r), (1,)))
+    top = n * (n - 1) // 2
+    num = [[] for _ in range(n + 1)]
+    for m, r in enumerate(nodes):
+        weight = zpoly_mul(q_factorial_quotient(n, (m, n - m)),
+                           oracle_colorings(t, m, "weak", bound=bound + 1).ints)
+        shift = top - (m * (m - 1) // 2 + m * (n - m))
+        sign = -1 if (n - m) % 2 else 1
+        for acc, c in zip(num, zxpoly_div_x_minus(w, r)):
+            zpoly_add_scaled(acc, zpoly_mul(weight, c), sign, shift)
+    coeffs = []
+    for c in map(zpoly_trim, num):
+        low = next((i for i, v in enumerate(c[:top]) if v), top)
+        value = qrat_over_q_factorial(c[low:], n)
+        if low < top:  # q is prime to every Phi_d: value / q^(top-low) stays reduced
+            value = QRat._raw(value.num, value.den.shift(top - low))
+        coeffs.append(value)
+    return XPoly(coeffs)
 
 
 def random_series(order: int, seed: int, lo: int = -3, hi: int = 3) -> TreeSeries:

@@ -8,10 +8,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arborq import algebra
 from arborq.algebra import (
     BivarPoly,
     ExactDivisionError,
@@ -27,6 +29,7 @@ from arborq.algebra import (
     XPoly,
     convex_hull_chains,
     cyclotomic,
+    cyclotomic_exponents,
     factor_cyclotomic,
     newton_polygon,
     one_plus_qx,
@@ -43,6 +46,8 @@ from arborq.algebra import (
     zpoly_div_q_minus_1,
     zpoly_divmod,
     zpoly_mul,
+    zxpoly_div_x_minus,
+    zxpoly_mul,
 )
 from arborq.serialize import (
     qpoly_from_pairs,
@@ -227,6 +232,76 @@ class TestRepresentation:
             assert v.den.leading == 1
             assert hash(QRat(v.num, v.den)) == hash(v)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(SMALL, SMALL)
+    def test_inverse_swaps_without_gcd(self, n, d):
+        v = QRat(QPoly(n), QPoly(d)) if QPoly(d) else QRat(QPoly(n))
+        if not v:
+            with pytest.raises(ZeroDivisionError):
+                v.inverse()
+            return
+        inv = v.inverse()
+        assert inv == QRat(v.den, v.num)
+        assert_canonical(inv.num)
+        assert_canonical(inv.den)
+        assert inv.den.leading == 1
+        assert v * inv == QRAT_ONE
+
+
+def prs_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """qpoly_gcd with the heuristic switched off: the pseudo-remainder path."""
+    with mock.patch.object(algebra, "_gcdheu", lambda pa, pb: None):
+        return qpoly_gcd(a, b)
+
+
+BIG = st.integers(2 ** 64, 2 ** 70)
+ZCOEFF = st.one_of(st.integers(-40, 40), BIG, BIG.map(lambda c: -c))
+ZPOLY = st.lists(ZCOEFF, max_size=6)
+CONTENT = st.one_of(st.sampled_from([1, -1, 6, -35, F(1, 2), F(-9, 4)]), BIG)
+
+
+class TestGcd:
+    """The heuristic gcd against the primitive pseudo-remainder sequence, on
+    products sharing a factor, coefficients above 2^64, negative leads,
+    non-primitive or rational contents and constant or zero arguments."""
+
+    @PROPERTY
+    @given(ZPOLY, ZPOLY, ZPOLY, CONTENT, CONTENT)
+    def test_matches_pseudo_remainder_path(self, g, a, b, ca, cb):
+        pa = (QPoly(g) * QPoly(a)).scale(ca)
+        pb = (QPoly(g) * QPoly(b)).scale(cb)
+        got = qpoly_gcd(pa, pb)
+        assert got == prs_gcd(pa, pb) == qpoly_gcd(pb, pa)
+        assert_canonical(got)
+        if got:
+            assert got.den == 1 and got.ints[-1] > 0 and math.gcd(*got.ints) == 1
+            pa.exact_div(got)
+            pb.exact_div(got)
+
+    @PROPERTY
+    @given(ZPOLY, st.lists(ZPOLY, min_size=1, max_size=3))
+    def test_shared_factor_powers(self, g, cofactors):
+        # every argument carries g, so the gcd is a multiple of pp(g)
+        ps = [QPoly(g) ** 2 * QPoly(c) for c in cofactors] + [QPoly(g)]
+        for pa in ps:
+            for pb in ps:
+                got = qpoly_gcd(pa, pb)
+                assert got == prs_gcd(pa, pb)
+                if QPoly(g):
+                    got.exact_div(QPoly(g))
+
+    def test_fallback_when_the_heuristic_gives_up(self):
+        # (q-1)^2 (q+1) and q (q-1) (q+2): at the first point, xi = 4, the
+        # integer gcd is 9 = 2*4 + 1, spelling 2q + 1, which divides neither
+        pa, pb = QPoly((1, -1, -1, 1)), QPoly((0, -2, 1, 1))
+        calls = []
+        prs = algebra._gcd_prs
+        with mock.patch.object(algebra, "_gcd_prs",
+                               lambda a, b: calls.append(1) or prs(a, b)):
+            assert qpoly_gcd(pa, pb) == Q - 1 and not calls
+            with mock.patch.object(algebra, "GCDHEU_TRIES", 1):
+                assert qpoly_gcd(pa, pb) == Q - 1 and calls == [1]
+
 
 def cyclotomic_power_product(exps) -> QPoly:
     return math.prod((cyclotomic(d) ** m for d, m in exps), start=QPOLY_ONE)
@@ -306,6 +381,15 @@ class TestCyclotomic:
         assert (unit, factors, rem) == (1, {2: 2, 3: 1}, QPOLY_ONE)
         unit, factors, rem = factor_cyclotomic(QPoly((2, 0, 1)))
         assert (unit, factors, rem) == (1, {}, QPoly((2, 0, 1)))
+        # phi(12) = 4 and phi(30) = 8 are small against 12 and 30
+        for p, want in [(cyclotomic(12), {12: 1}), (cyclotomic(30), {30: 1}),
+                        ((Q + 1) ** 2 * cyclotomic(12) * cyclotomic(30), {2: 2, 12: 1, 30: 1}),
+                        (cyclotomic(12) * QPoly((2, 0, 1)) * -3, {12: 1})]:
+            unit, factors, rem = factor_cyclotomic(p)
+            assert factors == want
+            assert QPoly.const(unit) * rem * cyclotomic_power_product(want.items()) == p
+        assert cyclotomic_exponents(cyclotomic(12)) == ((12, 1),)
+        assert cyclotomic_exponents(cyclotomic(30) * (Q + 1)) == ((2, 1), (30, 1))
 
     def test_factor_roundtrip_randomized(self):
         rng = random.Random(7)
@@ -537,6 +621,19 @@ class TestFractionFree:
             zpoly_div_q_minus_1((1, 1))  # q + 1
         with pytest.raises(ExactDivisionError):
             zpoly_div_q_minus_1((3,))
+
+    def test_div_x_minus(self):
+        # (x - (1 + q)) (q x^2 + 2) over Z[q], divided back by each factor
+        r = (1, 1)
+        f = ((2,), (), (0, 1))
+        prod = zxpoly_mul(((-1, -1), (1,)), f)
+        assert zxpoly_div_x_minus(prod, r) == f
+        assert zxpoly_div_x_minus((), r) == ()
+        assert zxpoly_div_x_minus(((0, -1), (1,)), (0, 1)) == ((1,),)
+        with pytest.raises(ExactDivisionError):
+            zxpoly_div_x_minus(prod, (1,))
+        with pytest.raises(ExactDivisionError):
+            zxpoly_div_x_minus(((3,),), r)
 
     def test_div_q_minus_1_raises_under_optimize(self):
         code = (

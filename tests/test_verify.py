@@ -9,10 +9,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from arborq import algebra
 from arborq import solvers as S
 from arborq import trees as T
 from arborq import verify as V
-from arborq.algebra import QPoly, QRat, q_int_poly
+from arborq.algebra import QPoly, QRAT_ONE, QRat, XPOLY_ONE, XPoly, q_int_poly, q_integer
 from arborq.serialize import canonical_json
 
 EX5 = T.b_plus([T.leaf(), T.b_plus([T.leaf(), T.leaf()])])
@@ -36,6 +37,25 @@ class TestColoringOracle:
                         assert V.oracle_colorings(t, k, mode) == S.coloring_poly(t, k, mode)
 
 
+def lagrange_in_qrat(t: int) -> XPoly:
+    """Reference for the interpolation oracle: textbook Lagrange
+    interpolation through ([m]_q, weak coloring value) in QRat arithmetic."""
+    n = T.size(t)
+    nodes = [q_integer(m) for m in range(n + 1)]
+    values = [QRat(V.oracle_colorings(t, m, "weak")) for m in range(n + 1)]
+    total = XPoly()
+    for m in range(n + 1):
+        basis = XPOLY_ONE
+        denom = QRAT_ONE
+        for j in range(n + 1):
+            if j == m:
+                continue
+            basis = basis * XPoly((-nodes[j], QRAT_ONE))
+            denom = denom * (nodes[m] - nodes[j])
+        total = total + basis.scale(values[m] / denom)
+    return total
+
+
 class TestInterpolationOracle:
     def test_single_vertex(self):
         from arborq.algebra import one_plus_qx
@@ -49,6 +69,24 @@ class TestInterpolationOracle:
         for n in range(1, 6):
             for t in T.enumerate_trees(n):
                 assert V.oracle_interpolate_pawn(t) == S.pawn_coeff(t)
+
+    def test_matches_lagrange_in_qrat(self):
+        for n in range(1, 6):
+            for t in T.enumerate_trees(n):
+                assert V.oracle_interpolate_pawn(t) == lagrange_in_qrat(t), T.encoding(t)
+
+    def test_runs_no_gcd(self, monkeypatch):
+        # the q-binomial table is built through QRat once per size; after
+        # that, interpolation is integer arithmetic and cyclotomic division
+        for n in range(1, 7):
+            V.oracle_interpolate_pawn(T.enumerate_trees(n)[0])
+        calls = []
+        gcd = algebra.qpoly_gcd
+        monkeypatch.setattr(algebra, "qpoly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        for n in range(1, 7):
+            for t in T.enumerate_trees(n):
+                V.oracle_interpolate_pawn(t)
+        assert not calls
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
