@@ -379,17 +379,20 @@ def _gcd_prs(pa: list[int], pb: list[int]) -> list[int]:
 GCDHEU_TRIES = 6
 
 
-def _divides(g: list[int], a: list[int]) -> bool:
+def _quotient(a: list[int], g: list[int]) -> tuple[int, ...] | None:
+    """a / g when g divides a over Z, else None."""
     try:
-        return not zpoly_divmod(a, g)[1]
+        quot, rem = zpoly_divmod(a, g)
     except ValueError:  # lead(g) does not divide a step coefficient
-        return False
+        return None
+    return None if rem else quot
 
 
-def _gcdheu(pa: list[int], pb: list[int]) -> list[int] | None:
-    """The primitive gcd of primitive nonconstant pa, pb through one integer
-    gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989), or None when
-    GCDHEU_TRIES evaluation points all fail.
+def _gcdheu(pa: list[int], pb: list[int]):
+    """(g, pa / g, pb / g) for g the primitive gcd of primitive nonconstant
+    pa, pb, through one integer gcd (Char, Geddes & Gonnet, J. Symbolic
+    Comput. 7, 1989), or None when GCDHEU_TRIES evaluation points all fail.
+    The cofactors are the quotients of the divisibility test that accepts g.
 
     With |p| the largest absolute coefficient and xi >= 2 min(|pa|, |pb|) + 2,
     every root r of the argument of smaller norm has |r| < 1 + |p| <= xi / 2
@@ -416,10 +419,13 @@ def _gcdheu(pa: list[int], pb: list[int]) -> list[int] | None:
             digits.append(d)
             h = (h - d) // xi
         if len(digits) == 1:
-            return [1]
+            return [1], pa, pb
         g = _primitive(digits)
-        if len(g) <= len(pb) and _divides(g, pb) and _divides(g, pa):
-            return g
+        if len(g) <= min(len(pa), len(pb)):
+            cb = _quotient(pb, g)
+            ca = None if cb is None else _quotient(pa, g)
+            if ca is not None:
+                return g, ca, cb
         xi = xi * 73794 // 27011  # the usual growth, about 1 + sqrt(3)
     return None
 
@@ -442,10 +448,34 @@ def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
         return QPoly._raw(tuple(pa))
     if len(pb) == 1:
         return QPOLY_ONE
-    g = _gcdheu(pa, pb)
-    if g is None:
-        g = _gcd_prs(pa, pb)
+    found = _gcdheu(pa, pb)
+    g = _gcd_prs(pa, pb) if found is None else found[0]
     return QPOLY_ONE if len(g) == 1 else QPoly._raw(tuple(g))
+
+
+def qpoly_gcd_cofactors(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
+    """(g, a / g, b / g) for nonzero a, b, with g = qpoly_gcd(a, b).
+
+    A constant gcd gives (1, a, b).  GCDHEU returns the cofactors its
+    divisibility test computed, so QRat arithmetic divides by each gcd once;
+    after the PRS fallback the cofactors are exact divisions.
+    """
+    pa = _primitive(a.ints)
+    pb = _primitive(b.ints)
+    if len(pa) == 1 or len(pb) == 1:
+        return QPOLY_ONE, a, b
+    found = _gcdheu(pa, pb)
+    if found is None:
+        g = _gcd_prs(pa, pb)
+        found = g, zpoly_exact_div(pa, g), zpoly_exact_div(pb, g)
+    g, ca, cb = found
+    if len(g) == 1:
+        return QPOLY_ONE, a, b
+    # p = (lead(p) / lead(pp)) * pp with pp primitive, and pp / g is primitive
+    # (Gauss), so each cofactor keeps p's content and denominator as they are
+    return (QPoly._raw(tuple(g)),
+            QPoly._raw(tuple(c * (a.ints[-1] // pa[-1]) for c in ca), a.den),
+            QPoly._raw(tuple(c * (b.ints[-1] // pb[-1]) for c in cb), b.den))
 
 
 def qpoly_lcm(a: QPoly, b: QPoly) -> QPoly:
@@ -615,22 +645,17 @@ class QRat:
             return o
         if o.is_zero():
             return self
-        g = qpoly_gcd(self.den, o.den)
+        g, d1, d2 = qpoly_gcd_cofactors(self.den, o.den)
         if g.degree == 0:
             num = self.num * o.den + o.num * self.den
             den = self.den * o.den
             return QRat._raw(num, den) if num else QRAT_ZERO
-        d1 = self.den.exact_div(g)
-        d2 = o.den.exact_div(g)
         num = self.num * d2 + o.num * d1
         if num.is_zero():
             return QRAT_ZERO
-        den = d1 * o.den
-        h = qpoly_gcd(num, g)
-        if h.degree > 0:
-            num = num.exact_div(h)
-            den = den.exact_div(h)
-        return QRat._raw(*_monic_den(num, den))
+        # den = d1 * o.den / h, with o.den = d2 * g and g = h * rest
+        h, num, rest = qpoly_gcd_cofactors(num, g)
+        return QRat._raw(*_monic_den(num, d1 * (o.den if h.degree == 0 else d2 * rest)))
 
     __radd__ = __add__
 
@@ -655,15 +680,9 @@ class QRat:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return QRAT_ZERO
-        g1 = qpoly_gcd(self.num, o.den)
-        g2 = qpoly_gcd(o.num, self.den)
-        n1 = self.num.exact_div(g1) if g1.degree > 0 else self.num
-        d2 = o.den.exact_div(g1) if g1.degree > 0 else o.den
-        n2 = o.num.exact_div(g2) if g2.degree > 0 else o.num
-        d1 = self.den.exact_div(g2) if g2.degree > 0 else self.den
-        num = n1 * n2
-        den = d1 * d2
-        return QRat._raw(*_monic_den(num, den))
+        _, n1, d2 = qpoly_gcd_cofactors(self.num, o.den)
+        _, n2, d1 = qpoly_gcd_cofactors(o.num, self.den)
+        return QRat._raw(*_monic_den(n1 * n2, d1 * d2))
 
     __rmul__ = __mul__
 
@@ -879,6 +898,49 @@ def zxpoly_div_x_minus(a: Sequence[Sequence[int]], r: Sequence[int]) -> tuple:
     return tuple(out[-2::-1])
 
 
+def zxpoly_eval(a: Sequence[Sequence[int]], num: Sequence[int],
+                den: Sequence[int] = (1,)) -> tuple[int, ...]:
+    """den^d * a(num / den) in Z[q], d the x-degree of a: the sum of
+    a_j num^j den^(d-j), by homogeneous Horner."""
+    acc: tuple[int, ...] = ()
+    power: tuple[int, ...] = (1,)
+    for c in reversed(a):
+        acc = list(zpoly_mul(acc, num))
+        zpoly_add_scaled(acc, zpoly_mul(c, power))
+        acc = zpoly_trim(acc)
+        power = zpoly_mul(power, den)
+    return acc
+
+
+def zxpoly_subst_one_plus_qx(a: Sequence[Sequence[int]]) -> tuple:
+    """a(1 + qx): its x^k coefficient is q^k sum_{j >= k} C(j, k) a_j."""
+    out = []
+    for k in range(len(a)):
+        acc: list[int] = []
+        for j in range(k, len(a)):
+            zpoly_add_scaled(acc, a[j], math.comb(j, k), k)
+        out.append(acc)
+    return zxpoly_trim(out)
+
+
+def zxpoly_divmod_one_plus_qx(a: Sequence[Sequence[int]]) -> tuple[tuple, tuple[int, ...]]:
+    """Quotient and remainder of a by 1 + qx in Z[q][x].
+
+    The divisor has the unit constant term, so the quotient is found from
+    the bottom: Q_0 = a_0 and Q_j = a_j - q Q_(j-1).  The remainder is what
+    is left at the top x-degree, a_d - q Q_(d-1), a polynomial in q.
+    """
+    quot: list[tuple[int, ...]] = []
+    prev: tuple[int, ...] = ()
+    for c in a:
+        acc = list(c)
+        zpoly_add_scaled(acc, prev, -1, 1)
+        prev = zpoly_trim(acc)
+        quot.append(prev)
+    rem = quot.pop() if quot else ()
+    return zxpoly_trim(quot), rem
+
+
 def zxpoly_trim(a: Sequence[Sequence[int]]) -> tuple:
     """Trim every q-coefficient, then drop zero coefficients at the top in x."""
     cs = [zpoly_trim(c) for c in a]
@@ -976,26 +1038,31 @@ def _cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> QPoly:
     return QPoly._raw(out)
 
 
-def qrat_over_q_factorial(num: Sequence[int], n: int) -> QRat:
-    """The canonical QRat equal to num / [n]_q!, for an integer polynomial num.
+def qrat_over_q_factorial(num: Sequence[int], n: int, q_power: int = 0,
+                          q_minus_1_power: int = 0) -> QRat:
+    """The canonical QRat equal to num / (q^a (q - 1)^b [n]_q!), for an
+    integer polynomial num, a = q_power and b = q_minus_1_power.
 
-    [n]_q! = prod_{d=2..n} Phi_d^floor(n/d); each Phi_d is split off num by
-    trial division at most floor(n/d) times.  The Phi_d are monic and
-    irreducible, so what is left is already reduced with a monic denominator
-    and no gcd is needed.
+    [n]_q! = prod_{d=2..n} Phi_d^floor(n/d) and q - 1 = Phi_1; each Phi_d is
+    split off num by trial division at most as often as it divides the
+    denominator, and q^a against the low zeros of num.  The Phi_d are monic
+    and irreducible and prime to q, so what is left is already reduced with a
+    monic denominator and no gcd is needed.
     """
     num = zpoly_trim(num)
     if not num:
         return QRAT_ZERO
+    low = next((i for i, v in enumerate(num[:q_power]) if v), q_power)
+    num = num[low:]
     left = []
-    for d in range(2, n + 1):
-        e = n // d
+    for d, e in itertools.chain(((1, q_minus_1_power),), ((d, n // d) for d in range(2, n + 1))):
         while e and _divisible_by_cyclotomic(num, d):
             num = zpoly_exact_div(num, zcyclotomic(d))
             e -= 1
         if e:
             left.append((d, e))
-    return QRat._raw(QPoly._raw(num), _cyclotomic_product(tuple(left)))
+    den = _cyclotomic_product(tuple(left))
+    return QRat._raw(QPoly._raw(num), den.shift(q_power - low) if low < q_power else den)
 
 
 def qrat_certified(num: QPoly, den: QPoly) -> QRat:

@@ -55,7 +55,7 @@ def _compute_series(name: str, n: int | None, order: int, workers: int) -> TreeS
         return sv.solve_omega(order, workers)
     if name == "omega_bar":
         return sv.solve_omega_bar(order, workers)
-    return sv.eval_pawn_at_qint(sv.solve_pawn(order, workers), n)
+    return sv.eval_pawn_at_qint(order, n, workers)
 
 
 def _check_compute_args(parser: argparse.ArgumentParser, args) -> None:

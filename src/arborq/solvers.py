@@ -14,7 +14,8 @@ a size-n tree.  Multiplied by [n-1]_q!, each recursion has integer
 polynomials on the right and (q - 1) N_T on the left, so a tree costs one
 exact division by q - 1 and no gcd.  Values become canonical reduced QRat
 only at the output edge, by trial division of N_T with the cyclotomic
-factors of [n]_q!.
+factors of [n]_q!.  pawn_at and the x = 1/(1-q) specialization are read off
+N_T at the node in the same way, with no QRat arithmetic on the way.
 
 The per-tree solvers are demand-driven and memoized: asking for one
 coefficient only computes the trees reachable from it by leaf pruning and
@@ -41,7 +42,6 @@ from .algebra import (
     one_plus_qx,
     q_factorial_quotient,
     q_int_poly,
-    q_integer,
     qrat_over_q_factorial,
     qrat_sum,
     xpoly_fraction,
@@ -50,6 +50,7 @@ from .algebra import (
     zpoly_div_q_minus_1,
     zpoly_mul,
     zpoly_trim,
+    zxpoly_eval,
     zxpoly_mul,
     zxpoly_trim,
 )
@@ -184,45 +185,33 @@ def pawn_fraction(t: int):
     return xpoly_fraction(pawn_coeff(t))
 
 
-_PAWN_AT: dict[tuple[QRat, int], QRat] = {}
+def pawn_numerator(t: int) -> tuple:
+    """N_T = [#T]_q! * P_T, the engine's memoized numerator, as a zxpoly."""
+    return _PAWN_ENGINE.numerator(t)
 
 
-def specialized_pawn_coeff(x0: QRat, t: int) -> QRat:
-    """Re-solve the recursion with x pre-substituted by x0 (same shape)."""
-    key = (x0, t)
-    cached = _PAWN_AT.get(key)
-    if cached is not None:
-        return cached
-    n = tr.size(t)
-    if n == 1:
-        val = QRAT_ONE + QRAT_Q * x0
-    else:
-        terms = []
-        for (rest, removed), count in tr.prune_leaf_subsets(t, proper_only=True).items():
-            c = -count if removed % 2 else count
-            terms.append(specialized_pawn_coeff(x0, rest) * c)
-        prod = QRAT_ONE
-        for c in tr.children(t):
-            prod = prod * specialized_pawn_coeff(x0, c)
-        qn = QPoly.q_power(n)
-        terms.append(prod * QRat(qn) * (QRAT_ONE + QRat(QPoly((-1, 1))) * x0))
-        val = qrat_sum(terms) / QRat(qn - 1)
-    _PAWN_AT[key] = val
-    return val
+def eval_pawn_at_qint(order: int, n: int, workers: int = 1) -> TreeSeries:
+    """The pawn series at x = [n]_q (n may be negative), to the given order.
 
+    Each value is N_T at the node over [#T]_q!.  For n = -m < 0 the node is
+    -[m]_q / q^m, so q^(m d) N_T(node) is an integer polynomial (d the
+    x-degree of N_T) and the value is that over q^(m d) [#T]_q!.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    m = abs(n)
+    node, den = ((1,) * m, (1,)) if n >= 0 else ((-1,) * m, (0,) * m + (1,))
 
-def solve_pawn_specialized(x0: QRat, order: int) -> TreeSeries:
-    coeffs = {}
-    for n in range(1, order + 1):
-        for t in tr.enumerate_trees(n):
-            coeffs[t] = specialized_pawn_coeff(x0, t)
+    def at_node(t: int) -> QRat:
+        num = pawn_numerator(t)
+        q_power = m * (len(num) - 1) if n < 0 else 0
+        return qrat_over_q_factorial(zxpoly_eval(num, node, den), tr.size(t), q_power=q_power)
+
+    coeffs: dict[int, QRat] = {}
+    for size in range(1, order + 1):
+        ids = tr.enumerate_trees(size)
+        coeffs.update(zip(ids, pmap(at_node, ids, workers)))
     return TreeSeries(order, "qrat", coeffs)
-
-
-def eval_pawn_at_qint(series: TreeSeries, n: int) -> TreeSeries:
-    """Substitute x -> [n]_q in every coefficient (n may be negative)."""
-    x0 = q_integer(n)
-    return series.map_coeffs(lambda _t, f: f.evaluate(x0), ring="qrat")
 
 
 def series_E(order: int) -> TreeSeries:
@@ -370,6 +359,11 @@ def omega_bar_coeff(t: int) -> QRat:
     return cached
 
 
+def omega_bar_numerator(t: int) -> tuple:
+    """[#T]_q! * omega_bar_T, the engine's memoized numerator, as a zxpoly."""
+    return _OMEGA_BAR_ENGINE.numerator(t)
+
+
 def omega_bar_via_transform(t: int) -> QRat:
     """Same coefficient through the other route: substitute q -> 1/q in the
     base series and apply the suspension by -1/q."""
@@ -396,14 +390,6 @@ def solve_omega_bar(order: int, workers: int = 1) -> TreeSeries:
 
 
 MINUS_ONE_OVER_Q = QRat(QPoly.const(-1), Q)
-
-
-def limit_minus_one_over_q(series: TreeSeries) -> TreeSeries:
-    """Divide every coefficient by (1+qx) exactly, then evaluate at x = -1/q."""
-    def lim(_t, f: XPoly) -> QRat:
-        return f.exact_div(one_plus_qx()).evaluate(MINUS_ONE_OVER_Q)
-
-    return series.map_coeffs(lim, ring="qrat")
 
 
 def pawn_x_infinity(order: int) -> TreeSeries:
@@ -434,11 +420,17 @@ def colorings_limit_series(order: int, series_order: int) -> TreeSeries:
     """The whole series at x = 1/(1-q), with each coefficient expanded as a
     truncated q-series; the coefficient of a tree is the generating series of
     all its weakly decreasing colorings."""
-    x0 = QRat(QPOLY_ONE, QPoly((1, -1)))
     coeffs = {}
     for n in range(1, order + 1):
         for t in tr.enumerate_trees(n):
-            coeffs[t] = specialized_pawn_coeff(x0, t).series(series_order)
+            # (1 - q)^d N_T(1 / (1 - q)) over (1 - q)^d [n]_q!, d the x-degree
+            num = pawn_numerator(t)
+            d = len(num) - 1
+            top = zxpoly_eval(num, (1,), (1, -1))
+            if d % 2:
+                top = tuple(-c for c in top)
+            value = qrat_over_q_factorial(top, n, q_minus_1_power=d)
+            coeffs[t] = value.series(series_order)
     return TreeSeries(order, "qseries", coeffs)
 
 

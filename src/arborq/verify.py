@@ -17,23 +17,24 @@ from fractions import Fraction
 from .algebra import (
     QPOLY_ONE,
     QPoly,
-    QRAT_ONE,
     QRAT_Q,
-    QRat,
     XPOLY_ONE,
     XPoly,
     convex_hull_chains,
     cyclotomic,
     factor_cyclotomic,
     q_factorial_quotient,
-    q_int_poly,
     qrat_over_q_factorial,
     xpoly_fraction,
     zpoly_add_scaled,
     zpoly_mul,
     zpoly_trim,
     zxpoly_div_x_minus,
+    zxpoly_divmod_one_plus_qx,
+    zxpoly_eval,
     zxpoly_mul,
+    zxpoly_subst_one_plus_qx,
+    zxpoly_trim,
 )
 from . import solvers as sv
 from . import trees as tr
@@ -105,10 +106,10 @@ def oracle_colorings(t: int, n: int, mode: str = "weak", bound: int = DEFAULT_CO
     colors = [0] * nv
 
     def walk(v: int, sigma: int):
-        if v == nv:
-            counts[sigma] += 1
-            return
         top = n if v == 0 else (colors[parents[v]] - (0 if mode == "weak" else 1))
+        if v == nv - 1:  # the last vertex in preorder is a leaf: count its colors at once
+            counts[sigma:sigma + top + 1] = [c + 1 for c in counts[sigma:sigma + top + 1]]
+            return
         for c in range(0, top + 1):
             colors[v] = c
             walk(v + 1, sigma + c)
@@ -130,9 +131,9 @@ def oracle_interpolate_pawn(t: int, bound: int = DEFAULT_INTERPOLATION_BOUND) ->
         N(x) = sum_m (-1)^(n-m) q^(K-e_m) binom(n, m)_q v_m(q) W(x) / (x - [m]_q)
 
     in Z[q][x], with W = prod_j (x - [j]_q) built once and each quotient an
-    exact synthetic division.  Each x-coefficient of N is reduced at the end:
-    its power of q is cancelled against q^K and the rest goes through
-    qrat_over_q_factorial, so no gcd runs.
+    exact synthetic division.  Each x-coefficient of N is reduced at the end
+    by qrat_over_q_factorial, which cancels its power of q against q^K and
+    splits off the cyclotomic factors of [n]_q!, so no gcd runs.
     """
     n = tr.size(t)
     if n > bound:
@@ -150,14 +151,7 @@ def oracle_interpolate_pawn(t: int, bound: int = DEFAULT_INTERPOLATION_BOUND) ->
         sign = -1 if (n - m) % 2 else 1
         for acc, c in zip(num, zxpoly_div_x_minus(w, r)):
             zpoly_add_scaled(acc, zpoly_mul(weight, c), sign, shift)
-    coeffs = []
-    for c in map(zpoly_trim, num):
-        low = next((i for i, v in enumerate(c[:top]) if v), top)
-        value = qrat_over_q_factorial(c[low:], n)
-        if low < top:  # q is prime to every Phi_d: value / q^(top-low) stays reduced
-            value = QRat._raw(value.num, value.den.shift(top - low))
-        coeffs.append(value)
-    return XPoly(coeffs)
+    return XPoly([qrat_over_q_factorial(c, n, q_power=top) for c in num])
 
 
 def random_series(order: int, seed: int, lo: int = -3, hi: int = 3) -> TreeSeries:
@@ -181,39 +175,68 @@ def _all_trees_upto(order: int) -> list[int]:
 # Theorem checks
 
 
+def _pawn_numerators(max_order: int):
+    """(t, #t, N_t) for every tree up to max_order, N_t = [#t]_q! P_t."""
+    for t in _all_trees_upto(max_order):
+        yield t, tr.size(t), sv.pawn_numerator(t)
+
+
+def _shift(p: tuple, k: int) -> tuple:
+    return (0,) * k + p if p else p
+
+
+def _as_xpoly(p: tuple) -> XPoly:
+    return XPoly([QPoly(c) for c in p])
+
+
+# The x-statements below are identities in Z[q] on the engine numerators N_T:
+# each side is multiplied out by [#T]_q! and the powers of q the node needs,
+# so the checks run without QRat and without a gcd.
+
+
 def _check_valeur_n_positif(report, max_order, n_range=(0, 4), **_):
-    pawn = sv.solve_pawn(max_order)
+    # P_T([n]_q) = F_n(T), the weak coloring polynomial by {0..n}
     for n in range(n_range[0], n_range[1] + 1):
-        got = sv.eval_pawn_at_qint(pawn, n)
-        want = sv.coloring_series(max_order, n, "weak")
-        bad = series_equal_reports(got, want)
-        if bad:
-            return _fail(report, n=n, tree=tr.encoding(bad[0]),
-                         got=got.coeff(bad[0]), want=want.coeff(bad[0]))
+        for t, size, num in _pawn_numerators(max_order):
+            got = zxpoly_eval(num, (1,) * n)
+            want = zpoly_mul(q_factorial_quotient(size, ()), sv.coloring_poly(t, n, "weak").ints)
+            if got != want:
+                return _fail(report, n=n, tree=tr.encoding(t), got=QPoly(got), want=QPoly(want))
     return report
 
 
 def _check_valeur_n_negatif(report, max_order, n_range=(2, 4), **_):
-    pawn = sv.solve_pawn(max_order)
+    # P_T([-n]_q) at q -> 1/q is (-1)^#T q^#T G_(n-2)(T), G the strict
+    # coloring polynomial.  q -> 1/q sends [-n]_q to -q [n]_q and N_j to
+    # q^-D rev(N_j), D the common q-degree, and [k]_q! to q^(-k(k-1)/2) [k]_q!
     for n in range(n_range[0], n_range[1] + 1):
-        ev = sv.eval_pawn_at_qint(pawn, -n)
-        for t in _all_trees_upto(max_order):
-            m = tr.size(t)
-            got = ev.coeff(t).reciprocal_q()
-            g = sv.coloring_poly(t, n - 2, "strict")
-            want = QRat(g.shift(m).scale(1 if m % 2 == 0 else -1))
+        node = (0,) + (-1,) * n
+        for t, size, num in _pawn_numerators(max_order):
+            top = max(map(len, num), default=0)
+            rev = [zpoly_trim((c + (0,) * (top - len(c)))[::-1]) for c in num]
+            got = _shift(zxpoly_eval(rev, node), size * (size - 1) // 2)
+            g = sv.coloring_poly(t, n - 2, "strict").ints
+            want = _shift(zpoly_mul(q_factorial_quotient(size, ()), g), top - 1 + size)
+            if size % 2:
+                want = tuple(-c for c in want)
             if got != want:
-                return _fail(report, n=n, tree=tr.encoding(t), got=got, want=want)
+                return _fail(report, n=n, tree=tr.encoding(t), got=QPoly(got), want=QPoly(want))
     return report
 
 
 def _check_valeur_speciale(report, max_order, **_):
-    got = sv.limit_minus_one_over_q(sv.solve_pawn(max_order))
-    want = sv.solve_omega_bar(max_order)
-    bad = series_equal_reports(got, want)
-    if bad:
-        return _fail(report, tree=tr.encoding(bad[0]),
-                     got=got.coeff(bad[0]), want=want.coeff(bad[0]))
+    # (P_T / (1 + qx)) at x = -1/q is the omega_bar coefficient of T
+    for t, _size, num in _pawn_numerators(max_order):
+        quot, rem = zxpoly_divmod_one_plus_qx(num)
+        if rem:
+            return _fail(report, tree=tr.encoding(t), reason="N_T is not divisible by 1 + qx",
+                         got=QPoly(rem), want=0)
+        d = len(quot) - 1
+        got = zxpoly_eval(quot, (-1,), (0, 1))
+        bar = sv.omega_bar_numerator(t)
+        want = _shift(bar[0] if bar else (), d)
+        if got != want:
+            return _fail(report, tree=tr.encoding(t), got=QPoly(got), want=QPoly(want))
     return report
 
 
@@ -241,14 +264,21 @@ def _check_prop_gen(report, max_order, seeds=(11, 22, 33), **_):
 
 
 def _check_action_delta(report, max_order, **_):
-    for t in _all_trees_upto(max_order):
-        prod = XPOLY_ONE
-        for c in tr.children(t):
-            prod = prod * sv.pawn_coeff(c)
-        want = prod.subst_x_linear(QRAT_ONE, QRAT_Q).scale(QRAT_Q)
-        got = sv.hahn_delta(sv.pawn_coeff(t))
+    # P_T(1+qx) - P_T(x) = q (1 + (q-1)x) prod_c P_c(1+qx), c the root
+    # branches; [#T]_q! / prod_c [#c]_q! is [#T]_q times a q-multinomial
+    for t, size, num in _pawn_numerators(max_order):
+        got = [list(c) for c in zxpoly_subst_one_plus_qx(num)]
+        for j, c in enumerate(num):
+            zpoly_add_scaled(got[j], c, -1)
+        got = zxpoly_trim(got)
+        kids = tr.children(t)
+        scale = zpoly_mul((1,) * size, q_factorial_quotient(size - 1, tuple(map(tr.size, kids))))
+        prod = ((0, 1), (0, -1, 1))
+        for c in kids:
+            prod = zxpoly_mul(prod, zxpoly_subst_one_plus_qx(sv.pawn_numerator(c)))
+        want = tuple(zpoly_mul(p, scale) for p in prod)
         if got != want:
-            return _fail(report, tree=tr.encoding(t), got=got, want=want)
+            return _fail(report, tree=tr.encoding(t), got=_as_xpoly(got), want=_as_xpoly(want))
     return report
 
 
@@ -277,25 +307,29 @@ def _check_ombral_nui(report, max_order, **_):
 
 
 def _check_facteurs_connus(report, max_order, **_):
-    for t in _all_trees_upto(max_order):
-        prod = XPOLY_ONE
+    # [i]_q + q^i x divides P_T for i = 1..height(T): N_T vanishes at the
+    # distinct roots x = -[i]_q / q^i
+    for t, _size, num in _pawn_numerators(max_order):
         for i in range(1, tr.height(t) + 1):
-            prod = prod * XPoly((q_int_poly(i), QPoly.q_power(i)))
-        _, rem = divmod(sv.pawn_coeff(t), prod)
-        if not rem.is_zero():
-            return _fail(report, tree=tr.encoding(t), remainder=rem)
+            got = zxpoly_eval(num, (-1,) * i, (0,) * i + (1,))
+            if got:
+                return _fail(report, tree=tr.encoding(t), i=i, got=QPoly(got), want=0)
     return report
 
 
 def _check_x_infinity(report, max_order, **_):
-    for t in _all_trees_upto(max_order):
-        f = sv.pawn_coeff(t)
-        n = tr.size(t)
-        if f.degree != n:
-            return _fail(report, tree=tr.encoding(t), degree=f.degree, size=n)
-        if f.coeff(n) != tr.q_factorial(t).inverse():
-            return _fail(report, tree=tr.encoding(t), leading=f.coeff(n),
-                         inverse_q_factorial=tr.q_factorial(t).inverse())
+    # P_T has x-degree #T with top coefficient 1 / q_factorial(T) =
+    # q^(sum s_v) / prod_v [s_v]_q, s_v the subtree sizes
+    for t, size, num in _pawn_numerators(max_order):
+        if len(num) - 1 != size:
+            return _fail(report, tree=tr.encoding(t), degree=len(num) - 1, size=size)
+        sizes = tr.tree_stats(t).subtree_sizes
+        got = num[size]
+        for s_v in sizes:
+            got = zpoly_mul(got, (1,) * s_v)
+        want = _shift(q_factorial_quotient(size, ()), sum(sizes))
+        if got != want:
+            return _fail(report, tree=tr.encoding(t), got=QPoly(got), want=QPoly(want))
     return report
 
 

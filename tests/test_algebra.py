@@ -37,6 +37,7 @@ from arborq.algebra import (
     q_int_poly,
     q_integer,
     qpoly_gcd,
+    qpoly_gcd_cofactors,
     qpoly_lcm,
     qrat_over_q_factorial,
     subst_q,
@@ -47,7 +48,11 @@ from arborq.algebra import (
     zpoly_divmod,
     zpoly_mul,
     zxpoly_div_x_minus,
+    zxpoly_divmod_one_plus_qx,
+    zxpoly_eval,
     zxpoly_mul,
+    zxpoly_subst_one_plus_qx,
+    zxpoly_trim,
 )
 from arborq.serialize import (
     qpoly_from_pairs,
@@ -248,10 +253,18 @@ class TestRepresentation:
         assert v * inv == QRAT_ONE
 
 
-def prs_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """qpoly_gcd with the heuristic switched off: the pseudo-remainder path."""
+def prs_gcd(a: QPoly, b: QPoly, gcd=qpoly_gcd):
+    """A gcd with the heuristic switched off: the pseudo-remainder path."""
     with mock.patch.object(algebra, "_gcdheu", lambda pa, pb: None):
-        return qpoly_gcd(a, b)
+        return gcd(a, b)
+
+
+def assert_cofactors(a: QPoly, b: QPoly, got) -> None:
+    g, ca, cb = got
+    assert g == qpoly_gcd(a, b)
+    assert g * ca == a and g * cb == b
+    assert_canonical(ca)
+    assert_canonical(cb)
 
 
 BIG = st.integers(2 ** 64, 2 ** 70)
@@ -277,6 +290,9 @@ class TestGcd:
             assert got.den == 1 and got.ints[-1] > 0 and math.gcd(*got.ints) == 1
             pa.exact_div(got)
             pb.exact_div(got)
+        if pa and pb:
+            assert_cofactors(pa, pb, qpoly_gcd_cofactors(pa, pb))
+            assert_cofactors(pa, pb, prs_gcd(pa, pb, qpoly_gcd_cofactors))
 
     @PROPERTY
     @given(ZPOLY, st.lists(ZPOLY, min_size=1, max_size=3))
@@ -301,6 +317,8 @@ class TestGcd:
             assert qpoly_gcd(pa, pb) == Q - 1 and not calls
             with mock.patch.object(algebra, "GCDHEU_TRIES", 1):
                 assert qpoly_gcd(pa, pb) == Q - 1 and calls == [1]
+                got = qpoly_gcd_cofactors(pa, pb)
+                assert got == (Q - 1, QPoly((-1, 0, 1)), QPoly((0, 2, 1))) and calls == [1, 1]
 
 
 def cyclotomic_power_product(exps) -> QPoly:
@@ -684,6 +702,51 @@ class TestFractionFree:
         want = QRat(QPoly(num), QPoly(q_factorial_quotient(n, ())))
         got = qrat_over_q_factorial(num, n)
         assert got.num == want.num and got.den == want.den
+
+    @pytest.mark.parametrize(
+        "num, n, a, b",
+        [
+            ((0, 0, 3), 3, 1, 0),                           # q^2 over q: a polynomial part
+            ((0, 5, 1), 3, 4, 0),                           # q^3 left in the denominator
+            (zpoly_mul((-1, 1), (-1, 1)), 4, 0, 3),         # (q-1)^2 over (q-1)^3
+            (zpoly_mul((-1, 1), zcyclotomic(3)), 3, 2, 1),  # q - 1 cancels completely
+            ((2, -1), 0, 0, 2),                             # no q-factorial
+        ],
+    )
+    def test_reduction_with_q_and_q_minus_1_powers(self, num, n, a, b):
+        den = QPoly.q_power(a) * QPoly((-1, 1)) ** b * QPoly(q_factorial_quotient(n, ()))
+        want = QRat(QPoly(num), den)
+        got = qrat_over_q_factorial(num, n, q_power=a, q_minus_1_power=b)
+        assert got.num == want.num and got.den == want.den
+
+    def test_zxpoly_eval_matches_qrat(self):
+        rng = random.Random(5)
+        nodes = [((1, 1, 1), (1,)), ((), (1,)), ((-1, -1), (0, 0, 1)),
+                 ((1,), (1, -1)), ((-1,), (0, 1)), ((0, -1, -1), (1,))]
+        for _ in range(20):
+            a = tuple(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
+                      for _ in range(rng.randint(0, 4)))
+            f = XPoly([QPoly(c) for c in a])
+            d = len(a) - 1
+            for num, den in nodes:
+                got = QRat(QPoly(zxpoly_eval(a, num, den)))
+                assert got == f.evaluate(QRat(QPoly(num), QPoly(den))) * QRat(QPoly(den)) ** max(d, 0)
+
+    def test_subst_and_divide_one_plus_qx(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            a = tuple(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
+                      for _ in range(rng.randint(0, 4)))
+            f = XPoly([QPoly(c) for c in a])
+            got = zxpoly_subst_one_plus_qx(a)
+            assert XPoly([QPoly(c) for c in got]) == f.subst_x_linear(QRAT_ONE, QRAT_Q)
+            prod = zxpoly_mul(((1,), (0, 1)), a)
+            assert zxpoly_divmod_one_plus_qx(prod) == (zxpoly_trim(a), ())
+            quot, rem = zxpoly_divmod_one_plus_qx(a)
+            back = one_plus_qx() * XPoly([QPoly(c) for c in quot])
+            if a:
+                back = back + XPoly([0] * (len(a) - 1) + [QPoly(rem)])
+            assert back == f
 
     def test_cyclotomic_reduction_shapes(self):
         r = qrat_over_q_factorial(zpoly_mul(zcyclotomic(3), (5, 2)), 4)

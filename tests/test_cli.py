@@ -121,6 +121,19 @@ class TestByteIdentity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (3, "0cce6d61eddaa6d87816097e8128563dd44ff1961f604981a771cb9f1374218c"),
+            (-2, "868b13fd88e2ae8135c6add59ae080ffca1ee9933930c12f532ad0043c3363cd"),
+        ],
+    )
+    def test_pawn_at_digest(self, n, digest, capsys):
+        # pinned to P_T evaluated at x = [n]_q in QRat arithmetic
+        code, out, _ = run_cli(["compute", "pawn_at", "--n", str(n), "--order", "7"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCache:
     def test_roundtrip(self, tmp_path, capsys):

@@ -35,6 +35,7 @@ from arborq.series import (
     unit_vertex,
     zero_series,
 )
+from tests import qrat_reference as R
 
 EX5 = T.b_plus([T.leaf(), T.b_plus([T.leaf(), T.leaf()])])
 
@@ -203,27 +204,23 @@ class TestClosedForms:
 class TestSpecializations:
     def test_x0_is_all_ones(self):
         order = 7
-        pawn = S.solve_pawn(order)
         e = S.series_E(order)
-        assert S.eval_pawn_at_qint(pawn, 0) == e
+        assert S.eval_pawn_at_qint(order, 0) == e
         for t in T.enumerate_trees(7):
             assert e.coeff(t) == QRAT_ONE
 
     def test_x_minus_one_is_zero(self):
-        pawn = S.solve_pawn(5)
-        assert S.eval_pawn_at_qint(pawn, -1) == zero_series(5, "qrat")
+        assert S.eval_pawn_at_qint(5, -1) == zero_series(5, "qrat")
 
     def test_positive_qints_count_weak_colorings(self):
         order = 5
-        pawn = S.solve_pawn(order)
         for n in range(0, 4):
-            assert S.eval_pawn_at_qint(pawn, n) == S.coloring_series(order, n, "weak")
+            assert S.eval_pawn_at_qint(order, n) == S.coloring_series(order, n, "weak")
 
     def test_negative_qints_count_strict_colorings(self):
         order = 5
-        pawn = S.solve_pawn(order)
         for n in (2, 3, 4):
-            ev = S.eval_pawn_at_qint(pawn, -n)
+            ev = S.eval_pawn_at_qint(order, -n)
             for m in range(1, order + 1):
                 for t in T.enumerate_trees(m):
                     got = ev.coeff(t).reciprocal_q()
@@ -232,11 +229,14 @@ class TestSpecializations:
                     assert got == want
 
     def test_presubstituted_solver_agrees(self):
+        # the QRat recursion re-solved at x = [n]_q, and P_T evaluated at
+        # [n]_q in QRat, against N_T at the node over [#T]_q!
         order = 6
         pawn = S.solve_pawn(order)
-        for n in range(-3, 4):
-            direct = S.solve_pawn_specialized(q_integer(n), order)
-            assert direct == S.eval_pawn_at_qint(pawn, n)
+        for n in range(-4, 5):
+            got = S.eval_pawn_at_qint(order, n, workers=2 if n % 2 else 1)
+            assert got == R.solve_pawn_specialized(q_integer(n), order)
+            assert got == R.eval_pawn_at_qint(pawn, n)
 
     def test_x_infinity_series(self):
         top = S.pawn_x_infinity(6)
@@ -286,7 +286,7 @@ class TestOneMinusQInverse:
         order = 10
         for m in range(1, 5):
             for t in T.enumerate_trees(m):
-                val = S.specialized_pawn_coeff(QRat(1, QPoly((1, -1))), t)
+                val = R.specialized_pawn_coeff(QRat(1, QPoly((1, -1))), t)
                 got = val.series(order)
                 want = QSeries(S.coloring_poly(t, order, "weak").coeffs[: order + 1], order)
                 assert got == want
@@ -297,6 +297,12 @@ class TestOneMinusQInverse:
         for t, v in ts.items():
             want = QSeries(S.coloring_poly(t, 8, "weak").coeffs[:9], 8)
             assert v == want
+
+    def test_colorings_limit_matches_qrat_recursion(self):
+        x0 = QRat(1, QPoly((1, -1)))
+        ts = S.colorings_limit_series(6, 12)
+        for t, v in ts.items():
+            assert v == R.specialized_pawn_coeff(x0, t).series(12), T.encoding(t)
         # the qseries ring round-trips through serialization
         from arborq.serialize import series_from_obj, series_to_obj
 
@@ -373,7 +379,7 @@ class TestOmegaBar:
 
     def test_limit_at_minus_one_over_q(self):
         order = 5
-        got = S.limit_minus_one_over_q(S.solve_pawn(order))
+        got = R.limit_minus_one_over_q(S.solve_pawn(order))
         assert got == S.solve_omega_bar(order)
         assert S.pawn_coeff(T.leaf()).exact_div(one_plus_qx()).evaluate(
             S.MINUS_ONE_OVER_Q

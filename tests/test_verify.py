@@ -15,6 +15,7 @@ from arborq import trees as T
 from arborq import verify as V
 from arborq.algebra import QPoly, QRAT_ONE, QRat, XPOLY_ONE, XPoly, q_int_poly, q_integer
 from arborq.serialize import canonical_json
+from tests import qrat_reference as R
 
 EX5 = T.b_plus([T.leaf(), T.b_plus([T.leaf(), T.leaf()])])
 
@@ -118,6 +119,90 @@ class TestCheckReports:
         b = V.check_theorem("associativity", 4)
         assert a.to_obj()["status"] == b.to_obj()["status"]
         assert a.params == b.params
+
+
+# a tree whose numerator is corrupted, and per check the (x-degree, zpoly)
+# terms added to N_T so that the identity no longer holds; the
+# valeur_speciale one adds (1 + qx) x, which keeps N_T divisible by 1 + qx
+CORRUPT_TREE = T.b_plus([T.lnr(2), T.leaf()])
+CORRUPTIONS = {
+    "valeur_n_positif": {0: (1,)},
+    "valeur_n_negatif": {0: (1,)},
+    "valeur_speciale": {1: (1,), 2: (0, 1)},
+    "action_delta": {1: (1,)},
+    "facteurs_connus": {0: (1,)},
+    "x_infinity": {4: (1,)},
+}
+# the witness key besides tree, got and want
+WITNESS_PARAM = {"valeur_n_positif": "n", "valeur_n_negatif": "n", "facteurs_connus": "i"}
+
+
+def corrupt(monkeypatch, t: int, terms: dict) -> None:
+    """Replace N_t in the engine memo, and the pawn coefficient the QRat
+    references read, by the same corrupted value."""
+    for u in V._all_trees_upto(T.size(t) + 1):
+        S.pawn_coeff(u)  # solve the neighbours from the true values first
+    num = [list(c) for c in S.pawn_numerator(t)]
+    num.extend([] for _ in range(max(terms) + 1 - len(num)))
+    for j, p in terms.items():
+        algebra.zpoly_add_scaled(num[j], p)
+    bad = algebra.zxpoly_trim(num)
+    monkeypatch.setitem(S._PAWN_ENGINE.memo, t, bad)
+    monkeypatch.setitem(S._PAWN, t, XPoly([algebra.qrat_over_q_factorial(c, T.size(t)) for c in bad]))
+
+
+class TestZqIdentities:
+    """The x-checks run as identities in Z[q] on the engine numerators N_T;
+    the QRat bodies they replaced are the references."""
+
+    @pytest.mark.parametrize("name", sorted(R.CHECKS))
+    def test_agrees_with_qrat_reference(self, name):
+        ref = R.CHECKS[name](V.CheckReport(name=name), 6)
+        assert ref.ok() and V.check_theorem(name, 6).ok()
+
+    @pytest.mark.parametrize("name", sorted(R.CHECKS))
+    def test_corrupted_numerator_fails(self, name, monkeypatch):
+        corrupt(monkeypatch, CORRUPT_TREE, CORRUPTIONS[name])
+        report = V.check_theorem(name, 5)
+        assert report.status == "fail"
+        w = report.witness
+        assert w["tree"] == T.encoding(CORRUPT_TREE)
+        assert w["got"] != w["want"]
+        if name in WITNESS_PARAM:
+            assert WITNESS_PARAM[name] in w
+        assert not R.CHECKS[name](V.CheckReport(name=name), 5).ok()
+
+    def test_numerator_not_divisible_by_one_plus_qx(self, monkeypatch):
+        corrupt(monkeypatch, CORRUPT_TREE, {0: (1,)})
+        report = V.check_theorem("valeur_speciale", 5)
+        assert report.status == "fail"
+        assert report.witness["tree"] == T.encoding(CORRUPT_TREE)
+        # 1 = (1 + qx)(1 - qx + ... - q^3 x^3) + q^4 x^4
+        assert report.witness["got"] == "q^4" and report.witness["want"] == "0"
+
+    def test_wrong_x_degree_fails(self, monkeypatch):
+        corrupt(monkeypatch, CORRUPT_TREE, {5: (1,)})
+        report = V.check_theorem("x_infinity", 5)
+        assert report.status == "fail"
+        assert report.witness == {"tree": T.encoding(CORRUPT_TREE), "degree": "5", "size": "4"}
+
+    def test_runs_no_gcd(self, monkeypatch):
+        # after one run has built the q-factorial tables, the checks and
+        # pawn_at are integer arithmetic and cyclotomic division
+        def run():
+            for name in R.CHECKS:
+                assert V.check_theorem(name, 6).ok()
+            S.eval_pawn_at_qint(6, -3)
+            S.eval_pawn_at_qint(6, 4)
+            S.colorings_limit_series(6, 8)
+
+        run()
+        calls = []
+        for fn in ("qpoly_gcd", "qpoly_gcd_cofactors"):
+            gcd = getattr(algebra, fn)
+            monkeypatch.setattr(algebra, fn, lambda a, b, gcd=gcd: calls.append(1) or gcd(a, b))
+        run()
+        assert not calls
 
 
 class TestConjectures:
