@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -246,18 +245,9 @@ class QPoly:
             other = QPoly.const(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a, b = self.ints, other.ints
-        steps = len(a) - len(b) + 1
-        if steps <= 0:
-            return QPOLY_ZERO, self
-        # pseudo-division: s * a = b * quot + rem over Z, so with da, db the
-        # denominators, self = other * (quot * db / (s * da)) + rem / (s * da);
-        # a lead of +-1 divides every step and needs no scaling
-        lead = b[-1]
-        s = 1 if lead in (1, -1) else lead ** steps
-        if s != 1:
-            a = tuple(c * s for c in a)
-        quot, rem = zpoly_divmod(a, b)
+        # s * a = b * quot + rem over Z, so with da, db the denominators,
+        # self = other * (quot * db / (s * da)) + rem / (s * da)
+        s, quot, rem = _pseudo_divmod(self.ints, other.ints)
         den = s * self.den
         db = other.den
         return (QPoly.from_ints(tuple(c * db for c in quot), den),
@@ -344,18 +334,19 @@ QPOLY_ONE = QPoly._raw((1,))
 Q = QPoly._raw((0, 1))
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    # pseudo-remainder over Z: repeatedly a <- lc(b)*a - lc(a)*q^shift*b
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r[:shift]] + [lb * x - lr * y for x, y in zip(r[shift:-1], b)]
-        while r and not r[-1]:
-            r.pop()
-    return r
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]):
+    """(s, quot, rem) with s * a = b * quot + rem over Z, for nonzero b.
+
+    s is lead(b)^(deg a - deg b + 1), so every step of zpoly_divmod divides;
+    a lead of +-1 divides every step unscaled, and then s = 1.
+    """
+    steps = len(a) - len(b) + 1
+    if steps <= 0:
+        return 1, (), tuple(a)
+    lead = b[-1]
+    s = 1 if lead in (1, -1) else lead ** steps
+    quot, rem = zpoly_divmod(a if s == 1 else [c * s for c in a], b)
+    return s, quot, rem
 
 
 def _primitive(a: Sequence[int]) -> list[int]:
@@ -372,7 +363,7 @@ def _gcd_prs(pa: list[int], pb: list[int]) -> list[int]:
     while pb:
         if len(pb) == 1:
             return [1]
-        pa, pb = pb, _primitive(_prem(pa, pb))
+        pa, pb = pb, _primitive(_pseudo_divmod(pa, pb)[2])
     return pa
 
 
@@ -489,24 +480,9 @@ def qpoly_lcm(a: QPoly, b: QPoly) -> QPoly:
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials and q-integers
 
-_CYCLOTOMIC: dict[int, QPoly] = {}
-_CYCLOTOMIC_LOCK = threading.Lock()
-
-
 def cyclotomic(d: int) -> QPoly:
-    """The d-th cyclotomic polynomial in q, by exact division (memoized)."""
-    if d < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    phi = _CYCLOTOMIC.get(d)
-    if phi is not None:
-        return phi
-    num = QPoly.q_power(d) - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num = num.exact_div(cyclotomic(e))
-    with _CYCLOTOMIC_LOCK:
-        _CYCLOTOMIC.setdefault(d, num)
-    return _CYCLOTOMIC[d]
+    """The d-th cyclotomic polynomial in q."""
+    return QPoly._raw(zcyclotomic(d))
 
 
 def q_int_poly(n: int) -> QPoly:
@@ -999,8 +975,15 @@ def zpoly_exact_div(a: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def zcyclotomic(d: int) -> tuple[int, ...]:
-    """The d-th cyclotomic polynomial with int coefficients."""
-    return cyclotomic(d).ints
+    """The d-th cyclotomic polynomial with int coefficients: q^d - 1 divided
+    exactly by Phi_e for every proper divisor e of d (memoized)."""
+    if d < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    num = (-1,) + (0,) * (d - 1) + (1,)
+    for e in range(1, d):
+        if d % e == 0:
+            num = zpoly_exact_div(num, zcyclotomic(e))
+    return num
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,8 @@ Subcommands:
   cache       maintain the on-disk coefficient cache (list, gc, verify-hashes)
 
 Output is deterministic: two identical invocations produce byte-identical
-output, and parallel runs (--workers) agree with single-worker runs.
+output.  Every command runs on one thread; --workers is accepted and checked
+(>= 1) for compatibility, and has no effect.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .series import TreeSeries
 
 CACHE_DIR_ENV = "ARBORQ_CACHE_DIR"
 COSTLY_ORDER = 10
+WORKERS_HELP = "accepted for compatibility (must be >= 1); has no effect"
 
 SERIES_RING = {
     "pawn": "xpoly",
@@ -41,10 +43,10 @@ SERIES_RING = {
 }
 
 
-def _compute_series(name: str, n: int | None, order: int, workers: int) -> TreeSeries:
+def _compute_series(name: str, n: int | None, order: int) -> TreeSeries:
     # n was checked against the series by _check_compute_args
     if name == "pawn":
-        return sv.solve_pawn(order, workers)
+        return sv.solve_pawn(order)
     if name == "E":
         return sv.series_E(order)
     if name == "F":
@@ -52,10 +54,10 @@ def _compute_series(name: str, n: int | None, order: int, workers: int) -> TreeS
     if name == "G":
         return sv.coloring_series(order, n, "strict")
     if name == "omega":
-        return sv.solve_omega(order, workers)
+        return sv.solve_omega(order)
     if name == "omega_bar":
-        return sv.solve_omega_bar(order, workers)
-    return sv.eval_pawn_at_qint(order, n, workers)
+        return sv.solve_omega_bar(order)
+    return sv.eval_pawn_at_qint(order, n)
 
 
 def _check_compute_args(parser: argparse.ArgumentParser, args) -> None:
@@ -63,6 +65,12 @@ def _check_compute_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"series {args.series} requires --n >= 0")
     if args.series == "pawn_at" and args.n is None:
         parser.error("series pawn_at requires --n (the q-integer)")
+
+
+def _check_verify_args(parser: argparse.ArgumentParser, args) -> None:
+    # valeur_n_negatif states an identity at [-n]_q for n >= 1 only
+    if args.n_range and args.n_range[0] < 1 and "valeur_n_negatif" in args.suite:
+        parser.error("argument --n-range: valeur_n_negatif needs n >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +194,7 @@ def cmd_compute(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if payload is None:
-        series = _compute_series(args.series, args.n, args.order, args.workers)
+        series = _compute_series(args.series, args.n, args.order)
         entries = [[tr.encoding(t), value_to_obj(series.ring, v)] for t, v in series.items()]
         payload = {
             "series": args.series,
@@ -255,9 +263,14 @@ def _suite(text: str) -> list[str]:
 def _range(text: str) -> tuple[int, int]:
     try:
         lo, _, hi = text.partition("..")
-        return int(lo), int(hi or lo)
+        lo, hi = int(lo), int(hi or lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected e.g. 2..4") from None
+    if lo < 0:
+        raise argparse.ArgumentTypeError(f"must start at >= 0, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
 
 
 def _partition(text: str) -> tuple[int, ...]:
@@ -277,8 +290,6 @@ def cmd_verify(args) -> int:
         kwargs["n_range"] = args.n_range
     if args.coloring_bound:
         kwargs["bound"] = args.coloring_bound
-    if args.workers > 1:
-        kwargs["workers"] = args.workers
     failures = 0
     for name in names:
         report = vf.check_theorem(name, args.max_order, **kwargs)
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_positive, default=6)
     p.add_argument("--format", choices=("json", "csv", "tex"), default="json")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--workers", type=_positive, default=1)
+    p.add_argument("--workers", type=_positive, default=1, help=WORKERS_HELP)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(fn=cmd_compute)
 
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=_positive, default=None)
     p.add_argument("--n-range", type=_range, default=None, help="like 2..4")
     p.add_argument("--coloring-bound", type=_positive, default=None)
-    p.add_argument("--workers", type=_positive, default=1)
+    p.add_argument("--workers", type=_positive, default=1, help=WORKERS_HELP)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("conjecture", help="run a conjecture sweep")
@@ -394,6 +405,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compute":
         _check_compute_args(parser, args)
+    elif args.command == "verify":
+        _check_verify_args(parser, args)
     return args.fn(args)
 
 

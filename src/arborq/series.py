@@ -171,17 +171,16 @@ def diamond_crls(a: TreeSeries, b: TreeSeries) -> TreeSeries:
         # coefficient on B+(T_1..T_k) is a * prod_i b_{T_i}
         if is_zero_coeff(a_unit):
             return zero_series(order, ring)
-        for n in range(1, order + 1):
-            for t in tr.enumerate_trees(n):
-                val = a_unit
-                for c in tr.children(t):
-                    bc = b.coeffs.get(c)
-                    if bc is None:
-                        val = None
-                        break
-                    val = val * bc
-                if val is not None and not is_zero_coeff(val):
-                    out[t] = val
+        for t in tr.trees_upto(order):
+            val = a_unit
+            for c in tr.children(t):
+                bc = b.coeffs.get(c)
+                if bc is None:
+                    val = None
+                    break
+                val = val * bc
+            if val is not None and not is_zero_coeff(val):
+                out[t] = val
         return TreeSeries(order, ring, out)
 
     if b_unit is not None:
@@ -189,35 +188,33 @@ def diamond_crls(a: TreeSeries, b: TreeSeries) -> TreeSeries:
         wpow = [one]
         for _ in range(order):
             wpow.append(wpow[-1] * b_unit)
-        for n in range(1, order + 1):
-            for t in tr.enumerate_trees(n):
-                acc = zero
-                for (rest, removed), count in tr.prune_leaf_subsets(t).items():
-                    av = a.coeffs.get(rest)
-                    if av is not None and not is_zero_coeff(wpow[removed]):
-                        acc = acc + av * wpow[removed] * count
-                if not is_zero_coeff(acc):
-                    out[t] = acc
-        return TreeSeries(order, ring, out)
-
-    for n in range(1, order + 1):
-        for t in tr.enumerate_trees(n):
+        for t in tr.trees_upto(order):
             acc = zero
-            for (kept, comps), count in tr.root_subtree_decompositions(t).items():
-                av = a.coeffs.get(kept)
-                if av is None:
-                    continue
-                val = av
-                for c in comps:
-                    bc = b.coeffs.get(c)
-                    if bc is None:
-                        val = None
-                        break
-                    val = val * bc
-                if val is not None:
-                    acc = acc + val * count
+            for (rest, removed), count in tr.prune_leaf_subsets(t).items():
+                av = a.coeffs.get(rest)
+                if av is not None and not is_zero_coeff(wpow[removed]):
+                    acc = acc + av * wpow[removed] * count
             if not is_zero_coeff(acc):
                 out[t] = acc
+        return TreeSeries(order, ring, out)
+
+    for t in tr.trees_upto(order):
+        acc = zero
+        for (kept, comps), count in tr.root_subtree_decompositions(t).items():
+            av = a.coeffs.get(kept)
+            if av is None:
+                continue
+            val = av
+            for c in comps:
+                bc = b.coeffs.get(c)
+                if bc is None:
+                    val = None
+                    break
+                val = val * bc
+            if val is not None:
+                acc = acc + val * count
+        if not is_zero_coeff(acc):
+            out[t] = acc
     return TreeSeries(order, ring, out)
 
 

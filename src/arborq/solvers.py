@@ -25,7 +25,6 @@ root-branch extraction, never a full enumeration by size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .algebra import (
@@ -58,14 +57,9 @@ from . import trees as tr
 from .series import TreeSeries
 
 
-def pmap(fn, items, workers: int = 1) -> list:
-    """Map preserving input order; with workers > 1 a thread pool is used.
-    Results must not depend on scheduling (all functions here are pure)."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _series(order: int, ring: str, fn) -> TreeSeries:
+    """The series with coefficient fn(t) on every tree up to the order."""
+    return TreeSeries(order, ring, {t: fn(t) for t in tr.trees_upto(order)})
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +162,9 @@ def pawn_coeff(t: int) -> XPoly:
     return cached
 
 
-def solve_pawn(order: int, workers: int = 1) -> TreeSeries:
+def solve_pawn(order: int) -> TreeSeries:
     """The unique solution of the defining equation, to the given order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    coeffs: dict[int, XPoly] = {}
-    for n in range(1, order + 1):
-        ids = tr.enumerate_trees(n)
-        for t, v in zip(ids, pmap(pawn_coeff, ids, workers)):
-            coeffs[t] = v
-    return TreeSeries(order, "xpoly", coeffs)
+    return _series(order, "xpoly", pawn_coeff)
 
 
 def pawn_fraction(t: int):
@@ -190,15 +177,13 @@ def pawn_numerator(t: int) -> tuple:
     return _PAWN_ENGINE.numerator(t)
 
 
-def eval_pawn_at_qint(order: int, n: int, workers: int = 1) -> TreeSeries:
+def eval_pawn_at_qint(order: int, n: int) -> TreeSeries:
     """The pawn series at x = [n]_q (n may be negative), to the given order.
 
     Each value is N_T at the node over [#T]_q!.  For n = -m < 0 the node is
     -[m]_q / q^m, so q^(m d) N_T(node) is an integer polynomial (d the
     x-degree of N_T) and the value is that over q^(m d) [#T]_q!.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     m = abs(n)
     node, den = ((1,) * m, (1,)) if n >= 0 else ((-1,) * m, (0,) * m + (1,))
 
@@ -207,20 +192,12 @@ def eval_pawn_at_qint(order: int, n: int, workers: int = 1) -> TreeSeries:
         q_power = m * (len(num) - 1) if n < 0 else 0
         return qrat_over_q_factorial(zxpoly_eval(num, node, den), tr.size(t), q_power=q_power)
 
-    coeffs: dict[int, QRat] = {}
-    for size in range(1, order + 1):
-        ids = tr.enumerate_trees(size)
-        coeffs.update(zip(ids, pmap(at_node, ids, workers)))
-    return TreeSeries(order, "qrat", coeffs)
+    return _series(order, "qrat", at_node)
 
 
 def series_E(order: int) -> TreeSeries:
     """All-ones series: one structure per tree."""
-    coeffs = {}
-    for n in range(1, order + 1):
-        for t in tr.enumerate_trees(n):
-            coeffs[t] = QRAT_ONE
-    return TreeSeries(order, "qrat", coeffs)
+    return _series(order, "qrat", lambda _t: QRAT_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +233,7 @@ def coloring_poly(t: int, n: int, mode: str = "weak") -> QPoly:
 
 
 def coloring_series(order: int, n: int, mode: str = "weak") -> TreeSeries:
-    coeffs = {}
-    for m in range(1, order + 1):
-        for t in tr.enumerate_trees(m):
-            coeffs[t] = QRat(coloring_poly(t, n, mode))
-    return TreeSeries(order, "qrat", coeffs)
+    return _series(order, "qrat", lambda t: QRat(coloring_poly(t, n, mode)))
 
 
 def fbar_type(t: int) -> int:
@@ -371,22 +344,12 @@ def omega_bar_via_transform(t: int) -> QRat:
     return omega_coeff(t).reciprocal_q() * QRat(QPoly.const(-1), Q) ** (m - 1)
 
 
-def solve_omega(order: int, workers: int = 1) -> TreeSeries:
-    coeffs = {}
-    for n in range(1, order + 1):
-        ids = tr.enumerate_trees(n)
-        for t, v in zip(ids, pmap(omega_coeff, ids, workers)):
-            coeffs[t] = v
-    return TreeSeries(order, "qrat", coeffs)
+def solve_omega(order: int) -> TreeSeries:
+    return _series(order, "qrat", omega_coeff)
 
 
-def solve_omega_bar(order: int, workers: int = 1) -> TreeSeries:
-    coeffs = {}
-    for n in range(1, order + 1):
-        ids = tr.enumerate_trees(n)
-        for t, v in zip(ids, pmap(omega_bar_coeff, ids, workers)):
-            coeffs[t] = v
-    return TreeSeries(order, "qrat", coeffs)
+def solve_omega_bar(order: int) -> TreeSeries:
+    return _series(order, "qrat", omega_bar_coeff)
 
 
 MINUS_ONE_OVER_Q = QRat(QPoly.const(-1), Q)
@@ -420,18 +383,16 @@ def colorings_limit_series(order: int, series_order: int) -> TreeSeries:
     """The whole series at x = 1/(1-q), with each coefficient expanded as a
     truncated q-series; the coefficient of a tree is the generating series of
     all its weakly decreasing colorings."""
-    coeffs = {}
-    for n in range(1, order + 1):
-        for t in tr.enumerate_trees(n):
-            # (1 - q)^d N_T(1 / (1 - q)) over (1 - q)^d [n]_q!, d the x-degree
-            num = pawn_numerator(t)
-            d = len(num) - 1
-            top = zxpoly_eval(num, (1,), (1, -1))
-            if d % 2:
-                top = tuple(-c for c in top)
-            value = qrat_over_q_factorial(top, n, q_minus_1_power=d)
-            coeffs[t] = value.series(series_order)
-    return TreeSeries(order, "qseries", coeffs)
+    def at_limit(t: int):
+        # (1 - q)^d N_T(1 / (1 - q)) over (1 - q)^d [#T]_q!, d the x-degree
+        num = pawn_numerator(t)
+        d = len(num) - 1
+        top = zxpoly_eval(num, (1,), (1, -1))
+        if d % 2:
+            top = tuple(-c for c in top)
+        return qrat_over_q_factorial(top, tr.size(t), q_minus_1_power=d).series(series_order)
+
+    return _series(order, "qseries", at_limit)
 
 
 # ---------------------------------------------------------------------------

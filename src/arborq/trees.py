@@ -13,7 +13,6 @@ the pruning combinatorics the insertion product runs on: leaf-subset pruning
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -40,7 +39,6 @@ class TreeTable:
     """Insert-only interning table; ids are stable for the process lifetime."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._by_encoding: dict[str, int] = {}
         self._trees: list[Tree] = []
         self._by_size: dict[int, tuple[int, ...]] = {}
@@ -50,16 +48,12 @@ class TreeTable:
         tid = self._by_encoding.get(enc)
         if tid is not None:
             return tid
-        with self._lock:
-            tid = self._by_encoding.get(enc)
-            if tid is not None:
-                return tid
-            size = 1 + sum(self._trees[c].size for c in children_ids)
-            height = 1 + max((self._trees[c].height for c in children_ids), default=0)
-            tid = len(self._trees)
-            self._trees.append(Tree(tid, children_ids, size, height, enc))
-            self._by_encoding[enc] = tid
-            return tid
+        size = 1 + sum(self._trees[c].size for c in children_ids)
+        height = 1 + max((self._trees[c].height for c in children_ids), default=0)
+        tid = len(self._trees)
+        self._trees.append(Tree(tid, children_ids, size, height, enc))
+        self._by_encoding[enc] = tid
+        return tid
 
     def tree(self, tid: int) -> Tree:
         return self._trees[tid]
@@ -199,6 +193,11 @@ def canonicalize(expr) -> int:
 def enumerate_trees(n: int) -> tuple[int, ...]:
     """All isomorphism classes with n vertices, sorted by encoding."""
     return _TABLE.of_size(n)
+
+
+def trees_upto(order: int) -> tuple[int, ...]:
+    """All isomorphism classes with 1..order vertices, by size, then by encoding."""
+    return tuple(t for n in range(1, order + 1) for t in enumerate_trees(n))
 
 
 # ---------------------------------------------------------------------------

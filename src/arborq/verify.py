@@ -157,18 +157,8 @@ def oracle_interpolate_pawn(t: int, bound: int = DEFAULT_INTERPOLATION_BOUND) ->
 def random_series(order: int, seed: int, lo: int = -3, hi: int = 3) -> TreeSeries:
     """Seeded random series with small integer coefficients (rational ring)."""
     rng = random.Random(seed)
-    coeffs = {}
-    for n in range(1, order + 1):
-        for t in tr.enumerate_trees(n):
-            coeffs[t] = Fraction(rng.randint(lo, hi))
+    coeffs = {t: Fraction(rng.randint(lo, hi)) for t in tr.trees_upto(order)}
     return TreeSeries(order, "rational", coeffs)
-
-
-def _all_trees_upto(order: int) -> list[int]:
-    out = []
-    for n in range(1, order + 1):
-        out.extend(tr.enumerate_trees(n))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +167,7 @@ def _all_trees_upto(order: int) -> list[int]:
 
 def _pawn_numerators(max_order: int):
     """(t, #t, N_t) for every tree up to max_order, N_t = [#t]_q! P_t."""
-    for t in _all_trees_upto(max_order):
+    for t in tr.trees_upto(max_order):
         yield t, tr.size(t), sv.pawn_numerator(t)
 
 
@@ -283,7 +273,7 @@ def _check_action_delta(report, max_order, **_):
 
 
 def _check_ombral_iti(report, max_order, **_):
-    for t in _all_trees_upto(max_order):
+    for t in tr.trees_upto(max_order):
         prod = XPOLY_ONE
         for c in tr.children(t):
             prod = prod * sv.pawn_coeff(c)
@@ -294,7 +284,7 @@ def _check_ombral_iti(report, max_order, **_):
 
 
 def _check_ombral_nui(report, max_order, **_):
-    for t in _all_trees_upto(max_order):
+    for t in tr.trees_upto(max_order):
         prod = XPOLY_ONE
         for c in tr.children(t):
             prod = prod * sv.pawn_coeff(c)
@@ -344,7 +334,7 @@ def _check_q1_no_pole(report, max_order, **_):
 
 
 def _check_fbar_vs_cover(report, max_order, **_):
-    for t in _all_trees_upto(max_order):
+    for t in tr.trees_upto(max_order):
         ftype = sv.fbar_type(t)
         cover = tr.min_vertex_covers_root(t)
         if (ftype == 1) != cover.root_in_some:
@@ -407,40 +397,23 @@ def _check_suspension_formula(report, max_order, seeds=(9, 10), **_):
 
 
 def _check_oracle_colorings(report, max_order, n_range=(0, 3),
-                            bound=DEFAULT_COLORING_BOUND, workers=1, **_):
-    top = min(max_order, bound)
-    trees = _all_trees_upto(top)
-
-    def one(t):
+                            bound=DEFAULT_COLORING_BOUND, **_):
+    for t in tr.trees_upto(min(max_order, bound)):
         for n in range(n_range[0], n_range[1] + 1):
             for mode in ("weak", "strict"):
                 got = sv.coloring_poly(t, n, mode)
                 want = oracle_colorings(t, n, mode, bound=bound)
                 if got != want:
-                    return (t, n, mode, got, want)
-        return None
-
-    for res in sv.pmap(one, trees, workers):
-        if res is not None:
-            t, n, mode, got, want = res
-            return _fail(report, tree=tr.encoding(t), n=n, mode=mode,
-                         recursion=got, oracle=want)
+                    return _fail(report, tree=tr.encoding(t), n=n, mode=mode,
+                                 recursion=got, oracle=want)
     return report
 
 
-def _check_oracle_interpolation(report, max_order,
-                                bound=DEFAULT_INTERPOLATION_BOUND, workers=1, **_):
-    top = min(max_order, bound)
-    trees = _all_trees_upto(top)
-
-    def one(t):
+def _check_oracle_interpolation(report, max_order, bound=DEFAULT_INTERPOLATION_BOUND, **_):
+    for t in tr.trees_upto(min(max_order, bound)):
         got = sv.pawn_coeff(t)
         want = oracle_interpolate_pawn(t, bound=bound)
-        return None if got == want else (t, got, want)
-
-    for res in sv.pmap(one, trees, workers):
-        if res is not None:
-            t, got, want = res
+        if got != want:
             return _fail(report, tree=tr.encoding(t), solver=got, interpolated=want)
     return report
 
@@ -609,7 +582,3 @@ def check_partition_conjecture(lam, k: int, order_cap: int = 12) -> CheckReport:
         return _finish(_fail(report, tree=tr.encoding(t), coefficient=coeff,
                              modulus=phi, remainder=rem), t0)
     return _finish(report, t0)
-
-
-def run_suite(names, max_order: int | None = None, **kwargs) -> list[CheckReport]:
-    return [check_theorem(name, max_order, **kwargs) for name in names]

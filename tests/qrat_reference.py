@@ -95,7 +95,7 @@ def check_valeur_n_negatif(report, max_order, n_range=(2, 4)):
     pawn = sv.solve_pawn(max_order)
     for n in range(n_range[0], n_range[1] + 1):
         ev = eval_pawn_at_qint(pawn, -n)
-        for t in V._all_trees_upto(max_order):
+        for t in tr.trees_upto(max_order):
             m = tr.size(t)
             got = ev.coeff(t).reciprocal_q()
             g = sv.coloring_poly(t, n - 2, "strict")
@@ -116,7 +116,7 @@ def check_valeur_speciale(report, max_order):
 
 
 def check_action_delta(report, max_order):
-    for t in V._all_trees_upto(max_order):
+    for t in tr.trees_upto(max_order):
         prod = XPOLY_ONE
         for c in tr.children(t):
             prod = prod * sv.pawn_coeff(c)
@@ -128,7 +128,7 @@ def check_action_delta(report, max_order):
 
 
 def check_facteurs_connus(report, max_order):
-    for t in V._all_trees_upto(max_order):
+    for t in tr.trees_upto(max_order):
         prod = XPOLY_ONE
         for i in range(1, tr.height(t) + 1):
             prod = prod * XPoly((q_int_poly(i), QPoly.q_power(i)))
@@ -139,7 +139,7 @@ def check_facteurs_connus(report, max_order):
 
 
 def check_x_infinity(report, max_order):
-    for t in V._all_trees_upto(max_order):
+    for t in tr.trees_upto(max_order):
         f = sv.pawn_coeff(t)
         n = tr.size(t)
         if f.degree != n:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -41,6 +42,26 @@ class TestCompute:
         _, out1, _ = run_cli(["compute", "pawn", "--order", "4", "--workers", "1"], capsys)
         _, out4, _ = run_cli(["compute", "pawn", "--order", "4", "--workers", "4"], capsys)
         assert out1 == out4
+
+    def test_workers_start_no_thread(self, capsys, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        code, out, _ = run_cli(["compute", "pawn", "--order", "4", "--workers", "4"], capsys)
+        assert code == 0 and json.loads(out)["order"] == 4
+        code, out, _ = run_cli(["verify", "--suite", "oracle_colorings,oracle_interpolation",
+                                "--max-order", "4", "--workers", "2"], capsys)
+        assert code == 0 and out.endswith("2/2 checks passed\n")
+
+    def test_import_loads_no_thread_pool(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, arborq.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.stdout == "False\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -346,6 +367,10 @@ class TestUsageErrors:
             (["conjecture", "corolla-denominator", "--max-n", "-1"], "--max-n"),
             (["conjecture", "partition", "--lam", "0", "--k", "3"], "--lam"),
             (["conjecture", "partition", "--lam", "x,y", "--k", "3"], "--lam"),
+            (["verify", "--suite", "valeur_n_positif,oracle_colorings", "--n-range", "4..2",
+              "--max-order", "4"], "--n-range"),
+            (["verify", "--suite", "valeur_n_positif", "--n-range=-1..2"], "--n-range"),
+            (["verify", "--suite", "valeur_n_negatif", "--n-range", "0..1"], "--n-range"),
         ],
     )
     def test_exit_code_2(self, argv, flag, capsys):

@@ -234,7 +234,7 @@ class TestSpecializations:
         order = 6
         pawn = S.solve_pawn(order)
         for n in range(-4, 5):
-            got = S.eval_pawn_at_qint(order, n, workers=2 if n % 2 else 1)
+            got = S.eval_pawn_at_qint(order, n)
             assert got == R.solve_pawn_specialized(q_integer(n), order)
             assert got == R.eval_pawn_at_qint(pawn, n)
 
@@ -554,8 +554,3 @@ class TestQ1Limit:
                 sign = 1 if (m - 1) % 2 == 0 else -1
                 assert d == omega_q1 * sign
 
-
-class TestParallelDeterminism:
-    def test_workers_agree(self):
-        assert S.solve_pawn(5, workers=4) == S.solve_pawn(5, workers=1)
-        assert S.solve_omega_bar(5, workers=3) == S.solve_omega_bar(5)

@@ -140,7 +140,7 @@ WITNESS_PARAM = {"valeur_n_positif": "n", "valeur_n_negatif": "n", "facteurs_con
 def corrupt(monkeypatch, t: int, terms: dict) -> None:
     """Replace N_t in the engine memo, and the pawn coefficient the QRat
     references read, by the same corrupted value."""
-    for u in V._all_trees_upto(T.size(t) + 1):
+    for u in T.trees_upto(T.size(t) + 1):
         S.pawn_coeff(u)  # solve the neighbours from the true values first
     num = [list(c) for c in S.pawn_numerator(t)]
     num.extend([] for _ in range(max(terms) + 1 - len(num)))
