@@ -424,32 +424,26 @@ def _gcdheu(pa: list[int], pb: list[int]):
 def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """Greatest common divisor, returned primitive over Z with positive lead.
 
-    Works on the primitive integer numerators (the denominators are units).
-    A constant argument gives 1 at once.  Otherwise the gcd is read off one
-    big-integer gcd of the two values at q = xi, xi = 2 min(|pa|, |pb|) + 2
-    and grown on failure (GCDHEU, see _gcdheu); a candidate is accepted only
-    when it divides both, so the result is exact.  When GCDHEU_TRIES points
-    fail, the primitive pseudo-remainder sequence decides.
+    The gcd of p and 0 is the primitive part of p; for two nonzero arguments
+    it is the gcd of qpoly_gcd_cofactors (GCDHEU, with the primitive
+    pseudo-remainder sequence as its fallback).
     """
-    pa = _primitive(a.ints)
-    pb = _primitive(b.ints)
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    if not pb:
-        return QPoly._raw(tuple(pa))
-    if len(pb) == 1:
-        return QPOLY_ONE
-    found = _gcdheu(pa, pb)
-    g = _gcd_prs(pa, pb) if found is None else found[0]
-    return QPOLY_ONE if len(g) == 1 else QPoly._raw(tuple(g))
+    if a.is_zero() or b.is_zero():
+        return QPoly._raw(tuple(_primitive(a.ints or b.ints)))
+    return qpoly_gcd_cofactors(a, b)[0]
 
 
 def qpoly_gcd_cofactors(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """(g, a / g, b / g) for nonzero a, b, with g = qpoly_gcd(a, b).
+    """(g, a / g, b / g) for nonzero a, b, with g their gcd, primitive over Z
+    with positive lead.
 
-    A constant gcd gives (1, a, b).  GCDHEU returns the cofactors its
-    divisibility test computed, so QRat arithmetic divides by each gcd once;
-    after the PRS fallback the cofactors are exact divisions.
+    Works on the primitive integer numerators (the denominators are units).
+    A constant argument or gcd gives (1, a, b).  Otherwise the gcd is read off
+    one big-integer gcd of the two values at q = xi (GCDHEU, see _gcdheu) and
+    the cofactors are the quotients of the divisibility test that accepts it,
+    so each gcd is divided out once; when GCDHEU_TRIES points fail, the
+    primitive pseudo-remainder sequence decides and the cofactors are exact
+    divisions.
     """
     pa = _primitive(a.ints)
     pb = _primitive(b.ints)
@@ -472,9 +466,7 @@ def qpoly_gcd_cofactors(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
 def qpoly_lcm(a: QPoly, b: QPoly) -> QPoly:
     if a.is_zero() or b.is_zero():
         return QPoly()
-    g = qpoly_gcd(a, b)
-    out = a * b.exact_div(g)
-    return out.monic()
+    return (a * qpoly_gcd_cofactors(a, b)[2]).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +614,6 @@ class QRat:
         if o.is_zero():
             return self
         g, d1, d2 = qpoly_gcd_cofactors(self.den, o.den)
-        if g.degree == 0:
-            num = self.num * o.den + o.num * self.den
-            den = self.den * o.den
-            return QRat._raw(num, den) if num else QRAT_ZERO
         num = self.num * d2 + o.num * d1
         if num.is_zero():
             return QRAT_ZERO
@@ -769,19 +757,12 @@ def as_qrat(x) -> QRat:
 
 
 def qrat_sum(values: Iterable[QRat]) -> QRat:
-    """Sum over a common denominator (one reduction instead of one per add)."""
-    vals = [v for v in values if not v.is_zero()]
-    if not vals:
-        return QRAT_ZERO
-    if len(vals) == 1:
-        return vals[0]
-    den = vals[0].den
-    for v in vals[1:]:
-        den = qpoly_lcm(den, v.den)
-    num = QPoly()
-    for v in vals:
-        num = num + v.num * den.exact_div(v.den)
-    return QRat(num, den)
+    """Sum of rational functions, a fold of QRat additions; zero when empty.
+
+    Each addition divides out the gcd of its two denominators (through the
+    GCDHEU cofactors), so no lcm of all the denominators is formed.
+    """
+    return sum(values, QRAT_ZERO)
 
 
 def q_integer(n: int) -> QRat:
@@ -1367,24 +1348,11 @@ class XPoly:
 
 XPOLY_ZERO = XPoly()
 XPOLY_ONE = XPoly((1,))
-XPOLY_X = XPoly((0, 1))
 
 
 def one_plus_qx() -> XPoly:
     """The polynomial 1 + q*x."""
     return XPoly((QRAT_ONE, QRAT_Q))
-
-
-def xpoly_sum(values: Iterable[XPoly]) -> XPoly:
-    """Sum of x-polynomials with per-slot common-denominator accumulation."""
-    cols: list[list[QRat]] = []
-    for v in values:
-        for j, c in enumerate(v.coeffs):
-            while len(cols) <= j:
-                cols.append([])
-            if not c.is_zero():
-                cols[j].append(c)
-    return XPoly([qrat_sum(col) for col in cols])
 
 
 # ---------------------------------------------------------------------------

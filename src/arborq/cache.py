@@ -84,8 +84,10 @@ def _read_entry(path: str) -> CacheEntry:
         with open(path) as fh:
             raw = json.load(fh)
         entry = CacheEntry(raw["key"], raw["payload"], raw["sha256"])
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CacheError(f"{path}: unreadable cache entry ({exc})") from exc
+    if not isinstance(entry.key, dict):
+        raise CacheError(f"{path}: key is not a JSON object")
     if payload_hash(entry.payload) != entry.sha256:
         raise CacheError(f"{path}: payload hash mismatch")
     return entry
@@ -149,16 +151,4 @@ def gc(directory: str) -> int:
 
 def verify_hashes(directory: str) -> list[tuple[str, bool]]:
     """Re-hash every payload; returns (file, ok) pairs."""
-    out = []
-    if not os.path.isdir(directory):
-        return out
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            _read_entry(path)
-            out.append((name, True))
-        except CacheError:
-            out.append((name, False))
-    return out
+    return [(e["file"], e["status"] == "ok") for e in list_entries(directory)]

@@ -67,10 +67,15 @@ def _check_compute_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error("series pawn_at requires --n (the q-integer)")
 
 
+VERIFY_FLAGS = {"max_order": "--max-order", "n_range": "--n-range", "bound": "--coloring-bound"}
+
+
 def _check_verify_args(parser: argparse.ArgumentParser, args) -> None:
-    # valeur_n_negatif states an identity at [-n]_q for n >= 1 only
-    if args.n_range and args.n_range[0] < 1 and "valeur_n_negatif" in args.suite:
-        parser.error("argument --n-range: valeur_n_negatif needs n >= 1")
+    # the rule check_theorem enforces, reported as a usage error
+    for name in args.suite:
+        bad = vf.theorem_param_error(name, args.max_order, args.n_range, args.coloring_bound)
+        if bad is not None:
+            parser.error(f"argument {VERIFY_FLAGS[bad[0]]}: {bad[1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +271,6 @@ def _range(text: str) -> tuple[int, int]:
         lo, hi = int(lo), int(hi or lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected e.g. 2..4") from None
-    if lo < 0:
-        raise argparse.ArgumentTypeError(f"must start at >= 0, got {text!r}")
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -285,14 +286,10 @@ def _partition(text: str) -> tuple[int, ...]:
 
 def cmd_verify(args) -> int:
     names = args.suite
-    kwargs = {}
-    if args.n_range:
-        kwargs["n_range"] = args.n_range
-    if args.coloring_bound:
-        kwargs["bound"] = args.coloring_bound
     failures = 0
     for name in names:
-        report = vf.check_theorem(name, args.max_order, **kwargs)
+        report = vf.check_theorem(name, args.max_order, n_range=args.n_range,
+                                  bound=args.coloring_bound)
         status = report.status.upper()
         print(f"{status:4s}  {name:24s} {report.seconds:8.2f}s")
         if not report.ok():
@@ -376,9 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", type=_suite, default="all",
                    help="'all' or comma-separated check names "
                         f"({', '.join(vf.THEOREM_NAMES)})")
-    p.add_argument("--max-order", type=_positive, default=None)
+    # verify.theorem_param_error judges these three (see _check_verify_args)
+    p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--n-range", type=_range, default=None, help="like 2..4")
-    p.add_argument("--coloring-bound", type=_positive, default=None)
+    p.add_argument("--coloring-bound", type=int, default=None)
     p.add_argument("--workers", type=_positive, default=1, help=WORKERS_HELP)
     p.set_defaults(fn=cmd_verify)
 

@@ -11,9 +11,11 @@ The insertion product with outer corollas is computed from root-subtree
 decompositions: the coefficient of T collects, over every root-containing
 subtree T0 of T, the first series on T0 times the product of the second
 series over the complement components.  Two fast paths cover the cases the
-solvers hit constantly: first argument a multiple of the single vertex
-(product over root branches) and second argument a multiple of the single
-vertex (leaf pruning with a weight per removed leaf).
+checks prop_gen and sharp_reformulation hit constantly: first argument a
+multiple of the single vertex (product over root branches) and second
+argument a multiple of the single vertex (leaf pruning with a weight per
+removed leaf).  The solvers do not use this product: they run on the
+fraction-free engine in solvers.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from .algebra import (
     QRAT_ZERO,
     QRat,
     QSeries,
+    XPOLY_ZERO,
     XPoly,
     one_plus_qx,
     q_factorial_quotient,
@@ -44,7 +45,6 @@ from .algebra import (
     qrat_over_q_factorial,
     qrat_sum,
     xpoly_fraction,
-    xpoly_sum,
     zpoly_add_scaled,
     zpoly_div_q_minus_1,
     zpoly_mul,
@@ -284,7 +284,7 @@ def pawn_corolla(n: int) -> XPoly:
             terms.append(_COROLLA[k] * c)
         qm = QPoly.q_power(m + 1)
         terms.append((one_plus_qx() ** m) * XPoly((qm, qm * QPoly((-1, 1)))))
-        _COROLLA.append(xpoly_sum(terms).scale(QRat(1, qm - 1)))
+        _COROLLA.append(sum(terms, XPOLY_ZERO).scale(QRat(1, qm - 1)))
     return _COROLLA[n]
 
 

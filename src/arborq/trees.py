@@ -244,7 +244,6 @@ def parent_array(tid: int) -> list[int]:
 class TreeStats:
     height: int
     leaf_count: int
-    leaf_positions: tuple[int, ...]
     height_histogram: dict[int, int]
     subtree_sizes: tuple[int, ...]
 
@@ -264,7 +263,6 @@ def tree_stats(tid: int) -> TreeStats:
     has_child = [False] * n
     for v in range(1, n):
         has_child[parents[v]] = True
-    leaves = tuple(v for v in range(n) if not has_child[v])
     hist: dict[int, int] = {}
     for v in range(n):
         h = depth[v] + 1
@@ -274,8 +272,7 @@ def tree_stats(tid: int) -> TreeStats:
         sub[parents[v]] += sub[v]
     st = TreeStats(
         height=max(depth) + 1,
-        leaf_count=len(leaves),
-        leaf_positions=leaves,
+        leaf_count=has_child.count(False),
         height_histogram=hist,
         subtree_sizes=tuple(sorted(sub)),
     )

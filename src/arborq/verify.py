@@ -25,7 +25,7 @@ from .algebra import (
     factor_cyclotomic,
     q_factorial_quotient,
     qrat_over_q_factorial,
-    xpoly_fraction,
+    xpoly_denominator,
     zpoly_add_scaled,
     zpoly_mul,
     zpoly_trim,
@@ -418,60 +418,69 @@ def _check_oracle_interpolation(report, max_order, bound=DEFAULT_INTERPOLATION_B
     return report
 
 
-THEOREM_DEFAULT_ORDER = {
-    "valeur_n_positif": 6,
-    "valeur_n_negatif": 6,
-    "valeur_speciale": 6,
-    "prop_gen": 6,
-    "action_delta": 6,
-    "ombral_iti": 7,
-    "ombral_nui": 7,
-    "facteurs_connus": 8,
-    "x_infinity": 8,
-    "q1_no_pole": 6,
-    "fbar_vs_cover": 9,
-    "sharp_reformulation": 5,
-    "associativity": 5,
-    "suspension_formula": 6,
-    "oracle_colorings": 7,
-    "oracle_interpolation": 7,
+# name -> (check, default max_order), in the order verify runs them
+_THEOREMS = {
+    "valeur_n_positif": (_check_valeur_n_positif, 6),
+    "valeur_n_negatif": (_check_valeur_n_negatif, 6),
+    "valeur_speciale": (_check_valeur_speciale, 6),
+    "prop_gen": (_check_prop_gen, 6),
+    "action_delta": (_check_action_delta, 6),
+    "ombral_iti": (_check_ombral_iti, 7),
+    "ombral_nui": (_check_ombral_nui, 7),
+    "facteurs_connus": (_check_facteurs_connus, 8),
+    "x_infinity": (_check_x_infinity, 8),
+    "q1_no_pole": (_check_q1_no_pole, 6),
+    "fbar_vs_cover": (_check_fbar_vs_cover, 9),
+    "sharp_reformulation": (_check_sharp_reformulation, 5),
+    "associativity": (_check_associativity, 5),
+    "suspension_formula": (_check_suspension_formula, 6),
+    "oracle_colorings": (_check_oracle_colorings, 7),
+    "oracle_interpolation": (_check_oracle_interpolation, 7),
 }
 
-_THEOREM_FNS = {
-    "valeur_n_positif": _check_valeur_n_positif,
-    "valeur_n_negatif": _check_valeur_n_negatif,
-    "valeur_speciale": _check_valeur_speciale,
-    "prop_gen": _check_prop_gen,
-    "action_delta": _check_action_delta,
-    "ombral_iti": _check_ombral_iti,
-    "ombral_nui": _check_ombral_nui,
-    "facteurs_connus": _check_facteurs_connus,
-    "x_infinity": _check_x_infinity,
-    "q1_no_pole": _check_q1_no_pole,
-    "fbar_vs_cover": _check_fbar_vs_cover,
-    "sharp_reformulation": _check_sharp_reformulation,
-    "associativity": _check_associativity,
-    "suspension_formula": _check_suspension_formula,
-    "oracle_colorings": _check_oracle_colorings,
-    "oracle_interpolation": _check_oracle_interpolation,
-}
+THEOREM_NAMES = tuple(_THEOREMS)
 
-THEOREM_NAMES = tuple(_THEOREM_FNS)
+
+def theorem_param_error(name: str, max_order: int | None = None,
+                        n_range: tuple[int, int] | None = None,
+                        bound: int | None = None) -> tuple[str, str] | None:
+    """(parameter, reason) when check `name` would check nothing under these
+    parameters, or check outside its statement; None when they are fine.
+    A parameter left as None takes the check's default, which is fine."""
+    if max_order is not None and max_order < 1:
+        return "max_order", f"must be >= 1, got {max_order}"
+    if bound is not None and bound < 1:
+        return "bound", f"must be >= 1, got {bound}"
+    if n_range is not None:
+        lo, hi = n_range
+        if lo < 0:
+            return "n_range", f"must start at >= 0, got {lo}..{hi}"
+        if lo > hi:
+            return "n_range", f"empty range {lo}..{hi}"
+        # valeur_n_negatif states an identity at [-n]_q for n >= 1 only
+        if lo < 1 and name == "valeur_n_negatif":
+            return "n_range", "valeur_n_negatif needs n >= 1"
+    return None
 
 
 def check_theorem(name: str, max_order: int | None = None, **kwargs) -> CheckReport:
-    """Run one named equality/divisibility sweep and report."""
-    if name not in _THEOREM_FNS:
+    """Run one named equality/divisibility sweep and report.
+
+    Raises ValueError for an unknown name and for parameters that
+    theorem_param_error rejects, so no sweep passes after checking nothing.
+    """
+    if name not in _THEOREMS:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(THEOREM_NAMES)}")
+    fn, default_order = _THEOREMS[name]
     if max_order is None:
-        max_order = THEOREM_DEFAULT_ORDER[name]
+        max_order = default_order
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    bad = theorem_param_error(name, max_order, kwargs.get("n_range"), kwargs.get("bound"))
+    if bad is not None:
+        raise ValueError(f"{name}: {bad[0]} {bad[1]}")
     t0 = time.perf_counter()
-    params = {"max_order": max_order}
-    params.update({k: v for k, v in kwargs.items() if v is not None})
-    report = CheckReport(name=name, params=params)
-    fn = _THEOREM_FNS[name]
-    report = fn(report, max_order, **{k: v for k, v in kwargs.items() if v is not None})
-    return _finish(report, t0)
+    report = CheckReport(name=name, params={"max_order": max_order, **kwargs})
+    return _finish(fn(report, max_order, **kwargs), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +494,7 @@ def check_corolla_denominator(max_n: int, progress=None) -> CheckReport:
     for n in range(0, max_n + 1):
         if progress:
             progress(f"corolla {n}/{max_n}")
-        _, den = xpoly_fraction(sv.pawn_corolla(n))
+        den = xpoly_denominator(sv.pawn_corolla(n))
         unit, factors, remainder = factor_cyclotomic(den)
         want = {d: 1 for d in range(2, n + 2)}
         if unit != 1 or remainder != QPOLY_ONE or factors != want:

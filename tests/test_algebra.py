@@ -24,6 +24,7 @@ from arborq.algebra import (
     QPoly,
     QRAT_ONE,
     QRAT_Q,
+    QRAT_ZERO,
     QRat,
     QSeries,
     XPoly,
@@ -40,6 +41,7 @@ from arborq.algebra import (
     qpoly_gcd_cofactors,
     qpoly_lcm,
     qrat_over_q_factorial,
+    qrat_sum,
     subst_q,
     xpoly_denominator,
     xpoly_fraction,
@@ -251,6 +253,62 @@ class TestRepresentation:
         assert_canonical(inv.den)
         assert inv.den.leading == 1
         assert v * inv == QRAT_ONE
+
+
+# denominators are products of these, so summands share factors or not
+SUM_FACTORS = (QPoly((-1, 1)), QPoly((1, 1)), QPoly((1, 1, 1)), Q, QPoly((1, 2)),
+               QPoly((2, 0, 1)), QPoly((F(1, 2), 3)))
+SUMMAND = st.tuples(TestRepresentation.SMALL,
+                    st.lists(st.integers(0, len(SUM_FACTORS) - 1), max_size=3),
+                    st.sampled_from([1, -2, F(1, 3)]))
+
+
+def summand(spec) -> QRat:
+    num, factors, unit = spec
+    den = QPoly((unit,))
+    for i in factors:
+        den = den * SUM_FACTORS[i]
+    return QRat(QPoly(num), den)
+
+
+def cross_multiplied(values: list) -> QRat:
+    """sum_i num_i prod_{j != i} den_j over prod_j den_j, reduced once."""
+    num, den = QPoly(), QPOLY_ONE
+    for v in values:
+        num, den = num * v.den + v.num * den, den * v.den
+    return QRat(num, den)
+
+
+class TestQratSum:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.lists(SUMMAND, max_size=5))
+    def test_matches_cross_multiplied_sum(self, specs):
+        values = [summand(s) for s in specs]
+        want = cross_multiplied(values)
+        got = qrat_sum(values)
+        assert got == want
+        assert_canonical(got.num)
+        assert_canonical(got.den)
+        assert got.den.leading == 1
+        assert qrat_sum(v for v in values) == want
+        assert qrat_sum([QRAT_ZERO, *values, QRAT_ZERO]) == want
+        assert qrat_sum([*values, -want]) == QRAT_ZERO
+        if len(values) >= 2:
+            # y = t - x over x.den * t.den, so x + y must cancel down to t
+            x, t = values[:2]
+            y = QRat(t.num * x.den - x.num * t.den, t.den * x.den)
+            assert qrat_sum([x, y]) == t
+
+    def test_empty_single_and_zero(self):
+        assert qrat_sum([]) == QRAT_ZERO and qrat_sum(()).is_zero()
+        v = QRat(QPoly((1, 2)), QPoly((-1, 0, 1)))
+        assert qrat_sum([v]) == v
+        assert qrat_sum(x for x in [v]) == v
+        assert qrat_sum([QRAT_ZERO]) == QRAT_ZERO
+        assert qrat_sum([v, QRAT_ZERO, -v]) == QRAT_ZERO
+        # 1/(q-1) - 1/(q+1) = 2/(q^2-1): the gcd of the denominators is 1
+        assert qrat_sum([QRat(1, QPoly((-1, 1))), QRat(-1, QPoly((1, 1)))]) == \
+            QRat(2, QPoly((-1, 0, 1)))
 
 
 def prs_gcd(a: QPoly, b: QPoly, gcd=qpoly_gcd):

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from arborq import algebra, cache as C
+from arborq import algebra, cache as C, verify as vf
 from arborq.cli import main
 
 
@@ -238,6 +238,23 @@ class TestCache:
         code, out, _ = run_cli(["cache", "verify-hashes", "--dir", cdir], capsys)
         assert code == 1 and "BAD" in out
 
+    def test_entries_that_are_not_objects_are_corrupt(self, tmp_path, capsys):
+        cdir = str(tmp_path / "cache")
+        run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
+        payload = {"entries": []}
+        with open(os.path.join(cdir, "x-list.json"), "w") as fh:
+            fh.write("[]\n")
+        with open(os.path.join(cdir, "y-key.json"), "w") as fh:
+            json.dump({"key": [1], "payload": payload, "sha256": C.payload_hash(payload)}, fh)
+        code, out, err = run_cli(["cache", "verify-hashes", "--dir", cdir], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert out.splitlines()[1:3] == ["BAD  x-list.json", "BAD  y-key.json"]
+        assert out.splitlines()[-1] == "1/3 entries verified"
+        code, out, _ = run_cli(["cache", "list", "--dir", cdir], capsys)
+        assert code == 0 and out.count("corrupt:") == 2 and "3 entries" in out
+        assert [ok for _, ok in C.verify_hashes(cdir)] == [
+            e["status"] == "ok" for e in C.list_entries(cdir)] == [True, False, False]
+
     def test_gc_removes_stale_versions(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")
         run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
@@ -381,6 +398,25 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "error:" in captured.err and flag in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "name, max_order, kwargs, argv, flag",
+        [
+            ("oracle_colorings", None, {"bound": 0}, ["--coloring-bound", "0"],
+             "--coloring-bound"),
+            ("q1_no_pole", -2, {}, ["--max-order", "-2"], "--max-order"),
+            ("valeur_n_negatif", None, {"n_range": (3, 1)}, ["--n-range", "3..1"], "--n-range"),
+        ],
+    )
+    def test_verify_rejects_what_check_theorem_rejects(self, name, max_order, kwargs, argv,
+                                                      flag, capsys):
+        with pytest.raises(ValueError):
+            vf.check_theorem(name, max_order, **kwargs)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", name, *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}:" in err and "Traceback" not in err
 
     def test_no_traceback_from_the_command_line(self):
         proc = subprocess.run(

@@ -157,7 +157,7 @@ class TestClosedForms:
             assert S.pawn_linear(n) == S.pawn_coeff(T.lnr(n))
 
     def test_corolla_recursion_against_solver(self):
-        for n in range(7):
+        for n in range(13):
             assert S.pawn_corolla(n) == S.pawn_coeff(T.crl(n))
 
     def test_corolla_three_golden_value(self):

@@ -106,6 +106,28 @@ class TestCheckReports:
         with pytest.raises(ValueError):
             V.check_theorem("nonsense")
 
+    @pytest.mark.parametrize(
+        "name, max_order, kwargs",
+        [
+            ("valeur_n_positif", 4, {"n_range": (4, 2)}),
+            ("oracle_colorings", 4, {"n_range": (5, 1)}),
+            ("oracle_colorings", 4, {"bound": 0}),
+            ("valeur_speciale", 0, {}),
+            ("valeur_n_positif", 4, {"n_range": (-1, 2)}),
+            ("valeur_n_negatif", 4, {"n_range": (0, 2)}),
+            ("oracle_interpolation", -3, {}),
+        ],
+    )
+    def test_parameters_that_check_nothing_raise(self, name, max_order, kwargs):
+        # each of these used to return a PASS without checking a single case
+        with pytest.raises(ValueError):
+            V.check_theorem(name, max_order, **kwargs)
+
+    def test_edge_parameters_still_run(self):
+        assert V.theorem_param_error("valeur_n_positif", 1, (0, 0), 1) is None
+        assert V.check_theorem("valeur_n_positif", 1, n_range=(0, 0)).ok()
+        assert V.check_theorem("oracle_colorings", 2, n_range=(2, 2), bound=1).ok()
+
     def test_failure_carries_witness(self):
         # corrupt one memoized value through a private seam to see a witness
         report = V.CheckReport(name="synthetic", params={})
