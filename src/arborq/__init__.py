@@ -1,7 +1,6 @@
 """arborq: exact tree-indexed q-series with solvers, specializations and checks."""
 
 from .algebra import (
-    BivarPoly,
     ExactDivisionError,
     NewtonPolygon,
     PoleError,

@@ -8,7 +8,7 @@ This module provides the coefficient rings everything else is built on:
            the numerator, so equality is structural)
   XPoly    polynomials in x with QRat coefficients
   QSeries  truncated power series in q with rational coefficients
-  BivarPoly / NewtonPolygon  bivariate (q, x) exponent support and its hull
+  NewtonPolygon  the hull of the (q, x) exponent support of a zxpoly
 
 plus cyclotomic polynomials, q-integers, cyclotomic trial-division
 factoring and the substitutions q -> 1/q, q -> value, q -> power series.
@@ -19,7 +19,8 @@ gives the lcm of such denominators as a product of highest powers.
 The fraction-free layer works on plain int tuples: zpolys in Z[q] and
 zxpolys in Z[q][x], with products, exact division by q - 1 and integer
 (pseudo-)division, the quotients of q-factorials the recursions scale by, and
-the cyclotomic reduction of num / [n]_q! to a canonical QRat.  The per-tree
+the cyclotomic reduction of num / [n]_q! (to a canonical QRat, or for a zxpoly
+to a numerator over a monic denominator, all in ints).  The per-tree
 recursions run on it directly; QPoly runs on it too, through its ints: a QPoly
 is ints / den with ints a zpoly and den a positive int coprime to the content
 of ints (zero is ((), 1)), so Q(q) arithmetic runs on Python ints.  The
@@ -1002,31 +1003,51 @@ def _cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> QPoly:
     return QPoly._raw(out)
 
 
+def _split_q_factorial(rows: Sequence[Sequence[int]], n: int,
+                       q_minus_1_power: int = 0) -> tuple[Sequence, tuple]:
+    """Divide the integer polynomials in rows by each Phi_d of the denominator
+    (q - 1)^b [n]_q! (b = q_minus_1_power) that divides all of them, at most as
+    often as it divides the denominator.  Returns the quotient rows and the
+    (d, e) pairs of the Phi_d^e left in the denominator.
+
+    [n]_q! = prod_{d=2..n} Phi_d^floor(n/d) and q - 1 = Phi_1.  The Phi_d are
+    monic and irreducible, so no Phi_d left in the denominator divides every
+    row: the rows over the product of what is left are in lowest terms.
+    """
+    left = []
+    for d, e in itertools.chain(((1, q_minus_1_power),), ((d, n // d) for d in range(2, n + 1))):
+        while e and all(_divisible_by_cyclotomic(r, d) for r in rows if r):
+            rows = [zpoly_exact_div(r, zcyclotomic(d)) for r in rows]
+            e -= 1
+        if e:
+            left.append((d, e))
+    return rows, tuple(left)
+
+
 def qrat_over_q_factorial(num: Sequence[int], n: int, q_power: int = 0,
                           q_minus_1_power: int = 0) -> QRat:
     """The canonical QRat equal to num / (q^a (q - 1)^b [n]_q!), for an
     integer polynomial num, a = q_power and b = q_minus_1_power.
 
-    [n]_q! = prod_{d=2..n} Phi_d^floor(n/d) and q - 1 = Phi_1; each Phi_d is
-    split off num by trial division at most as often as it divides the
-    denominator, and q^a against the low zeros of num.  The Phi_d are monic
-    and irreducible and prime to q, so what is left is already reduced with a
-    monic denominator and no gcd is needed.
+    The cyclotomic factors are split off num by _split_q_factorial, and q^a
+    against the low zeros of num.  The Phi_d are prime to q, so what is left is
+    already reduced with a monic denominator and no gcd is needed.
     """
     num = zpoly_trim(num)
     if not num:
         return QRAT_ZERO
     low = next((i for i, v in enumerate(num[:q_power]) if v), q_power)
-    num = num[low:]
-    left = []
-    for d, e in itertools.chain(((1, q_minus_1_power),), ((d, n // d) for d in range(2, n + 1))):
-        while e and _divisible_by_cyclotomic(num, d):
-            num = zpoly_exact_div(num, zcyclotomic(d))
-            e -= 1
-        if e:
-            left.append((d, e))
-    den = _cyclotomic_product(tuple(left))
+    (num,), left = _split_q_factorial([num[low:]], n, q_minus_1_power)
+    den = _cyclotomic_product(left)
     return QRat._raw(QPoly._raw(num), den.shift(q_power - low) if low < q_power else den)
+
+
+def zxpoly_over_q_factorial(num: Sequence[Sequence[int]], n: int) -> tuple[tuple, QPoly]:
+    """num / [n]_q! for a zxpoly num, as (num / G, [n]_q! / G): G is the
+    largest product of the Phi_d of [n]_q! that divides every x-coefficient,
+    so the denominator is monic and no Phi_d of it divides them all."""
+    rows, left = _split_q_factorial(num, n)
+    return tuple(rows), _cyclotomic_product(left)
 
 
 def qrat_certified(num: QPoly, den: QPoly) -> QRat:
@@ -1356,65 +1377,7 @@ def one_plus_qx() -> XPoly:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate numerators and Newton polygons
-
-
-class BivarPoly:
-    """Bivariate polynomial in (q, x) stored as exponent-pair -> coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms = {k: _as_fraction(v) for k, v in (terms or {}).items() if v != 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> list[tuple[int, int]]:
-        return sorted(self.terms)
-
-    @property
-    def degree_q(self) -> int:
-        return max((e for e, _ in self.terms), default=-1)
-
-    @property
-    def degree_x(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
-    def x_slice(self, j: int) -> QPoly:
-        """The coefficient of x^j as a polynomial in q."""
-        row = {e: c for (e, jj), c in self.terms.items() if jj == j}
-        out = [0] * (max(row, default=-1) + 1)
-        for e, c in row.items():
-            out[e] = c
-        return QPoly(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for j in range(self.degree_x, -1, -1):
-            row = self.x_slice(j)
-            if row.is_zero():
-                continue
-            if j == 0:
-                parts.append(str(row))
-            else:
-                mono = "x" if j == 1 else f"x^{j}"
-                rs = str(row)
-                parts.append(f"({rs})*{mono}" if (" " in rs or "/" in rs) else f"{rs}*{mono}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"BivarPoly({self})"
+# Common denominators and Newton polygons
 
 
 def xpoly_denominator(f: XPoly) -> QPoly:
@@ -1435,18 +1398,9 @@ def xpoly_denominator(f: XPoly) -> QPoly:
     return _cyclotomic_product(tuple(sorted(top.items())))
 
 
-def xpoly_fraction(f: XPoly) -> tuple[BivarPoly, QPoly]:
-    """Write f as numerator/denominator with a monic lcm denominator in q."""
-    den = xpoly_denominator(f)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for j, c in enumerate(f.coeffs):
-        if c.is_zero():
-            continue
-        row = c.num * den.exact_div(c.den)
-        for e, v in enumerate(row.coeffs):
-            if v:
-                terms[(e, j)] = v
-    return BivarPoly(terms), den
+def zxpoly_support(a: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The sorted (q-exponent, x-exponent) pairs of the nonzero terms of a zxpoly."""
+    return sorted((e, j) for j, row in enumerate(a) for e, c in enumerate(row) if c)
 
 
 def convex_hull_chains(points: Sequence[tuple[int, int]]):
@@ -1496,8 +1450,6 @@ class NewtonPolygon:
         return NewtonPolygon(tuple(verts))
 
 
-def newton_polygon(p: BivarPoly) -> NewtonPolygon:
-    """Newton polygon of a nonzero bivariate polynomial."""
-    if p.is_zero():
-        raise ValueError("Newton polygon of the zero polynomial")
-    return NewtonPolygon.of_points(p.support())
+def newton_polygon(a: Sequence[Sequence[int]]) -> NewtonPolygon:
+    """Newton polygon of a nonzero zxpoly (the zero one raises ValueError)."""
+    return NewtonPolygon.of_points(zxpoly_support(a))

@@ -24,7 +24,9 @@ STALE_TMP_SECONDS = 600
 
 
 class CacheError(Exception):
-    """Cache corruption: payload hash mismatch or unreadable entry."""
+    """Cache corruption: payload hash mismatch, unreadable entry, or a payload
+    that is not an object naming its key's series, params and order with a
+    list of entries."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,11 @@ def _read_entry(path: str) -> CacheEntry:
         raise CacheError(f"{path}: key is not a JSON object")
     if payload_hash(entry.payload) != entry.sha256:
         raise CacheError(f"{path}: payload hash mismatch")
+    payload = entry.payload
+    if not (isinstance(payload, dict) and isinstance(payload.get("entries"), list)
+            and all(f in payload and payload[f] == entry.key.get(f)
+                    for f in ("series", "params", "order"))):
+        raise CacheError(f"{path}: payload does not match its key")
     return entry
 
 

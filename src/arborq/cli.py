@@ -65,6 +65,8 @@ def _check_compute_args(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"series {args.series} requires --n >= 0")
     if args.series == "pawn_at" and args.n is None:
         parser.error("series pawn_at requires --n (the q-integer)")
+    if args.series not in ("F", "G", "pawn_at") and args.n is not None:
+        parser.error(f"series {args.series} takes no --n")
 
 
 VERIFY_FLAGS = {"max_order": "--max-order", "n_range": "--n-range", "bound": "--coloring-bound"}
@@ -211,10 +213,15 @@ def cmd_compute(args) -> int:
             cache_mod.store(cache_dir, key, payload)
     elif args.format != "json":
         # csv and tex need the series; a json hit renders the checked payload
-        series = series_from_obj(
-            {"order": payload["order"], "ring": SERIES_RING[args.series],
-             "entries": payload["entries"]}
-        )
+        try:
+            series = series_from_obj(
+                {"order": payload["order"], "ring": SERIES_RING[args.series],
+                 "entries": payload["entries"]}
+            )
+        except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+            print(f"error: {cache_mod.entry_path(cache_dir, key)}: unreadable cached "
+                  f"value ({exc!r})", file=sys.stderr)
+            return 1
 
     if args.format == "json":
         text = _render_json(payload)

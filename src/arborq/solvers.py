@@ -14,7 +14,8 @@ a size-n tree.  Multiplied by [n-1]_q!, each recursion has integer
 polynomials on the right and (q - 1) N_T on the left, so a tree costs one
 exact division by q - 1 and no gcd.  Values become canonical reduced QRat
 only at the output edge, by trial division of N_T with the cyclotomic
-factors of [n]_q!.  pawn_at and the x = 1/(1-q) specialization are read off
+factors of [n]_q!; pawn_fraction cancels them against N_T as a whole, with
+no QRat at all.  pawn_at and the x = 1/(1-q) specialization are read off
 N_T at the node in the same way, with no QRat arithmetic on the way.
 
 The per-tree solvers are demand-driven and memoized: asking for one
@@ -37,6 +38,7 @@ from .algebra import (
     QRAT_ZERO,
     QRat,
     QSeries,
+    XPOLY_ONE,
     XPOLY_ZERO,
     XPoly,
     one_plus_qx,
@@ -44,13 +46,13 @@ from .algebra import (
     q_int_poly,
     qrat_over_q_factorial,
     qrat_sum,
-    xpoly_fraction,
     zpoly_add_scaled,
     zpoly_div_q_minus_1,
     zpoly_mul,
     zpoly_trim,
     zxpoly_eval,
     zxpoly_mul,
+    zxpoly_over_q_factorial,
     zxpoly_trim,
 )
 from . import trees as tr
@@ -167,9 +169,10 @@ def solve_pawn(order: int) -> TreeSeries:
     return _series(order, "xpoly", pawn_coeff)
 
 
-def pawn_fraction(t: int):
-    """(numerator in q and x, monic denominator in q) of the coefficient of t."""
-    return xpoly_fraction(pawn_coeff(t))
+def pawn_fraction(t: int) -> tuple[tuple, QPoly]:
+    """The coefficient of t as (zxpoly numerator, monic denominator in q): N_T
+    and [#T]_q! with the cyclotomic factors they share cancelled, in ints."""
+    return zxpoly_over_q_factorial(pawn_numerator(t), tr.size(t))
 
 
 def pawn_numerator(t: int) -> tuple:
@@ -261,6 +264,7 @@ def pawn_linear(n: int) -> XPoly:
 
 
 _COROLLA: list[XPoly] = []
+_ONE_PLUS_QX_POWERS: list[XPoly] = [XPOLY_ONE]
 
 
 def pawn_corolla(n: int) -> XPoly:
@@ -283,7 +287,8 @@ def pawn_corolla(n: int) -> XPoly:
                 c = -c
             terms.append(_COROLLA[k] * c)
         qm = QPoly.q_power(m + 1)
-        terms.append((one_plus_qx() ** m) * XPoly((qm, qm * QPoly((-1, 1)))))
+        _ONE_PLUS_QX_POWERS.append(_ONE_PLUS_QX_POWERS[-1] * one_plus_qx())
+        terms.append(_ONE_PLUS_QX_POWERS[m] * XPoly((qm, qm * QPoly((-1, 1)))))
         _COROLLA.append(sum(terms, XPOLY_ZERO).scale(QRat(1, qm - 1)))
     return _COROLLA[n]
 

@@ -34,6 +34,7 @@ from .algebra import (
     zxpoly_eval,
     zxpoly_mul,
     zxpoly_subst_one_plus_qx,
+    zxpoly_support,
     zxpoly_trim,
 )
 from . import solvers as sv
@@ -517,7 +518,7 @@ def check_newton(t: int) -> CheckReport:
     t0 = time.perf_counter()
     report = CheckReport("newton", {"tree": tr.encoding(t)})
     num, _den = sv.pawn_fraction(t)
-    pts = num.support()
+    pts = zxpoly_support(num)
     lower, upper = convex_hull_chains(pts)
     n = tr.size(t)
     xs = [x for (_q, x) in pts]

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from arborq import algebra
 from arborq.algebra import (
-    BivarPoly,
     ExactDivisionError,
     NewtonPolygon,
     PoleError,
@@ -44,7 +43,6 @@ from arborq.algebra import (
     qrat_sum,
     subst_q,
     xpoly_denominator,
-    xpoly_fraction,
     zcyclotomic,
     zpoly_div_q_minus_1,
     zpoly_divmod,
@@ -54,6 +52,7 @@ from arborq.algebra import (
     zxpoly_eval,
     zxpoly_mul,
     zxpoly_subst_one_plus_qx,
+    zxpoly_support,
     zxpoly_trim,
 )
 from arborq.serialize import (
@@ -416,8 +415,6 @@ class TestCertifiedLoad:
         for c in f.coeffs:
             want = qpoly_lcm(want, c.den)
         assert xpoly_denominator(f) == want
-        num, den = xpoly_fraction(f)
-        assert den == want
 
     def test_edge_cases(self):
         for num, den in [(QPOLY_ONE - 1, Q + 1), (QPoly((3, 1)), QPoly.const(4)),
@@ -641,14 +638,17 @@ class TestXPoly:
 
 class TestNewton:
     def test_examples(self):
-        num, den = xpoly_fraction(one_plus_qx())
-        assert den == QPOLY_ONE
-        assert newton_polygon(num).vertices == ((0, 0), (1, 1))
-        assert newton_polygon(BivarPoly({(0, 0): F(5)})).vertices == ((0, 0),)
+        # 1 + qx as a zxpoly: x-rows (1) and (0, 1)
+        assert zxpoly_support(((1,), (0, 1))) == [(0, 0), (1, 1)]
+        assert newton_polygon(((1,), (0, 1))).vertices == ((0, 0), (1, 1))
+        assert newton_polygon(((5,),)).vertices == ((0, 0),)
+        assert zxpoly_support(((0, 2), (), (3, 0, -1))) == [(0, 2), (1, 0), (2, 2)]
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            newton_polygon(BivarPoly({}))
+            newton_polygon(())
+        with pytest.raises(ValueError):
+            newton_polygon(((), ()))
 
     def test_hull_orientation(self):
         pts = [(0, 0), (10, 0), (15, 5), (11, 5), (5, 3), (1, 1), (4, 2), (7, 1)]
@@ -665,9 +665,10 @@ class TestNewton:
     def test_fraction_reduced(self):
         # numerator/denominator from an x-polynomial share no q-factor
         f = XPoly((QRat(1, Q + 1), QRat(Q, (Q + 1) * QPoly((1, 1, 1)))))
-        num, den = xpoly_fraction(f)
+        den = xpoly_denominator(f)
         assert den == ((Q + 1) * QPoly((1, 1, 1))).monic()
-        g = qpoly_gcd(num.x_slice(0), num.x_slice(1))
+        rows = [c.num * den.exact_div(c.den) for c in f.coeffs]
+        g = qpoly_gcd(rows[0], rows[1])
         assert qpoly_gcd(g, den).degree == 0
 
 

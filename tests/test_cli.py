@@ -255,6 +255,35 @@ class TestCache:
         assert [ok for _, ok in C.verify_hashes(cdir)] == [
             e["status"] == "ok" for e in C.list_entries(cdir)] == [True, False, False]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "tex"])
+    def test_payloads_that_do_not_match_their_key(self, tmp_path, capsys, fmt):
+        # each entry has a valid sha256 of its payload, so only the payload's
+        # shape tells it apart from a good one
+        cdir = str(tmp_path / "cache")
+        args = ["compute", "omega", "--order", "3", "--format", fmt, "--cache-dir", cdir]
+        key = C.make_key("omega", {}, 3)
+        good = {"series": "omega", "params": {}, "order": 3, "entries": [["()", "x"]]}
+        for payload, hit in [([], False), ({"order": 3}, False), (good, True)]:
+            path = C.entry_path(cdir, key)
+            os.makedirs(cdir, exist_ok=True)
+            with open(path, "w") as fh:
+                json.dump({"key": key, "payload": payload,
+                           "sha256": C.payload_hash(payload)}, fh)
+            code, out, err = run_cli(args, capsys)
+            assert "Traceback" not in err
+            if hit and fmt == "json":
+                # a json hit renders the stored payload without parsing it
+                assert code == 0 and json.loads(out) == payload
+            else:
+                assert code == 1 and out == "" and err.startswith("error: ")
+            code, out, _ = run_cli(["cache", "verify-hashes", "--dir", cdir], capsys)
+            assert code == (0 if hit else 1)
+            code, out, _ = run_cli(["cache", "list", "--dir", cdir], capsys)
+            assert ("corrupt:" in out) != hit
+            code, out, _ = run_cli(["cache", "gc", "--dir", cdir], capsys)
+            assert f"removed {0 if hit else 1}" in out
+            assert os.path.exists(path) == hit
+
     def test_gc_removes_stale_versions(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")
         run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
@@ -388,6 +417,7 @@ class TestUsageErrors:
               "--max-order", "4"], "--n-range"),
             (["verify", "--suite", "valeur_n_positif", "--n-range=-1..2"], "--n-range"),
             (["verify", "--suite", "valeur_n_negatif", "--n-range", "0..1"], "--n-range"),
+            (["compute", "omega", "--n", "5", "--order", "2"], "--n"),
         ],
     )
     def test_exit_code_2(self, argv, flag, capsys):

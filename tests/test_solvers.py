@@ -10,6 +10,7 @@ import pytest
 
 from arborq import solvers as S
 from arborq import trees as T
+from arborq import verify as V
 from arborq.algebra import (
     Q,
     QPOLY_ONE,
@@ -21,10 +22,12 @@ from arborq.algebra import (
     XPOLY_ONE,
     XPoly,
     cyclotomic,
+    factor_cyclotomic,
     one_plus_qx,
     q_int_poly,
     q_integer,
-    xpoly_fraction,
+    zcyclotomic,
+    zpoly_divmod,
 )
 from arborq.series import (
     TreeSeries,
@@ -116,6 +119,34 @@ class TestPawnEquation:
                 f = S.pawn_coeff(t)
                 assert f.degree == n
                 assert f.coeff(n) == T.q_factorial(t).inverse()
+
+
+class TestPawnFraction:
+    """pawn_fraction is N_T over [n]_q! with their shared cyclotomic factors
+    cancelled, read off the engine numerator in ints."""
+
+    def test_equals_the_coefficient_in_lowest_terms(self):
+        for n in range(1, 8):
+            for t in T.enumerate_trees(n):
+                num, den = S.pawn_fraction(t)
+                assert XPoly([QPoly(r) for r in num]) == S.pawn_coeff(t) * QRat(den)
+                assert den.leading == 1
+                unit, factors, remainder = factor_cyclotomic(den)
+                assert (unit, remainder) == (1, QPOLY_ONE)
+                for d in factors:
+                    assert any(zpoly_divmod(r, zcyclotomic(d))[1] for r in num), (
+                        T.encoding(t), d)
+
+    def test_reads_no_qrat_coefficient(self, monkeypatch):
+        def no_coeff(_t):
+            raise AssertionError("pawn_coeff was called")
+
+        monkeypatch.setattr(S, "pawn_coeff", no_coeff)
+        num, den = S.pawn_fraction(EX5)
+        assert den == q_int_poly(2) * q_int_poly(3) * q_int_poly(4) * q_int_poly(5)
+        assert all(isinstance(c, int) for r in num for c in r)
+        assert V.check_newton(EX5).ok()
+        assert V.check_newton(T.crl(6)).ok()
 
 
 class TestFiveVertexExample:

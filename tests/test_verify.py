@@ -258,9 +258,9 @@ class TestConjectures:
         # the checker must not pass a polygon against a wrong histogram:
         # check internal consistency by perturbing the expectation
         num, _den = S.pawn_fraction(T.lnr(3))
-        from arborq.algebra import convex_hull_chains
+        from arborq.algebra import convex_hull_chains, zxpoly_support
 
-        lower, upper = convex_hull_chains(num.support())
+        lower, upper = convex_hull_chains(zxpoly_support(num))
         walk = list(reversed(upper))
         # Lnr_3 profile is [(1,1),(2,1),(3,1)]; the walk must have 3 segments
         assert len(walk) >= 4
