@@ -5,17 +5,16 @@ hash is stored alongside and re-verified on every load, so a corrupted or
 hand-edited entry is reported instead of silently used.  Entries carry the
 serialization format version; gc removes entries from other versions and
 temp files left by writers that died before renaming them into place.
+
+The module needs only the standard library, so a cache command loads none of
+the math layers, and OpenSSL (behind hashlib) loads only when a command hashes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
-
-from .serialize import canonical_json
 
 FORMAT_VERSION = 1
 # a writer renames its temp file within moments; one older than this is left
@@ -29,15 +28,30 @@ class CacheError(Exception):
     list of entries."""
 
 
-@dataclass(frozen=True)
 class CacheEntry:
-    key: dict
-    payload: dict
-    sha256: str
+    """An entry file as read: its key, its payload and the stored payload hash."""
+
+    __slots__ = ("key", "payload", "sha256")
+
+    def __init__(self, key, payload, sha256: str):
+        self.key = key
+        self.payload = payload
+        self.sha256 = sha256
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, no spaces: byte-stable across runs, which the hashes rely on."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def payload_hash(payload: dict) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return _sha256(canonical_json(payload))
 
 
 def make_key(series: str, params: dict, order: int) -> dict:
@@ -50,7 +64,7 @@ def make_key(series: str, params: dict, order: int) -> dict:
 
 
 def key_hash(key: dict) -> str:
-    return hashlib.sha256(canonical_json(key).encode()).hexdigest()
+    return _sha256(canonical_json(key))
 
 
 def entry_path(directory: str, key: dict) -> str:
@@ -60,12 +74,17 @@ def entry_path(directory: str, key: dict) -> str:
 def store(directory: str, key: dict, payload: dict) -> str:
     os.makedirs(directory, exist_ok=True)
     path = entry_path(directory, key)
-    entry = {"key": key, "payload": payload, "sha256": payload_hash(payload)}
+    # the payload is encoded once: its hash and the file come from one text,
+    # written in pieces as canonical_json({"key", "payload", "sha256"}) + "\n"
+    # would lay them out, so no second full-size copy is built
+    text = canonical_json(payload)
     # a per-process name (not ending in .json) so concurrent writers never
     # share a temp file; os.replace makes the entry appear whole
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w") as fh:
-        fh.write(canonical_json(entry) + "\n")
+        fh.write(f'{{"key":{canonical_json(key)},"payload":')
+        fh.write(text)
+        fh.write(f',"sha256":"{_sha256(text)}"}}\n')
     os.replace(tmp, path)
     return path
 

@@ -9,24 +9,26 @@ Subcommands:
 Output is deterministic: two identical invocations produce byte-identical
 output.  Every command runs on one thread; --workers is accepted and checked
 (>= 1) for compatibility, and has no effect.
+
+At module level this file imports only the standard library and the cache,
+which needs nothing else.  Each handler imports the layers it runs, so a json
+cache hit, `cache list` and `cache verify-hashes` never load the solver,
+algebra, verify or serialize modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import cache as cache_mod
-from . import solvers as sv
-from . import trees as tr
-from . import verify as vf
-from .algebra import (QPOLY_ONE, QPoly, QRat, XPoly, cyclotomic_exponents,
-                      factor_cyclotomic, xpoly_denominator)
-from .serialize import canonical_json, series_from_obj, value_to_obj
-from .series import TreeSeries
+from .cache import canonical_json
+
+if TYPE_CHECKING:
+    from .algebra import QPoly, QRat, XPoly
+    from .series import TreeSeries
 
 CACHE_DIR_ENV = "ARBORQ_CACHE_DIR"
 COSTLY_ORDER = 10
@@ -45,6 +47,8 @@ SERIES_RING = {
 
 def _compute_series(name: str, n: int | None, order: int) -> TreeSeries:
     # n was checked against the series by _check_compute_args
+    from . import solvers as sv
+
     if name == "pawn":
         return sv.solve_pawn(order)
     if name == "E":
@@ -74,6 +78,8 @@ VERIFY_FLAGS = {"max_order": "--max-order", "n_range": "--n-range", "bound": "--
 
 def _check_verify_args(parser: argparse.ArgumentParser, args) -> None:
     # the rule check_theorem enforces, reported as a usage error
+    from . import verify as vf
+
     for name in args.suite:
         bad = vf.theorem_param_error(name, args.max_order, args.n_range, args.coloring_bound)
         if bad is not None:
@@ -89,6 +95,11 @@ def _render_json(payload: dict) -> str:
 
 
 def _render_csv(series: TreeSeries) -> str:
+    import csv
+    import io
+
+    from . import trees as tr
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["size", "encoding", "coefficient"])
@@ -116,6 +127,8 @@ def _qpoly_tex(p: QPoly) -> str:
 
 
 def _cyclo_tex(den: QPoly) -> str:
+    from .algebra import QPOLY_ONE, cyclotomic_exponents, factor_cyclotomic
+
     if den.degree == 0:
         return ""
     exps = cyclotomic_exponents(den)
@@ -142,6 +155,8 @@ def _qrat_tex(r: QRat) -> str:
 
 
 def _xpoly_tex(f: XPoly) -> str:
+    from .algebra import xpoly_denominator
+
     den = xpoly_denominator(f)
     rows = []
     for j in range(f.degree, -1, -1):
@@ -161,6 +176,8 @@ def _xpoly_tex(f: XPoly) -> str:
 
 
 def _render_tex(series: TreeSeries, name: str) -> str:
+    from . import trees as tr
+
     lines = [f"% series {name}, order {series.order}", "\\begin{align*}"]
     for t, v in series.items():
         coeff = _xpoly_tex(v) if series.ring == "xpoly" else _qrat_tex(v)
@@ -201,6 +218,9 @@ def cmd_compute(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if payload is None:
+        from . import trees as tr
+        from .serialize import value_to_obj
+
         series = _compute_series(args.series, args.n, args.order)
         entries = [[tr.encoding(t), value_to_obj(series.ring, v)] for t, v in series.items()]
         payload = {
@@ -210,9 +230,15 @@ def cmd_compute(args) -> int:
             "entries": entries,
         }
         if cache_dir:
-            cache_mod.store(cache_dir, key, payload)
+            try:
+                cache_mod.store(cache_dir, key, payload)
+            except OSError as exc:
+                print(f"error: cannot write the cache entry: {exc}", file=sys.stderr)
+                return 1
     elif args.format != "json":
         # csv and tex need the series; a json hit renders the checked payload
+        from .serialize import series_from_obj
+
         try:
             series = series_from_obj(
                 {"order": payload["order"], "ring": SERIES_RING[args.series],
@@ -260,6 +286,8 @@ _nonnegative = _int_at_least(0)
 
 
 def _suite(text: str) -> list[str]:
+    from . import verify as vf
+
     if text == "all":
         return list(vf.THEOREM_NAMES)
     names = [s.strip() for s in text.split(",") if s.strip()]
@@ -292,6 +320,8 @@ def _partition(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
+
     names = args.suite
     failures = 0
     for name in names:
@@ -307,6 +337,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from . import verify as vf
+
     def progress(msg: str):
         print(f"  .. {msg}", file=sys.stderr)
 
@@ -345,7 +377,11 @@ def cmd_cache(args) -> int:
         print(f"{len(entries)} entries")
         return 0
     if args.action == "gc":
-        removed = cache_mod.gc(directory)
+        try:
+            removed = cache_mod.gc(directory)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"removed {removed} stale entries")
         return 0
     if args.action == "verify-hashes":
@@ -379,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run theorem and oracle check suites")
     p.add_argument("--suite", type=_suite, default="all",
                    help="'all' or comma-separated check names "
-                        f"({', '.join(vf.THEOREM_NAMES)})")
+                        "(an unknown name lists them)")
     # verify.theorem_param_error judges these three (see _check_verify_args)
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--n-range", type=_range, default=None, help="like 2..4")

@@ -6,7 +6,8 @@ ascending, a rational function is {"num": ..., "den": ...}, an x-polynomial
 is a [x-exponent, rational-function] pair list, and a tree series is
 {"order", "ring", "entries"} with entries sorted by (size, encoding).
 The canonical JSON form (sorted keys, no spaces, trailing newline added by
-callers) is byte-stable across runs, which the cache hashes rely on.
+callers) is byte-stable across runs, which the cache hashes rely on; it is
+cache.canonical_json, defined there so that the cache needs no math layer.
 
 Reading a series back needs no polynomial gcd.  Each "p/r" string is parsed
 once by Fraction (frac_from_str is memoized; a series repeats few distinct
@@ -20,12 +21,12 @@ whatever the file holds.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import QPoly, QRat, QSeries, XPoly, qrat_certified
+from .cache import canonical_json  # noqa: F401  (re-exported)
 from . import trees as tr
 from .series import TreeSeries
 
@@ -118,6 +119,3 @@ def series_from_obj(obj) -> TreeSeries:
     coeffs = {tr.parse(enc): value_from_obj(ring, v) for enc, v in obj["entries"]}
     return TreeSeries(obj["order"], ring, coeffs)
 
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -34,7 +34,6 @@ from arborq.algebra import (
     newton_polygon,
     one_plus_qx,
     q_factorial_quotient,
-    q_int_poly,
     q_integer,
     qpoly_gcd,
     qpoly_gcd_cofactors,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -62,6 +61,62 @@ class TestCompute:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.stdout == "False\n"
+
+
+# Run in a fresh interpreter: the CLI's main(argv) with stdout captured, then
+# print the exit code and the names of every loaded module.
+MODULES_AFTER = """
+import contextlib, io, json, sys
+import arborq.cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = arborq.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def modules_after(argv) -> tuple[int | None, set[str]]:
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER, *argv], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+class TestModuleLoading:
+    """Each process loads only what its command runs: importing the CLI, the
+    cache commands and a json cache hit load no math layer and no checks, and
+    a command that hashes nothing loads no OpenSSL."""
+
+    HEAVY = {"arborq.algebra", "arborq.solvers", "arborq.verify", "arborq.serialize"}
+
+    def test_cache_commands_load_no_math_layer(self, tmp_path, capsys):
+        cdir = str(tmp_path)
+        hit = ["compute", "pawn", "--order", "3", "--format", "json", "--cache-dir", cdir]
+        code, fresh, _ = run_cli(hit, capsys)
+        assert code == 0
+        for argv in ([], ["cache", "list", "--dir", cdir],
+                     ["cache", "verify-hashes", "--dir", cdir], hit):
+            code, modules = modules_after(argv)
+            assert code in (None, 0), argv
+            assert "arborq.cache" in modules and not modules & self.HEAVY, argv
+
+    def test_compute_without_cache_loads_no_openssl(self):
+        code, modules = modules_after(["compute", "omega", "--order", "3"])
+        assert code == 0 and "arborq.solvers" in modules
+        assert "_hashlib" not in modules
+
+    def test_package_names_are_the_algebra_names(self):
+        import arborq
+        from arborq import algebra as al
+
+        assert arborq.QPoly is al.QPoly
+        assert all(getattr(arborq, name) is getattr(al, name) for name in arborq.__all__)
+        assert set(arborq.__all__) <= set(dir(arborq))
+        with pytest.raises(AttributeError):
+            arborq.no_such_name
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -201,7 +256,7 @@ class TestCache:
         def no_parse(_obj):
             raise AssertionError("json cache hit parsed the payload")
 
-        monkeypatch.setattr("arborq.cli.series_from_obj", no_parse)
+        monkeypatch.setattr("arborq.serialize.series_from_obj", no_parse)
         code, cached, _ = run_cli(args, capsys)
         assert code == 0 and cached == fresh
         with pytest.raises(AssertionError):
@@ -294,6 +349,33 @@ class TestCache:
         code, out, _ = run_cli(["cache", "gc", "--dir", cdir], capsys)
         assert code == 0 and "removed 1" in out
         assert len(os.listdir(cdir)) == 1
+
+    def test_store_writes_the_canonical_entry(self, tmp_path, capsys):
+        # the payload is encoded once and written in pieces; the bytes must be
+        # those of the entry encoded whole
+        _, out, _ = run_cli(["compute", "pawn", "--order", "3"], capsys)
+        key = C.make_key("pawn", {"n": "\u00e9\"\\"}, 3)
+        for payload in (json.loads(out), {"series": "é", "entries": [["\n", "1/1"]]}):
+            path = C.store(str(tmp_path), key, payload)
+            with open(path, encoding="utf-8") as fh:
+                written = fh.read()
+            assert written == C.canonical_json(
+                {"key": key, "payload": payload, "sha256": C.payload_hash(payload)}) + "\n"
+
+    def test_gc_reports_an_entry_it_cannot_remove(self, tmp_path, capsys):
+        os.mkdir(tmp_path / "x.json")
+        code, out, err = run_cli(["cache", "gc", "--dir", str(tmp_path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "x.json" in err and len(err.splitlines()) == 1
+
+    def test_cache_dir_that_is_a_file(self, tmp_path, capsys):
+        target = tmp_path / "file"
+        target.write_text("")
+        code, out, err = run_cli(["compute", "E", "--order", "2", "--cache-dir", str(target)],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and str(target) in err and len(err.splitlines()) == 1
+        assert target.read_text() == ""
 
     def test_store_ignores_a_stale_shared_temp_path(self, tmp_path):
         key = C.make_key("E", {}, 2)

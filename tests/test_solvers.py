@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-import pytest
-
 from arborq import solvers as S
 from arborq import trees as T
 from arborq import verify as V

@@ -5,7 +5,6 @@ test_acceptance.py)."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction as F
 
 import pytest
 
@@ -13,8 +12,7 @@ from arborq import algebra
 from arborq import solvers as S
 from arborq import trees as T
 from arborq import verify as V
-from arborq.algebra import QPoly, QRAT_ONE, QRat, XPOLY_ONE, XPoly, q_int_poly, q_integer
-from arborq.serialize import canonical_json
+from arborq.algebra import QPoly, QRAT_ONE, QRat, XPOLY_ONE, XPoly, q_integer
 from tests import qrat_reference as R
 
 EX5 = T.b_plus([T.leaf(), T.b_plus([T.leaf(), T.leaf()])])
@@ -254,16 +252,23 @@ class TestConjectures:
     def test_newton_sweep_small(self):
         assert V.check_newton_sweep(6).ok()
 
-    def test_newton_rejects_wrong_profile(self):
-        # the checker must not pass a polygon against a wrong histogram:
-        # check internal consistency by perturbing the expectation
-        num, _den = S.pawn_fraction(T.lnr(3))
-        from arborq.algebra import convex_hull_chains, zxpoly_support
-
-        lower, upper = convex_hull_chains(zxpoly_support(num))
-        walk = list(reversed(upper))
-        # Lnr_3 profile is [(1,1),(2,1),(3,1)]; the walk must have 3 segments
-        assert len(walk) >= 4
+    def test_newton_rejects_wrong_profile(self, monkeypatch):
+        # the checker must not pass a polygon against a wrong histogram
+        for t in (T.lnr(3), EX5):
+            right = V.newton_profile(t)
+            assert V.check_newton(t).ok()
+            top = len(right)
+            wrongs = [
+                [(i, extent + (i == 1)) for i, extent in right],    # a level too wide
+                [(i, extent + (i == top)) for i, extent in right],  # the top level too wide
+                right[:-1],                                         # a level missing
+                [*right, (top + 1, 1)],                             # a level too many
+            ]
+            for wrong in wrongs:
+                monkeypatch.setattr(V, "newton_profile", lambda _t, wrong=wrong: wrong)
+                report = V.check_newton(t)
+                assert report.status == "fail" and report.witness["reason"], wrong
+                monkeypatch.undo()
 
     def test_newton_spot_checks_beyond_sweep(self):
         # ten-vertex trees are cheap one at a time thanks to lazy solving
