@@ -62,62 +62,6 @@ class TestCompute:
         )
         assert proc.stdout == "False\n"
 
-
-# Run in a fresh interpreter: the CLI's main(argv) with stdout captured, then
-# print the exit code and the names of every loaded module.
-MODULES_AFTER = """
-import contextlib, io, json, sys
-import arborq.cli
-code = None
-if sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = arborq.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
-"""
-
-
-def modules_after(argv) -> tuple[int | None, set[str]]:
-    proc = subprocess.run(
-        [sys.executable, "-c", MODULES_AFTER, *argv], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    code, modules = json.loads(proc.stdout)
-    return code, set(modules)
-
-
-class TestModuleLoading:
-    """Each process loads only what its command runs: importing the CLI, the
-    cache commands and a json cache hit load no math layer and no checks, and
-    a command that hashes nothing loads no OpenSSL."""
-
-    HEAVY = {"arborq.algebra", "arborq.solvers", "arborq.verify", "arborq.serialize"}
-
-    def test_cache_commands_load_no_math_layer(self, tmp_path, capsys):
-        cdir = str(tmp_path)
-        hit = ["compute", "pawn", "--order", "3", "--format", "json", "--cache-dir", cdir]
-        code, fresh, _ = run_cli(hit, capsys)
-        assert code == 0
-        for argv in ([], ["cache", "list", "--dir", cdir],
-                     ["cache", "verify-hashes", "--dir", cdir], hit):
-            code, modules = modules_after(argv)
-            assert code in (None, 0), argv
-            assert "arborq.cache" in modules and not modules & self.HEAVY, argv
-
-    def test_compute_without_cache_loads_no_openssl(self):
-        code, modules = modules_after(["compute", "omega", "--order", "3"])
-        assert code == 0 and "arborq.solvers" in modules
-        assert "_hashlib" not in modules
-
-    def test_package_names_are_the_algebra_names(self):
-        import arborq
-        from arborq import algebra as al
-
-        assert arborq.QPoly is al.QPoly
-        assert all(getattr(arborq, name) is getattr(al, name) for name in arborq.__all__)
-        assert set(arborq.__all__) <= set(dir(arborq))
-        with pytest.raises(AttributeError):
-            arborq.no_such_name
-
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             ["compute", "F", "--n", "0", "--order", "5", "--format", "csv"], capsys
@@ -177,6 +121,61 @@ class TestModuleLoading:
         code, _, err = run_cli(["compute", "E", "--order", "10"], capsys)
         assert code == 0
         assert "warning" in err
+
+
+# Run in a fresh interpreter: the CLI's main(argv) with stdout captured, then
+# print the exit code and the names of every loaded module.
+MODULES_AFTER = """
+import contextlib, io, json, sys
+import arborq.cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = arborq.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def modules_after(argv) -> tuple[int | None, set[str]]:
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER, *argv], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+class TestModuleLoading:
+    """Each process loads only what its command runs: importing the CLI, the
+    cache commands and a json cache hit load no math layer and no checks, and
+    a command that hashes nothing loads no OpenSSL."""
+
+    HEAVY = {"arborq.algebra", "arborq.solvers", "arborq.verify", "arborq.serialize"}
+
+    def test_cache_commands_load_no_math_layer(self, tmp_path, capsys):
+        cdir = str(tmp_path)
+        hit = ["compute", "pawn", "--order", "3", "--format", "json", "--cache-dir", cdir]
+        assert run_cli(hit, capsys)[0] == 0
+        for argv in ([], ["cache", "list", "--dir", cdir],
+                     ["cache", "verify-hashes", "--dir", cdir], hit):
+            code, modules = modules_after(argv)
+            assert code in (None, 0), argv
+            assert "arborq.cache" in modules and not modules & self.HEAVY, argv
+
+    def test_compute_without_cache_loads_no_openssl(self):
+        code, modules = modules_after(["compute", "omega", "--order", "3"])
+        assert code == 0 and "arborq.solvers" in modules
+        assert "_hashlib" not in modules
+
+    def test_package_names_are_the_algebra_names(self):
+        import arborq
+        from arborq import algebra as al
+
+        assert arborq.QPoly is al.QPoly
+        assert all(getattr(arborq, name) is getattr(al, name) for name in arborq.__all__)
+        assert set(arborq.__all__) <= set(dir(arborq))
+        with pytest.raises(AttributeError):
+            arborq.no_such_name
 
 
 class TestByteIdentity:

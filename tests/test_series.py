@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from arborq import trees as T
-from arborq.algebra import QPOLY_ONE, QPoly, QRAT_ONE, QRat, XPOLY_ONE, XPoly
+from arborq.algebra import QPoly, QRAT_ONE, QRat
 from arborq.serialize import series_from_obj, series_to_obj
 from arborq.series import (
     TreeSeries,

@@ -3,7 +3,6 @@ representatives (parent arrays, permutations, vertex subsets)."""
 
 from __future__ import annotations
 
-from fractions import Fraction as F
 from itertools import permutations, product
 
 import pytest
