@@ -15,6 +15,9 @@ factoring and the substitutions q -> 1/q, q -> value, q -> power series.
 The factorization of a product of cyclotomics is memoized per polynomial;
 it certifies a value over such a denominator reduced without a gcd and
 gives the lcm of such denominators as a product of highest powers.
+The four coefficient types share one base class for the operators they
+derive alike (-, **, exact_div, repr) from their own coercion and ring
+operations.
 
 The fraction-free layer works on plain int tuples: zpolys in Z[q] and
 zxpolys in Z[q][x], with products, exact division by q - 1 and integer
@@ -63,11 +66,52 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"not an exact rational: {c!r}")
 
 
+class _Ring:
+    """The operators QPoly, QRat, QSeries and XPoly derive alike from their
+    own _coerce, +, * and unary minus."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        # the one of this type (and, for a series, of this truncation order)
+        result = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def exact_div(self, other):
+        quot, rem = divmod(self, other)
+        if not rem.is_zero():
+            raise ExactDivisionError(f"{self} is not divisible by {other}")
+        return quot
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
 # ---------------------------------------------------------------------------
 # Polynomials in q over Q
 
 
-class QPoly:
+class QPoly(_Ring):
     """Dense univariate polynomial in q over Q, stored as ints / den.
 
     ints is a tuple of Python ints, lowest degree first, with no trailing
@@ -195,18 +239,6 @@ class QPoly:
     def __neg__(self) -> QPoly:
         return QPoly._raw(tuple(-c for c in self.ints), self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -215,18 +247,6 @@ class QPoly:
         return QPoly.from_ints(zpoly_mul(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> QPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QPOLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def scale(self, c) -> QPoly:
         c = _as_fraction(c)
@@ -253,18 +273,6 @@ class QPoly:
         db = other.den
         return (QPoly.from_ints(tuple(c * db for c in quot), den),
                 QPoly.from_ints(rem, den))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: QPoly) -> QPoly:
-        quot, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ExactDivisionError(f"{self} is not divisible by {other}")
-        return quot
 
     def monic(self) -> QPoly:
         if self.is_zero():
@@ -325,9 +333,6 @@ class QPoly:
                 sign = "-"
             parts.append(sign + body)
         return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QPoly({self})"
 
 
 QPOLY_ZERO = QPoly._raw(())
@@ -551,7 +556,7 @@ def _monic_den(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
             QPoly.from_ints(den.ints, lead))
 
 
-class QRat:
+class QRat(_Ring):
     """Reduced rational function in q.
 
     Invariants: the denominator is nonzero and monic, gcd(num, den) is
@@ -606,6 +611,9 @@ class QRat:
 
     # -- field operations ----------------------------------------------------
 
+    def _coerce(self, other):
+        return as_qrat_or_none(other)
+
     def __add__(self, other):
         o = as_qrat_or_none(other)
         if o is None:
@@ -626,18 +634,6 @@ class QRat:
 
     def __neg__(self) -> QRat:
         return QRat._raw(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = as_qrat_or_none(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = as_qrat_or_none(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = as_qrat_or_none(other)
@@ -674,14 +670,7 @@ class QRat:
     def __pow__(self, n: int) -> QRat:
         if n < 0:
             return self.inverse() ** (-n)
-        result = QRAT_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return super().__pow__(n)
 
     # -- substitutions --------------------------------------------------------
 
@@ -722,9 +711,6 @@ class QRat:
         if self.den == QPOLY_ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"QRat({self})"
 
 
 QRAT_ZERO = QRat._raw(QPOLY_ZERO, QPOLY_ONE)
@@ -1069,7 +1055,7 @@ def qrat_certified(num: QPoly, den: QPoly) -> QRat:
 # Truncated power series in q
 
 
-class QSeries:
+class QSeries(_Ring):
     """Power series in q truncated at a fixed order (inclusive)."""
 
     __slots__ = ("order", "coeffs")
@@ -1119,18 +1105,6 @@ class QSeries:
     def __neg__(self):
         return QSeries([-c for c in self.coeffs], self.order)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self.coeffs], self.order)
@@ -1152,9 +1126,6 @@ class QSeries:
         p = QPoly(self.coeffs)
         return f"{p} + O(q^{self.order + 1})"
 
-    def __repr__(self):
-        return f"QSeries({self})"
-
 
 # ---------------------------------------------------------------------------
 # Polynomials in x over QRat
@@ -1166,7 +1137,7 @@ def _as_xcoeff(c) -> QRat:
     return as_qrat(c)
 
 
-class XPoly:
+class XPoly(_Ring):
     """Polynomial in x whose coefficients are reduced rational functions in q."""
 
     __slots__ = ("coeffs",)
@@ -1235,18 +1206,6 @@ class XPoly:
     def __neg__(self):
         return XPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QPoly, QRat)):
             return self.scale(other)
@@ -1276,18 +1235,6 @@ class XPoly:
             return self.scale(_as_xcoeff(other).inverse())
         return NotImplemented
 
-    def __pow__(self, n: int) -> XPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = XPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, other: XPoly):
         if not isinstance(other, XPoly):
             other = XPoly((other,))
@@ -1307,18 +1254,6 @@ class XPoly:
             while r and r[-1].is_zero():
                 r.pop()
         return XPoly(quot), XPoly(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: XPoly) -> XPoly:
-        quot, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ExactDivisionError(f"{self} is not divisible by {other}")
-        return quot
 
     def evaluate(self, v) -> QRat:
         v = _as_xcoeff(v)
@@ -1362,9 +1297,6 @@ class XPoly:
             else:
                 parts.append(f"({cs})*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"XPoly({self})"
 
 
 XPOLY_ZERO = XPoly()

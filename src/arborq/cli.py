@@ -257,8 +257,12 @@ def cmd_compute(args) -> int:
         text = _render_tex(series, args.series)
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the output file: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=_positive, default=8)
     p.add_argument("--lam", type=_partition, default=(),
                    help="partition, comma separated (e.g. 2,1)")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_positive, default=3)
     p.add_argument("--order-cap", type=int, default=12)
     p.set_defaults(fn=cmd_conjecture)
 

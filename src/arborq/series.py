@@ -10,12 +10,8 @@ is always explicit.
 The insertion product with outer corollas is computed from root-subtree
 decompositions: the coefficient of T collects, over every root-containing
 subtree T0 of T, the first series on T0 times the product of the second
-series over the complement components.  Two fast paths cover the cases the
-checks prop_gen and sharp_reformulation hit constantly: first argument a
-multiple of the single vertex (product over root branches) and second
-argument a multiple of the single vertex (leaf pruning with a weight per
-removed leaf).  The solvers do not use this product: they run on the
-fraction-free engine in solvers.
+series over the complement components.  The solvers do not use this
+product: they run on the fraction-free engine in solvers.
 """
 
 from __future__ import annotations
@@ -147,59 +143,12 @@ def suspension(a: TreeSeries, alpha) -> TreeSeries:
     )
 
 
-def _unit_multiple(s: TreeSeries):
-    """If s is supported on the single vertex only, its coefficient there."""
-    if not s.coeffs:
-        return RING_ZERO[s.ring]
-    if len(s.coeffs) == 1:
-        ((t, v),) = s.coeffs.items()
-        if t == tr.leaf():
-            return v
-    return None
-
-
 def diamond_crls(a: TreeSeries, b: TreeSeries) -> TreeSeries:
     """Insertion with outer corollas: a goes in the root, b in the branches."""
     a._check_compatible(b)
     order, ring = a.order, a.ring
-    zero, one = RING_ZERO[ring], RING_ONE[ring]
-
+    zero = RING_ZERO[ring]
     out: dict[int, Any] = {}
-
-    a_unit = _unit_multiple(a)
-    b_unit = _unit_multiple(b)
-
-    if a_unit is not None:
-        # coefficient on B+(T_1..T_k) is a * prod_i b_{T_i}
-        if is_zero_coeff(a_unit):
-            return zero_series(order, ring)
-        for t in tr.trees_upto(order):
-            val = a_unit
-            for c in tr.children(t):
-                bc = b.coeffs.get(c)
-                if bc is None:
-                    val = None
-                    break
-                val = val * bc
-            if val is not None and not is_zero_coeff(val):
-                out[t] = val
-        return TreeSeries(order, ring, out)
-
-    if b_unit is not None:
-        # leaf pruning with weight b_unit per removed leaf
-        wpow = [one]
-        for _ in range(order):
-            wpow.append(wpow[-1] * b_unit)
-        for t in tr.trees_upto(order):
-            acc = zero
-            for (rest, removed), count in tr.prune_leaf_subsets(t).items():
-                av = a.coeffs.get(rest)
-                if av is not None and not is_zero_coeff(wpow[removed]):
-                    acc = acc + av * wpow[removed] * count
-            if not is_zero_coeff(acc):
-                out[t] = acc
-        return TreeSeries(order, ring, out)
-
     for t in tr.trees_upto(order):
         acc = zero
         for (kept, comps), count in tr.root_subtree_decompositions(t).items():
@@ -210,10 +159,9 @@ def diamond_crls(a: TreeSeries, b: TreeSeries) -> TreeSeries:
             for c in comps:
                 bc = b.coeffs.get(c)
                 if bc is None:
-                    val = None
                     break
                 val = val * bc
-            if val is not None:
+            else:
                 acc = acc + val * count
         if not is_zero_coeff(acc):
             out[t] = acc
@@ -223,7 +171,8 @@ def diamond_crls(a: TreeSeries, b: TreeSeries) -> TreeSeries:
 def graft_root_single(a: TreeSeries) -> TreeSeries:
     """Graft each tree of a onto a fresh root vertex: the coefficient of
     B+(T') is a_{T'}, and trees whose root has more than one child get zero.
-    This is the only pre-Lie grafting instance the solvers need."""
+    No solver calls it: the tests use it to state the solvers' recursions
+    as series identities."""
     out: dict[int, Any] = {}
     for t, v in a.coeffs.items():
         if tr.size(t) + 1 <= a.order:

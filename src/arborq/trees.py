@@ -6,13 +6,15 @@ in shortlex order + ")", so two trees are isomorphic exactly when their
 encodings are equal.  Heights count vertices: a single vertex has height 1.
 
 Besides enumeration, automorphism counts and statistics, this module holds
-the pruning combinatorics the insertion product runs on: leaf-subset pruning
-(grouped with binomial multiplicities) and root-subtree decompositions.
+the pruning combinatorics the insertion product and the solvers run on:
+leaf-subset pruning and root-subtree decompositions, both one fold over the
+children of the root.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -293,6 +295,33 @@ def q_factorial(tid: int) -> QRat:
 # ---------------------------------------------------------------------------
 # Pruning combinatorics
 
+
+def _fold_children(tid: int, options, merge, start) -> dict:
+    """Graft the children of tid back onto a root, each as one of its options.
+
+    options(child) maps (kept class or None, part) to a count; the fold crosses
+    them child by child into an accumulator keyed by (sorted kept classes,
+    merged part), merging parts with merge from start, then grafts the kept
+    classes onto a root.  Identical siblings meet in the multiset keys, so the
+    accumulator stays polynomial in the corolla width.
+    """
+    acc: dict[tuple[tuple[int, ...], object], int] = {((), start): 1}
+    for child in children(tid):
+        opts = options(child)
+        nxt: dict[tuple[tuple[int, ...], object], int] = {}
+        for (kept, part), c1 in acc.items():
+            for (res, dpart), c2 in opts.items():
+                nk = kept if res is None else tuple(sorted(kept + (res,), key=tree_sort_key))
+                key = (nk, merge(part, dpart))
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        acc = nxt
+    out: dict = {}
+    for (kept, part), c in acc.items():
+        key2 = (b_plus(kept), part)
+        out[key2] = out.get(key2, 0) + c
+    return out
+
+
 # options for a subtree hanging inside a larger tree:
 #   (resulting class or None, number of removed leaves) -> count
 _PRUNE: dict[int, dict[tuple[int | None, int], int]] = {}
@@ -300,60 +329,42 @@ _PRUNE: dict[int, dict[tuple[int | None, int], int]] = {}
 
 def _prune_options(tid: int) -> dict[tuple[int | None, int], int]:
     cached = _PRUNE.get(tid)
-    if cached is not None:
-        return cached
-    kids = children(tid)
-    if not kids:
-        out: dict[tuple[int | None, int], int] = {(tid, 0): 1, (None, 1): 1}
-    else:
-        # survivors-multiset x removed-count accumulator over grouped children
-        acc: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
-        i = 0
-        while i < len(kids):
-            j = i
-            while j < len(kids) and kids[j] == kids[i]:
-                j += 1
-            opts = _prune_options(kids[i])
-            for _ in range(j - i):
-                nxt: dict[tuple[tuple[int, ...], int], int] = {}
-                for (surv, rem), c1 in acc.items():
-                    for (res, dr), c2 in opts.items():
-                        ns = surv if res is None else tuple(
-                            sorted(surv + (res,), key=tree_sort_key)
-                        )
-                        key = (ns, rem + dr)
-                        nxt[key] = nxt.get(key, 0) + c1 * c2
-                acc = nxt
-            i = j
-        out = {}
-        for (surv, rem), c in acc.items():
-            key = (b_plus(surv), rem)
-            out[key] = out.get(key, 0) + c
-    _PRUNE[tid] = out
-    return out
+    if cached is None:
+        if children(tid):
+            cached = _fold_children(tid, _prune_options, operator.add, 0)
+        else:
+            cached = {(tid, 0): 1, (None, 1): 1}
+        _PRUNE[tid] = cached
+    return cached
 
 
 def prune_leaf_subsets(tid: int, proper_only: bool = False) -> dict[tuple[int, int], int]:
     """Classes of T minus a subset of its leaves, keyed by (class, |subset|).
 
-    Identical sibling leaves are grouped with binomial multiplicities, so the
-    cost stays polynomial in the corolla width.  Removing the root (the
+    Identical siblings merge through the multiset keys of the child fold, so
+    the cost stays polynomial in the corolla width.  Removing the root (the
     single-vertex tree's only leaf) is excluded; with proper_only the empty
     subset is excluded as well.
     """
-    out = {
+    return {
         (res, rem): c
         for (res, rem), c in _prune_options(tid).items()
-        if res is not None
+        if res is not None and (rem or not proper_only)
     }
-    if proper_only:
-        out = {k: c for k, c in out.items() if k[1] > 0}
-    return out
 
 
 # root-containing subtree decompositions:
 #   (kept class, multiset of complement component classes) -> count
 _DECOMP: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
+
+
+def _merge_components(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a + b, key=tree_sort_key))
+
+
+def _decomp_options(child: int) -> dict[tuple[int | None, tuple[int, ...]], int]:
+    # cut the whole child subtree, or keep its root and recurse
+    return {(None, (child,)): 1, **root_subtree_decompositions(child)}
 
 
 def root_subtree_decompositions(tid: int) -> dict[tuple[int, tuple[int, ...]], int]:
@@ -362,38 +373,10 @@ def root_subtree_decompositions(tid: int) -> dict[tuple[int, tuple[int, ...]], i
     multiplicities.  Enumeration is per child: cut the whole child subtree,
     or keep its root and recurse."""
     cached = _DECOMP.get(tid)
-    if cached is not None:
-        return cached
-    kids = children(tid)
-    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
-    i = 0
-    while i < len(kids):
-        j = i
-        while j < len(kids) and kids[j] == kids[i]:
-            j += 1
-        child = kids[i]
-        opts: dict[tuple[int | None, tuple[int, ...]], int] = {(None, (child,)): 1}
-        for (kept, comps), c in root_subtree_decompositions(child).items():
-            key = (kept, comps)
-            opts[key] = opts.get(key, 0) + c
-        for _ in range(j - i):
-            nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-            for (kept_kids, comps), c1 in acc.items():
-                for (kept, dcomps), c2 in opts.items():
-                    nk = kept_kids if kept is None else tuple(
-                        sorted(kept_kids + (kept,), key=tree_sort_key)
-                    )
-                    nc = tuple(sorted(comps + dcomps, key=tree_sort_key))
-                    key2 = (nk, nc)
-                    nxt[key2] = nxt.get(key2, 0) + c1 * c2
-            acc = nxt
-        i = j
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    for (kept_kids, comps), c in acc.items():
-        key3 = (b_plus(kept_kids), comps)
-        out[key3] = out.get(key3, 0) + c
-    _DECOMP[tid] = out
-    return out
+    if cached is None:
+        cached = _fold_children(tid, _decomp_options, _merge_components, ())
+        _DECOMP[tid] = cached
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -577,6 +577,8 @@ def check_partition_conjecture(lam, k: int, order_cap: int = 12) -> CheckReport:
     """For odd k >= 3, the base-series coefficient of k copies of the
     partition-shaped tree grafted on a root should have a numerator divisible
     by Phi_{1 + max part}."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     t0 = time.perf_counter()
     lam = tuple(lam)
     report = CheckReport("partition", {"lambda": list(lam), "k": k, "order_cap": order_cap})

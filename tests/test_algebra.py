@@ -682,6 +682,38 @@ class TestQSeries:
             a + QSeries((1,), 5)
 
 
+class TestDerivedOperators:
+    """Subtraction, powers, exact division and repr are derived once for the
+    four coefficient types from their own coercion, + and *."""
+
+    @pytest.mark.parametrize(
+        "value, one, divisor",
+        [
+            (QPoly((1, F(1, 2), 3)), QPOLY_ONE, Q),
+            (QRat(QPoly((1, 1)), QPoly((2, 0, 1))), QRAT_ONE, None),
+            (QSeries((1, 2, F(1, 3)), 4), QSeries((1,), 4), None),
+            (XPoly((QRat(QPoly((1, 1)), Q), 2)), XPoly((1,)), one_plus_qx()),
+        ],
+        ids=["QPoly", "QRat", "QSeries", "XPoly"],
+    )
+    def test_derived_operators(self, value, one, divisor):
+        cls = type(value)
+        assert isinstance(value - 2, cls) and (value - 2) + 2 == value
+        assert isinstance(2 - value, cls) and (2 - value) + value == 2
+        assert type(value ** 0) is cls and value ** 0 == one
+        assert value ** 3 == value * value * value
+        if cls is QRat:
+            assert value ** -2 == (value * value).inverse()
+        else:
+            with pytest.raises(ValueError):
+                value ** -1
+        if divisor is not None:
+            assert (value * divisor).exact_div(divisor) == value
+            with pytest.raises(ExactDivisionError):
+                (value * divisor + 1).exact_div(divisor)
+        assert repr(value).startswith(f"{cls.__name__}(")
+
+
 class TestFractionFree:
     """The integer layer under the per-tree engine: exact divisions raise on
     a remainder, and the cyclotomic reduction matches gcd reduction."""

@@ -117,6 +117,13 @@ class TestCompute:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["series"] == "E"
 
+    def test_out_file_that_cannot_be_opened(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(["compute", "E", "--order", "2", "--out", str(target)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
     def test_cost_warning(self, capsys):
         code, _, err = run_cli(["compute", "E", "--order", "10"], capsys)
         assert code == 0
@@ -499,6 +506,8 @@ class TestUsageErrors:
             (["verify", "--suite", "valeur_n_positif", "--n-range=-1..2"], "--n-range"),
             (["verify", "--suite", "valeur_n_negatif", "--n-range", "0..1"], "--n-range"),
             (["compute", "omega", "--n", "5", "--order", "2"], "--n"),
+            (["conjecture", "partition", "--lam", "1", "--k", "0"], "--k"),
+            (["conjecture", "partition", "--lam", "1", "--k", "-1"], "--k"),
         ],
     )
     def test_exit_code_2(self, argv, flag, capsys):

@@ -288,7 +288,7 @@ class TestDecompositions:
         }
 
     def test_against_subset_enumeration(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for t in T.enumerate_trees(n):
                 got = {
                     (T.encoding(k), tuple(sorted(T.encoding(c) for c in comps))): v

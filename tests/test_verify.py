@@ -286,6 +286,12 @@ class TestConjectures:
         report = V.check_partition_conjecture((1,), 2, order_cap=12)
         assert report.status in ("pass", "fail")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_partition_rejects_k_below_one(self, k):
+        # k < 1 grafts no copy and would test the single vertex
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            V.check_partition_conjecture((1,), k)
+
 
 class TestRandomSeries:
     def test_seed_reproducibility(self):
