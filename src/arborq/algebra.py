@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class PoleError(ZeroDivisionError):
@@ -1131,19 +1130,13 @@ class QSeries(_Ring):
 # Polynomials in x over QRat
 
 
-def _as_xcoeff(c) -> QRat:
-    if isinstance(c, QRat):
-        return c
-    return as_qrat(c)
-
-
 class XPoly(_Ring):
     """Polynomial in x whose coefficients are reduced rational functions in q."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_xcoeff(c) for c in coeffs]
+        cs = [as_qrat(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
@@ -1225,14 +1218,14 @@ class XPoly(_Ring):
     __rmul__ = __mul__
 
     def scale(self, c) -> XPoly:
-        c = _as_xcoeff(c)
+        c = as_qrat(c)
         if c.is_zero():
             return XPoly()
         return XPoly(tuple(cc * c for cc in self.coeffs))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, QPoly, QRat)):
-            return self.scale(_as_xcoeff(other).inverse())
+            return self.scale(as_qrat(other).inverse())
         return NotImplemented
 
     def __divmod__(self, other: XPoly):
@@ -1256,7 +1249,7 @@ class XPoly(_Ring):
         return XPoly(quot), XPoly(r)
 
     def evaluate(self, v) -> QRat:
-        v = _as_xcoeff(v)
+        v = as_qrat(v)
         acc = QRAT_ZERO
         for c in reversed(self.coeffs):
             acc = acc * v + c
@@ -1364,8 +1357,7 @@ def convex_hull_chains(points: Sequence[tuple[int, int]]):
     return lower, upper
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Convex hull of (q-degree, x-degree) exponent pairs, counterclockwise."""
 
     vertices: tuple[tuple[int, int], ...]

@@ -29,13 +29,15 @@ class CacheError(Exception):
 
 
 class CacheEntry:
-    """An entry file as read: its key, its payload and the stored payload hash."""
+    """An entry file as read: its key, its payload, the payload's canonical
+    text (the one its hash was checked on) and the stored payload hash."""
 
-    __slots__ = ("key", "payload", "sha256")
+    __slots__ = ("key", "payload", "text", "sha256")
 
-    def __init__(self, key, payload, sha256: str):
+    def __init__(self, key, payload, text: str, sha256: str):
         self.key = key
         self.payload = payload
+        self.text = text
         self.sha256 = sha256
 
 
@@ -50,8 +52,9 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def payload_hash(payload: dict) -> str:
-    return _sha256(canonical_json(payload))
+def payload_hash(text: str) -> str:
+    """The hash stored beside a payload, taken over its canonical text."""
+    return _sha256(text)
 
 
 def make_key(series: str, params: dict, order: int) -> dict:
@@ -71,45 +74,47 @@ def entry_path(directory: str, key: dict) -> str:
     return os.path.join(directory, f"{key['series']}-{key_hash(key)[:16]}.json")
 
 
-def store(directory: str, key: dict, payload: dict) -> str:
+def store(directory: str, key: dict, text: str) -> str:
+    """Write the entry of a payload given as its canonical_json text, which
+    the caller encodes once for the entry and for its own output."""
     os.makedirs(directory, exist_ok=True)
     path = entry_path(directory, key)
-    # the payload is encoded once: its hash and the file come from one text,
-    # written in pieces as canonical_json({"key", "payload", "sha256"}) + "\n"
-    # would lay them out, so no second full-size copy is built
-    text = canonical_json(payload)
     # a per-process name (not ending in .json) so concurrent writers never
     # share a temp file; os.replace makes the entry appear whole
     tmp = f"{path}.{os.getpid()}.tmp"
+    # the text is written in pieces as canonical_json({"key", "payload",
+    # "sha256"}) + "\n" would lay them out, so no second full-size copy is built
     with open(tmp, "w") as fh:
         fh.write(f'{{"key":{canonical_json(key)},"payload":')
         fh.write(text)
-        fh.write(f',"sha256":"{_sha256(text)}"}}\n')
+        fh.write(f',"sha256":"{payload_hash(text)}"}}\n')
     os.replace(tmp, path)
     return path
 
 
-def load(directory: str, key: dict) -> dict | None:
-    """Return the cached payload, or None if absent; raise on corruption."""
+def load(directory: str, key: dict) -> tuple[dict, str] | None:
+    """Return the cached payload and its canonical text, or None if absent;
+    raise on corruption."""
     path = entry_path(directory, key)
     if not os.path.exists(path):
         return None
     entry = _read_entry(path)
     if entry.key != key:
         raise CacheError(f"{path}: stored key does not match the request")
-    return entry.payload
+    return entry.payload, entry.text
 
 
 def _read_entry(path: str) -> CacheEntry:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-        entry = CacheEntry(raw["key"], raw["payload"], raw["sha256"])
+        entry = CacheEntry(raw["key"], raw["payload"], canonical_json(raw["payload"]),
+                           raw["sha256"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CacheError(f"{path}: unreadable cache entry ({exc})") from exc
     if not isinstance(entry.key, dict):
         raise CacheError(f"{path}: key is not a JSON object")
-    if payload_hash(entry.payload) != entry.sha256:
+    if payload_hash(entry.text) != entry.sha256:
         raise CacheError(f"{path}: payload hash mismatch")
     payload = entry.payload
     if not (isinstance(payload, dict) and isinstance(payload.get("entries"), list)

@@ -90,10 +90,6 @@ def _check_verify_args(parser: argparse.ArgumentParser, args) -> None:
 # Renderers
 
 
-def _render_json(payload: dict) -> str:
-    return canonical_json(payload) + "\n"
-
-
 def _render_csv(series: TreeSeries) -> str:
     import csv
     import io
@@ -209,14 +205,16 @@ def cmd_compute(args) -> int:
     key = cache_mod.make_key(args.series, params, args.order)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
 
-    payload = None
-    series = None
+    # encoded: the payload's canonical json, made at most once per command
+    payload = encoded = series = None
     if cache_dir:
         try:
-            payload = cache_mod.load(cache_dir, key)
+            hit = cache_mod.load(cache_dir, key)
         except cache_mod.CacheError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        if hit is not None:
+            payload, encoded = hit
     if payload is None:
         from . import trees as tr
         from .serialize import value_to_obj
@@ -230,8 +228,9 @@ def cmd_compute(args) -> int:
             "entries": entries,
         }
         if cache_dir:
+            encoded = canonical_json(payload)
             try:
-                cache_mod.store(cache_dir, key, payload)
+                cache_mod.store(cache_dir, key, encoded)
             except OSError as exc:
                 print(f"error: cannot write the cache entry: {exc}", file=sys.stderr)
                 return 1
@@ -250,7 +249,7 @@ def cmd_compute(args) -> int:
             return 1
 
     if args.format == "json":
-        text = _render_json(payload)
+        text = (canonical_json(payload) if encoded is None else encoded) + "\n"
     elif args.format == "csv":
         text = _render_csv(series)
     else:
@@ -434,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_partition, default=(),
                    help="partition, comma separated (e.g. 2,1)")
     p.add_argument("--k", type=_positive, default=3)
-    p.add_argument("--order-cap", type=int, default=12)
+    p.add_argument("--order-cap", type=_positive, default=12)
     p.set_defaults(fn=cmd_conjecture)
 
     p = sub.add_parser("cache", help="maintain the on-disk cache")

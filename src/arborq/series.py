@@ -16,7 +16,6 @@ product: they run on the fraction-free engine in solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -44,26 +43,25 @@ def is_zero_coeff(v) -> bool:
     return v == 0
 
 
-@dataclass(frozen=True)
 class TreeSeries:
     """Tree-indexed series truncated at a fixed order (by vertex count)."""
 
-    order: int
-    ring: str
-    coeffs: dict[int, Any] = field(default_factory=dict)
+    __slots__ = ("order", "ring", "coeffs")
 
-    def __post_init__(self):
-        if self.ring not in RING_ZERO:
-            raise ValueError(f"unknown coefficient ring {self.ring!r}")
-        if self.order < 1:
+    def __init__(self, order: int, ring: str, coeffs: dict[int, Any]):
+        if ring not in RING_ZERO:
+            raise ValueError(f"unknown coefficient ring {ring!r}")
+        if order < 1:
             raise ValueError("truncation order must be >= 1")
         clean = {}
-        for t, v in self.coeffs.items():
-            if tr.size(t) > self.order:
+        for t, v in coeffs.items():
+            if tr.size(t) > order:
                 raise ValueError("coefficient beyond the truncation order")
             if not is_zero_coeff(v):
                 clean[t] = v
-        object.__setattr__(self, "coeffs", clean)
+        self.order = order
+        self.ring = ring
+        self.coeffs = clean
 
     # -- access ---------------------------------------------------------------
 

@@ -156,12 +156,10 @@ _PAWN_ENGINE = FractionFreeRecursion(
 )
 
 
+@tr.memoized(_PAWN)
 def pawn_coeff(t: int) -> XPoly:
     """Coefficient of the tree t, a polynomial in x of degree #t over Q(q)."""
-    cached = _PAWN.get(t)
-    if cached is None:
-        cached = _PAWN[t] = XPoly(_PAWN_ENGINE.reduced(t))
-    return cached
+    return XPoly(_PAWN_ENGINE.reduced(t))
 
 
 def solve_pawn(order: int) -> TreeSeries:
@@ -209,6 +207,7 @@ def series_E(order: int) -> TreeSeries:
 _COLOR: dict[tuple[int, int, str], QPoly] = {}
 
 
+@tr.memoized(_COLOR)
 def coloring_poly(t: int, n: int, mode: str = "weak") -> QPoly:
     """Generating polynomial sum q^(sum of colors) over colorings of t by
     {0..n} that decrease (weakly or strictly) away from the root."""
@@ -216,10 +215,6 @@ def coloring_poly(t: int, n: int, mode: str = "weak") -> QPoly:
         raise ValueError(f"unknown coloring mode {mode!r}")
     if n < 0:
         return QPoly()
-    key = (t, n, mode)
-    cached = _COLOR.get(key)
-    if cached is not None:
-        return cached
     kids = tr.children(t)
     total = QPoly()
     for j in range(n + 1):
@@ -231,7 +226,6 @@ def coloring_poly(t: int, n: int, mode: str = "weak") -> QPoly:
                 break
         if not prod.is_zero():
             total = total + prod.shift(j)
-    _COLOR[key] = total
     return total
 
 
@@ -263,10 +257,15 @@ def pawn_linear(n: int) -> XPoly:
     return out
 
 
-_COROLLA: list[XPoly] = []
-_ONE_PLUS_QX_POWERS: list[XPoly] = [XPOLY_ONE]
+@tr.memoized({})
+def _one_plus_qx_power(n: int) -> XPoly:
+    return XPOLY_ONE if n == 0 else _one_plus_qx_power(n - 1) * one_plus_qx()
 
 
+_COROLLA: dict[int, XPoly] = {}
+
+
+@tr.memoized(_COROLLA)
 def pawn_corolla(n: int) -> XPoly:
     """Corolla coefficients by the recursion extracted from their exponential
     generating identity:
@@ -275,22 +274,12 @@ def pawn_corolla(n: int) -> XPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_COROLLA) <= n:
-        m = len(_COROLLA)
-        if m == 0:
-            _COROLLA.append(one_plus_qx())
-            continue
-        terms = []
-        for k in range(m):
-            c = math.comb(m, k)
-            if (m - k) % 2:
-                c = -c
-            terms.append(_COROLLA[k] * c)
-        qm = QPoly.q_power(m + 1)
-        _ONE_PLUS_QX_POWERS.append(_ONE_PLUS_QX_POWERS[-1] * one_plus_qx())
-        terms.append(_ONE_PLUS_QX_POWERS[m] * XPoly((qm, qm * QPoly((-1, 1)))))
-        _COROLLA.append(sum(terms, XPOLY_ZERO).scale(QRat(1, qm - 1)))
-    return _COROLLA[n]
+    if n == 0:
+        return one_plus_qx()
+    terms = [pawn_corolla(k) * ((-1) ** (n - k) * math.comb(n, k)) for k in range(n)]
+    qm = QPoly.q_power(n + 1)
+    terms.append(_one_plus_qx_power(n) * XPoly((qm, qm * QPoly((-1, 1)))))
+    return sum(terms, XPOLY_ZERO).scale(QRat(1, qm - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +294,14 @@ _OMEGA_ENGINE = FractionFreeRecursion(
 )
 
 
+@tr.memoized(_OMEGA)
 def omega_coeff(t: int) -> QRat:
     """Coefficient in the series whose corolla coefficients are the
     Bernoulli-Carlitz numbers; per-tree recursion
       (q^n - 1) w_T = [root has one child] w_{T'}
                       - sum_{nonempty leaf subsets S} q^(n-|S|) w_{T minus S}.
     """
-    cached = _OMEGA.get(t)
-    if cached is None:
-        cached = _OMEGA[t] = _OMEGA_ENGINE.reduced(t)[0]
-    return cached
+    return _OMEGA_ENGINE.reduced(t)[0]
 
 
 _OMEGA_BAR: dict[int, QRat] = {}
@@ -326,15 +313,13 @@ _OMEGA_BAR_ENGINE = FractionFreeRecursion(
 )
 
 
+@tr.memoized(_OMEGA_BAR)
 def omega_bar_coeff(t: int) -> QRat:
     """Variant obtained by q -> 1/q plus suspension by -1/q; solved directly by
       (q^n - 1) w_T = sum_{nonempty leaf subsets S} (-1)^|S| w_{T minus S}
                       + [root has one child] q^(n-1) w_{T'}.
     """
-    cached = _OMEGA_BAR.get(t)
-    if cached is None:
-        cached = _OMEGA_BAR[t] = _OMEGA_BAR_ENGINE.reduced(t)[0]
-    return cached
+    return _OMEGA_BAR_ENGINE.reduced(t)[0]
 
 
 def omega_bar_numerator(t: int) -> tuple:
@@ -403,24 +388,21 @@ def colorings_limit_series(order: int, series_order: int) -> TreeSeries:
 # ---------------------------------------------------------------------------
 # Bernoulli-Carlitz numbers and the umbral form
 
-_CARLITZ: list[QRat] = []
+_CARLITZ: dict[int, QRat] = {}
 
 
-def bernoulli_carlitz(k: int) -> QRat:
+@tr.memoized(_CARLITZ)
+def bernoulli_carlitz(n: int) -> QRat:
     """q-analog Bernoulli numbers: b_0 = 1 and
       (q^(n+1) - 1) b_n = [n == 1] - q * sum_{j<n} C(n,j) q^j b_j."""
-    if k < 0:
+    if n < 0:
         raise ValueError("index must be >= 0")
-    while len(_CARLITZ) <= k:
-        n = len(_CARLITZ)
-        if n == 0:
-            _CARLITZ.append(QRAT_ONE)
-            continue
-        terms = [QRAT_ONE if n == 1 else QRAT_ZERO]
-        for j in range(n):
-            terms.append(_CARLITZ[j] * QRat(QPoly.q_power(j + 1).scale(-math.comb(n, j))))
-        _CARLITZ.append(qrat_sum(terms) / QRat(QPoly.q_power(n + 1) - 1))
-    return _CARLITZ[k]
+    if n == 0:
+        return QRAT_ONE
+    terms = [QRAT_ONE if n == 1 else QRAT_ZERO]
+    for j in range(n):
+        terms.append(bernoulli_carlitz(j) * QRat(QPoly.q_power(j + 1).scale(-math.comb(n, j))))
+    return qrat_sum(terms) / QRat(QPoly.q_power(n + 1) - 1)
 
 
 def psi_umbral(p: XPoly) -> QRat:

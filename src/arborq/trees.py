@@ -1,33 +1,56 @@
 """Canonical unlabeled rooted trees and their combinatorics.
 
-Trees are interned in a process-global table and referenced by dense integer
-ids.  The canonical encoding of a tree is "(" + the encodings of its children
-in shortlex order + ")", so two trees are isomorphic exactly when their
+Trees are interned in one flat process-global table and referenced by dense
+integer ids: _TREES holds the record of each id, in the order the classes
+were first met, and _BY_ENCODING maps a canonical encoding back to its id.
+The canonical encoding of a tree is "(" + the encodings of its children in
+shortlex order + ")", so two trees are isomorphic exactly when their
 encodings are equal.  Heights count vertices: a single vertex has height 1.
 
 Besides enumeration, automorphism counts and statistics, this module holds
 the pruning combinatorics the insertion product and the solvers run on:
 leaf-subset pruning and root-subtree decompositions, both one fold over the
-children of the root.
+children of the root.  Every per-tree table is kept by memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from typing import NamedTuple
 
 from .algebra import QPoly, QRat, q_int_poly
+
+_MISSING = object()
+
+
+def memoized(table: dict):
+    """Keep the values of a function in table, keyed by its one argument or
+    by the tuple of its positional arguments (defaults are not filled in).
+    A value is stored only once the function returns, so a call that raises
+    is not cached."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(*args):
+            key = args[0] if len(args) == 1 else args
+            value = table.get(key, _MISSING)
+            if value is _MISSING:
+                value = table[key] = fn(*args)
+            return value
+
+        return cached
+
+    return decorate
 
 
 def _shortlex(s: str):
     return (len(s), s)
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(NamedTuple):
     """One interned isomorphism class of unlabeled rooted trees."""
 
     tid: int
@@ -37,62 +60,23 @@ class Tree:
     encoding: str
 
 
-class TreeTable:
-    """Insert-only interning table; ids are stable for the process lifetime."""
-
-    def __init__(self):
-        self._by_encoding: dict[str, int] = {}
-        self._trees: list[Tree] = []
-        self._by_size: dict[int, tuple[int, ...]] = {}
-
-    def intern(self, children_ids: tuple[int, ...]) -> int:
-        enc = "(" + "".join(self._trees[c].encoding for c in children_ids) + ")"
-        tid = self._by_encoding.get(enc)
-        if tid is not None:
-            return tid
-        size = 1 + sum(self._trees[c].size for c in children_ids)
-        height = 1 + max((self._trees[c].height for c in children_ids), default=0)
-        tid = len(self._trees)
-        self._trees.append(Tree(tid, children_ids, size, height, enc))
-        self._by_encoding[enc] = tid
-        return tid
-
-    def tree(self, tid: int) -> Tree:
-        return self._trees[tid]
-
-    def of_size(self, n: int) -> tuple[int, ...]:
-        cached = self._by_size.get(n)
-        if cached is not None:
-            return cached
-        if n < 1:
-            raise ValueError("tree size must be >= 1")
-        if n == 1:
-            ids: list[int] = [self.intern(())]
-        else:
-            ids = []
-            for part in _partitions(n - 1):
-                groups: list[tuple[int, int]] = []
-                for s in sorted(set(part), reverse=True):
-                    groups.append((s, part.count(s)))
-                pools = [
-                    list(combinations_with_replacement(self.of_size(s), k))
-                    for s, k in groups
-                ]
-                for choice in product(*pools):
-                    kids: list[int] = []
-                    for combo in choice:
-                        kids.extend(combo)
-                    ids.append(b_plus(kids))
-            ids = sorted(set(ids), key=lambda t: self._trees[t].encoding)
-        out = tuple(ids)
-        self._by_size[n] = out
-        return out
+# insert-only: ids are stable for the process lifetime
+_BY_ENCODING: dict[str, int] = {}
+_TREES: list[Tree] = []
 
 
-_TABLE = TreeTable()
+def _intern(kids: tuple[int, ...]) -> int:
+    enc = "(" + "".join(_TREES[c].encoding for c in kids) + ")"
+    tid = _BY_ENCODING.get(enc)
+    if tid is None:
+        tid = _BY_ENCODING[enc] = len(_TREES)
+        size = 1 + sum(_TREES[c].size for c in kids)
+        height = 1 + max((_TREES[c].height for c in kids), default=0)
+        _TREES.append(Tree(tid, kids, size, height, enc))
+    return tid
 
 
-@lru_cache(maxsize=None)
+@memoized({})
 def _partitions(m: int) -> tuple[tuple[int, ...], ...]:
     """Weakly decreasing partitions of m (m >= 0)."""
     if m == 0:
@@ -106,38 +90,38 @@ def _partitions(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def tree(tid: int) -> Tree:
-    return _TABLE.tree(tid)
+    return _TREES[tid]
 
 
 def size(tid: int) -> int:
-    return _TABLE.tree(tid).size
+    return _TREES[tid].size
 
 
 def height(tid: int) -> int:
-    return _TABLE.tree(tid).height
+    return _TREES[tid].height
 
 
 def encoding(tid: int) -> str:
-    return _TABLE.tree(tid).encoding
+    return _TREES[tid].encoding
 
 
 def children(tid: int) -> tuple[int, ...]:
-    return _TABLE.tree(tid).children
+    return _TREES[tid].children
 
 
 def tree_sort_key(tid: int):
-    return _shortlex(_TABLE.tree(tid).encoding)
+    return _shortlex(_TREES[tid].encoding)
 
 
 def leaf() -> int:
     """The one-vertex tree."""
-    return _TABLE.intern(())
+    return _intern(())
 
 
 def b_plus(child_ids) -> int:
     """Graft the given trees onto a fresh common root."""
     kids = tuple(sorted(child_ids, key=tree_sort_key))
-    return _TABLE.intern(kids)
+    return _intern(kids)
 
 
 def crl(n: int) -> int:
@@ -192,9 +176,22 @@ def canonicalize(expr) -> int:
     raise ValueError(f"malformed tree description: {expr!r}")
 
 
+@memoized({})
 def enumerate_trees(n: int) -> tuple[int, ...]:
     """All isomorphism classes with n vertices, sorted by encoding."""
-    return _TABLE.of_size(n)
+    if n < 1:
+        raise ValueError("tree size must be >= 1")
+    if n == 1:
+        return (leaf(),)
+    ids = set()
+    for part in _partitions(n - 1):
+        pools = [
+            combinations_with_replacement(enumerate_trees(s), part.count(s))
+            for s in sorted(set(part), reverse=True)
+        ]
+        for choice in product(*pools):
+            ids.add(b_plus([kid for combo in choice for kid in combo]))
+    return tuple(sorted(ids, key=lambda t: _TREES[t].encoding))
 
 
 def trees_upto(order: int) -> tuple[int, ...]:
@@ -205,15 +202,10 @@ def trees_upto(order: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Automorphisms and statistics
 
-_AUT: dict[int, int] = {}
-
-
+@memoized({})
 def aut_order(tid: int) -> int:
     """Order of the automorphism group: product over vertices of the
     factorials of the multiplicities of identical child subtrees."""
-    cached = _AUT.get(tid)
-    if cached is not None:
-        return cached
     out = 1
     kids = children(tid)
     i = 0
@@ -224,7 +216,6 @@ def aut_order(tid: int) -> int:
         mult = j - i
         out *= math.factorial(mult) * aut_order(kids[i]) ** mult
         i = j
-    _AUT[tid] = out
     return out
 
 
@@ -242,21 +233,15 @@ def parent_array(tid: int) -> list[int]:
     return parents
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(NamedTuple):
     height: int
     leaf_count: int
     height_histogram: dict[int, int]
     subtree_sizes: tuple[int, ...]
 
 
-_STATS: dict[int, TreeStats] = {}
-
-
+@memoized({})
 def tree_stats(tid: int) -> TreeStats:
-    cached = _STATS.get(tid)
-    if cached is not None:
-        return cached
     parents = parent_array(tid)
     n = len(parents)
     depth = [0] * n
@@ -272,14 +257,12 @@ def tree_stats(tid: int) -> TreeStats:
     sub = [1] * n
     for v in range(n - 1, 0, -1):
         sub[parents[v]] += sub[v]
-    st = TreeStats(
+    return TreeStats(
         height=max(depth) + 1,
         leaf_count=has_child.count(False),
         height_histogram=hist,
         subtree_sizes=tuple(sorted(sub)),
     )
-    _STATS[tid] = st
-    return st
 
 
 def q_factorial(tid: int) -> QRat:
@@ -322,20 +305,13 @@ def _fold_children(tid: int, options, merge, start) -> dict:
     return out
 
 
-# options for a subtree hanging inside a larger tree:
-#   (resulting class or None, number of removed leaves) -> count
-_PRUNE: dict[int, dict[tuple[int | None, int], int]] = {}
-
-
+@memoized({})
 def _prune_options(tid: int) -> dict[tuple[int | None, int], int]:
-    cached = _PRUNE.get(tid)
-    if cached is None:
-        if children(tid):
-            cached = _fold_children(tid, _prune_options, operator.add, 0)
-        else:
-            cached = {(tid, 0): 1, (None, 1): 1}
-        _PRUNE[tid] = cached
-    return cached
+    """Options for a subtree hanging inside a larger tree:
+    (resulting class or None, number of removed leaves) -> count."""
+    if children(tid):
+        return _fold_children(tid, _prune_options, operator.add, 0)
+    return {(tid, 0): 1, (None, 1): 1}
 
 
 def prune_leaf_subsets(tid: int, proper_only: bool = False) -> dict[tuple[int, int], int]:
@@ -353,11 +329,6 @@ def prune_leaf_subsets(tid: int, proper_only: bool = False) -> dict[tuple[int, i
     }
 
 
-# root-containing subtree decompositions:
-#   (kept class, multiset of complement component classes) -> count
-_DECOMP: dict[int, dict[tuple[int, tuple[int, ...]], int]] = {}
-
-
 def _merge_components(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(a + b, key=tree_sort_key))
 
@@ -367,16 +338,13 @@ def _decomp_options(child: int) -> dict[tuple[int | None, tuple[int, ...]], int]
     return {(None, (child,)): 1, **root_subtree_decompositions(child)}
 
 
+@memoized({})
 def root_subtree_decompositions(tid: int) -> dict[tuple[int, tuple[int, ...]], int]:
     """All root-containing vertex subsets of the canonical representative,
     as (kept class, sorted multiset of complement component classes) with
     multiplicities.  Enumeration is per child: cut the whole child subtree,
     or keep its root and recurse."""
-    cached = _DECOMP.get(tid)
-    if cached is None:
-        cached = _fold_children(tid, _decomp_options, _merge_components, ())
-        _DECOMP[tid] = cached
-    return cached
+    return _fold_children(tid, _decomp_options, _merge_components, ())
 
 
 # ---------------------------------------------------------------------------
@@ -391,27 +359,20 @@ def partition_tree(lam) -> int:
     return b_plus([lnr(p) for p in parts])
 
 
-@dataclass(frozen=True)
-class CoverInfo:
+class CoverInfo(NamedTuple):
     cover_size: int
     root_in_some: bool
     root_in_none: bool
 
 
-_COVER: dict[int, tuple[int, int]] = {}
-
-
+@memoized({})
 def _cover_dp(tid: int) -> tuple[int, int]:
     """(min cover size with root included, min size with root excluded)."""
-    cached = _COVER.get(tid)
-    if cached is not None:
-        return cached
     incl, excl = 1, 0
     for c in children(tid):
         ci, ce = _cover_dp(c)
         incl += min(ci, ce)
         excl += ci
-    _COVER[tid] = (incl, excl)
     return incl, excl
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -54,13 +53,18 @@ DEFAULT_INTERPOLATION_BOUND = 7
 Q_TIMES_QM1 = QPoly((0, -1, 1))  # q(q-1)
 
 
-@dataclass
 class CheckReport:
-    name: str
-    params: dict = field(default_factory=dict)
-    status: str = "pass"
-    witness: dict | None = None
-    seconds: float = 0.0
+    """The outcome of one named check: "pass" until a failure sets the
+    status and a witness; seconds is filled in when the check finishes."""
+
+    __slots__ = ("name", "params", "status", "witness", "seconds")
+
+    def __init__(self, name: str, params: dict | None = None):
+        self.name = name
+        self.params = {} if params is None else params
+        self.status = "pass"
+        self.witness: dict | None = None
+        self.seconds = 0.0
 
     def ok(self) -> bool:
         return self.status == "pass"
@@ -490,6 +494,8 @@ def check_theorem(name: str, max_order: int | None = None, **kwargs) -> CheckRep
 
 def check_corolla_denominator(max_n: int, progress=None) -> CheckReport:
     """Denominator of the n-corolla coefficient should be prod_{d=2..n+1} Phi_d."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
     t0 = time.perf_counter()
     report = CheckReport("corolla_denominator", {"max_n": max_n})
     for n in range(0, max_n + 1):
@@ -559,6 +565,8 @@ def check_newton(t: int) -> CheckReport:
 
 
 def check_newton_sweep(max_size: int, progress=None) -> CheckReport:
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     t0 = time.perf_counter()
     report = CheckReport("newton_sweep", {"max_size": max_size})
     for n in range(1, max_size + 1):
@@ -579,6 +587,8 @@ def check_partition_conjecture(lam, k: int, order_cap: int = 12) -> CheckReport:
     by Phi_{1 + max part}."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if order_cap < 1:
+        raise ValueError(f"order_cap must be >= 1, got {order_cap}")
     t0 = time.perf_counter()
     lam = tuple(lam)
     report = CheckReport("partition", {"lambda": list(lam), "k": k, "order_cap": order_cap})

@@ -169,6 +169,16 @@ class TestModuleLoading:
             assert code in (None, 0), argv
             assert "arborq.cache" in modules and not modules & self.HEAVY, argv
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "omega", "--order", "3"],
+        ["verify", "--suite", "oracle_colorings", "--max-order", "3"],
+    ])
+    def test_math_layers_load_no_dataclasses(self, argv):
+        # dataclasses loads inspect, which every cold command would pay for
+        code, modules = modules_after(argv)
+        assert code == 0 and "arborq.solvers" in modules
+        assert not modules & {"dataclasses", "inspect"}
+
     def test_compute_without_cache_loads_no_openssl(self):
         code, modules = modules_after(["compute", "omega", "--order", "3"])
         assert code == 0 and "arborq.solvers" in modules
@@ -306,7 +316,8 @@ class TestCache:
         with open(os.path.join(cdir, "x-list.json"), "w") as fh:
             fh.write("[]\n")
         with open(os.path.join(cdir, "y-key.json"), "w") as fh:
-            json.dump({"key": [1], "payload": payload, "sha256": C.payload_hash(payload)}, fh)
+            json.dump({"key": [1], "payload": payload,
+                       "sha256": C.payload_hash(C.canonical_json(payload))}, fh)
         code, out, err = run_cli(["cache", "verify-hashes", "--dir", cdir], capsys)
         assert code == 1 and "Traceback" not in err
         assert out.splitlines()[1:3] == ["BAD  x-list.json", "BAD  y-key.json"]
@@ -329,7 +340,7 @@ class TestCache:
             os.makedirs(cdir, exist_ok=True)
             with open(path, "w") as fh:
                 json.dump({"key": key, "payload": payload,
-                           "sha256": C.payload_hash(payload)}, fh)
+                           "sha256": C.payload_hash(C.canonical_json(payload))}, fh)
             code, out, err = run_cli(args, capsys)
             assert "Traceback" not in err
             if hit and fmt == "json":
@@ -350,11 +361,32 @@ class TestCache:
         run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
         key = C.make_key("E", {}, 3)
         stale_key = dict(key, version=C.FORMAT_VERSION - 1)
-        C.store(cdir, stale_key, {"series": "E", "params": {}, "order": 3, "entries": []})
+        C.store(cdir, stale_key,
+                C.canonical_json({"series": "E", "params": {}, "order": 3, "entries": []}))
         assert len(os.listdir(cdir)) == 2
         code, out, _ = run_cli(["cache", "gc", "--dir", cdir], capsys)
         assert code == 0 and "removed 1" in out
         assert len(os.listdir(cdir)) == 1
+
+    def test_a_json_command_encodes_the_payload_once(self, tmp_path, capsys, monkeypatch):
+        import arborq.cli as cli
+
+        argv = ["compute", "pawn", "--order", "3"]
+        _, want, _ = run_cli(argv, capsys)
+        encoded, canonical_json = [], C.canonical_json
+
+        def counting(obj):
+            encoded.append("entries" in obj)
+            return canonical_json(obj)
+
+        monkeypatch.setattr(C, "canonical_json", counting)
+        monkeypatch.setattr(cli, "canonical_json", counting)
+        # no cache, then a cold compute that stores, then a hit
+        for extra in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
+            encoded.clear()
+            code, out, _ = run_cli(argv + extra, capsys)
+            assert code == 0 and out == want and encoded.count(True) == 1, extra
+        assert len(os.listdir(tmp_path)) == 1
 
     def test_store_writes_the_canonical_entry(self, tmp_path, capsys):
         # the payload is encoded once and written in pieces; the bytes must be
@@ -362,11 +394,12 @@ class TestCache:
         _, out, _ = run_cli(["compute", "pawn", "--order", "3"], capsys)
         key = C.make_key("pawn", {"n": "\u00e9\"\\"}, 3)
         for payload in (json.loads(out), {"series": "é", "entries": [["\n", "1/1"]]}):
-            path = C.store(str(tmp_path), key, payload)
+            text = C.canonical_json(payload)
+            path = C.store(str(tmp_path), key, text)
             with open(path, encoding="utf-8") as fh:
                 written = fh.read()
             assert written == C.canonical_json(
-                {"key": key, "payload": payload, "sha256": C.payload_hash(payload)}) + "\n"
+                {"key": key, "payload": payload, "sha256": C.payload_hash(text)}) + "\n"
 
     def test_gc_reports_an_entry_it_cannot_remove(self, tmp_path, capsys):
         os.mkdir(tmp_path / "x.json")
@@ -387,15 +420,15 @@ class TestCache:
         key = C.make_key("E", {}, 2)
         payload = {"series": "E", "params": {}, "order": 2, "entries": []}
         os.makedirs(C.entry_path(str(tmp_path), key) + ".tmp")
-        path = C.store(str(tmp_path), key, payload)
-        assert C.load(str(tmp_path), key) == payload
+        path = C.store(str(tmp_path), key, C.canonical_json(payload))
+        assert C.load(str(tmp_path), key) == (payload, C.canonical_json(payload))
         assert sorted(os.listdir(tmp_path)) == sorted(
             [os.path.basename(path), os.path.basename(path) + ".tmp"])
 
     def test_gc_removes_old_temp_files(self, tmp_path, capsys):
         cdir = str(tmp_path)
         path = C.store(cdir, C.make_key("E", {}, 2),
-                       {"series": "E", "params": {}, "order": 2, "entries": []})
+                       C.canonical_json({"series": "E", "params": {}, "order": 2, "entries": []}))
         old, fresh = path + ".111.tmp", path + ".222.tmp"
         for tmp in (old, fresh):
             with open(tmp, "w") as fh:
@@ -508,6 +541,10 @@ class TestUsageErrors:
             (["compute", "omega", "--n", "5", "--order", "2"], "--n"),
             (["conjecture", "partition", "--lam", "1", "--k", "0"], "--k"),
             (["conjecture", "partition", "--lam", "1", "--k", "-1"], "--k"),
+            (["conjecture", "partition", "--lam", "1", "--k", "3", "--order-cap", "-5"],
+             "--order-cap"),
+            (["conjecture", "partition", "--lam", "1", "--k", "3", "--order-cap", "0"],
+             "--order-cap"),
         ],
     )
     def test_exit_code_2(self, argv, flag, capsys):

@@ -325,6 +325,51 @@ class TestPartitionTrees:
             T.partition_tree((2, 0))
 
 
+class TestMemoized:
+    def test_once_per_key_and_no_cached_failure(self):
+        table, calls = {}, []
+
+        @T.memoized(table)
+        def half(n):
+            calls.append(n)
+            if n % 2:
+                raise ValueError("odd")
+            return n // 2
+
+        assert [half(4), half(4), half(6)] == [2, 2, 3] and calls == [4, 6]
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                half(3)
+            # the failing body does not run inside a lookup's except block
+            assert exc.value.__context__ is None
+        assert calls == [4, 6, 3, 3] and table == {4: 2, 6: 3}
+        assert half.__name__ == "half" and half.__wrapped__(8) == 4
+
+    def test_several_arguments_key_by_tuple(self):
+        table = {}
+
+        @T.memoized(table)
+        def power(b, e):
+            return b ** e
+
+        assert power(2, 3) == 8 and power(3, 2) == 9 and power(2, 3) == 8
+        assert table == {(2, 3): 8, (3, 2): 9}
+
+    def test_omega_fills_its_table_once_per_tree(self):
+        from arborq import solvers as S
+
+        saved = dict(S._OMEGA)
+        S._OMEGA.clear()
+        try:
+            for _ in range(2):
+                values = [S.omega_coeff(t) for t in T.trees_upto(4)]
+            assert list(S._OMEGA) == list(T.trees_upto(4))
+            assert list(S._OMEGA.values()) == values
+        finally:
+            S._OMEGA.clear()
+            S._OMEGA.update(saved)
+
+
 class TestVertexCovers:
     def test_examples(self):
         info = T.min_vertex_covers_root(T.leaf())

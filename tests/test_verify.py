@@ -292,6 +292,20 @@ class TestConjectures:
         with pytest.raises(ValueError, match="k must be >= 1"):
             V.check_partition_conjecture((1,), k)
 
+    @pytest.mark.parametrize(
+        "sweep, args, message",
+        [
+            ("check_corolla_denominator", (-1,), "max_n must be >= 0"),
+            ("check_newton_sweep", (0,), "max_size must be >= 1"),
+            ("check_newton_sweep", (-3,), "max_size must be >= 1"),
+            ("check_partition_conjecture", ((1,), 3, 0), "order_cap must be >= 1"),
+            ("check_partition_conjecture", ((1,), 3, -5), "order_cap must be >= 1"),
+        ],
+    )
+    def test_sweeps_that_would_check_nothing_raise(self, sweep, args, message):
+        with pytest.raises(ValueError, match=message):
+            getattr(V, sweep)(*args)
+
 
 class TestRandomSeries:
     def test_seed_reproducibility(self):
