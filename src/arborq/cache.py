@@ -124,62 +124,37 @@ def _read_entry(path: str) -> CacheEntry:
     return entry
 
 
-def list_entries(directory: str) -> list[dict]:
-    out = []
+def scan(directory: str):
+    """Yield (file name, CacheEntry or CacheError) for each *.json file of the
+    directory, sorted by name; one entry is held at a time."""
     if not os.path.isdir(directory):
-        return out
+        return
     for name in sorted(os.listdir(directory)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            entry = _read_entry(path)
-            out.append(
-                {
-                    "file": name,
-                    "series": entry.key.get("series"),
-                    "params": entry.key.get("params"),
-                    "order": entry.key.get("order"),
-                    "version": entry.key.get("version"),
-                    "sha256": entry.sha256[:12],
-                    "status": "ok",
-                }
-            )
-        except CacheError as exc:
-            out.append({"file": name, "status": f"corrupt: {exc}"})
-    return out
+        if name.endswith(".json"):
+            try:
+                yield name, _read_entry(os.path.join(directory, name))
+            except CacheError as exc:
+                yield name, exc
 
 
 def gc(directory: str) -> int:
-    """Remove entries whose format version differs from the current one, and
-    temp files older than STALE_TMP_SECONDS."""
+    """Remove entries whose format version differs from the current one,
+    corrupt entries, and temp files older than STALE_TMP_SECONDS."""
     removed = 0
     if not os.path.isdir(directory):
         return removed
     now = time.time()
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
+    for name in os.listdir(directory):
         if name.endswith(".tmp"):
+            path = os.path.join(directory, name)
             try:
                 if os.path.isfile(path) and now - os.path.getmtime(path) > STALE_TMP_SECONDS:
                     os.remove(path)
                     removed += 1
             except FileNotFoundError:
                 pass  # renamed or removed meanwhile by its writer
-            continue
-        if not name.endswith(".json"):
-            continue
-        try:
-            entry = _read_entry(path)
-            stale = entry.key.get("version") != FORMAT_VERSION
-        except CacheError:
-            stale = True
-        if stale:
-            os.remove(path)
+    for name, entry in scan(directory):
+        if isinstance(entry, CacheError) or entry.key.get("version") != FORMAT_VERSION:
+            os.remove(os.path.join(directory, name))
             removed += 1
     return removed
-
-
-def verify_hashes(directory: str) -> list[tuple[str, bool]]:
-    """Re-hash every payload; returns (file, ok) pairs."""
-    return [(e["file"], e["status"] == "ok") for e in list_entries(directory)]

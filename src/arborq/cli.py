@@ -34,43 +34,27 @@ CACHE_DIR_ENV = "ARBORQ_CACHE_DIR"
 COSTLY_ORDER = 10
 WORKERS_HELP = "accepted for compatibility (must be >= 1); has no effect"
 
-SERIES_RING = {
-    "pawn": "xpoly",
-    "E": "qrat",
-    "F": "qrat",
-    "G": "qrat",
-    "omega": "qrat",
-    "omega_bar": "qrat",
-    "pawn_at": "qrat",
+# name -> (ring, the usage of --n after "requires --n" or None if the series
+# takes none, solver).  A solver is given the solvers module, n and the order,
+# so that importing the CLI loads no math layer.
+SERIES = {
+    "pawn": ("xpoly", None, lambda sv, n, order: sv.solve_pawn(order)),
+    "E": ("qrat", None, lambda sv, n, order: sv.series_E(order)),
+    "F": ("qrat", ">= 0", lambda sv, n, order: sv.coloring_series(order, n, "weak")),
+    "G": ("qrat", ">= 0", lambda sv, n, order: sv.coloring_series(order, n, "strict")),
+    "omega": ("qrat", None, lambda sv, n, order: sv.solve_omega(order)),
+    "omega_bar": ("qrat", None, lambda sv, n, order: sv.solve_omega_bar(order)),
+    "pawn_at": ("qrat", "(the q-integer)", lambda sv, n, order: sv.eval_pawn_at_qint(order, n)),
 }
 
 
-def _compute_series(name: str, n: int | None, order: int) -> TreeSeries:
-    # n was checked against the series by _check_compute_args
-    from . import solvers as sv
-
-    if name == "pawn":
-        return sv.solve_pawn(order)
-    if name == "E":
-        return sv.series_E(order)
-    if name == "F":
-        return sv.coloring_series(order, n, "weak")
-    if name == "G":
-        return sv.coloring_series(order, n, "strict")
-    if name == "omega":
-        return sv.solve_omega(order)
-    if name == "omega_bar":
-        return sv.solve_omega_bar(order)
-    return sv.eval_pawn_at_qint(order, n)
-
-
 def _check_compute_args(parser: argparse.ArgumentParser, args) -> None:
-    if args.series in ("F", "G") and (args.n is None or args.n < 0):
-        parser.error(f"series {args.series} requires --n >= 0")
-    if args.series == "pawn_at" and args.n is None:
-        parser.error("series pawn_at requires --n (the q-integer)")
-    if args.series not in ("F", "G", "pawn_at") and args.n is not None:
-        parser.error(f"series {args.series} takes no --n")
+    n_usage = SERIES[args.series][1]
+    if n_usage is None:
+        if args.n is not None:
+            parser.error(f"series {args.series} takes no --n")
+    elif args.n is None or (n_usage == ">= 0" and args.n < 0):
+        parser.error(f"series {args.series} requires --n {n_usage}")
 
 
 VERIFY_FLAGS = {"max_order": "--max-order", "n_range": "--n-range", "bound": "--coloring-bound"}
@@ -205,51 +189,48 @@ def cmd_compute(args) -> int:
     key = cache_mod.make_key(args.series, params, args.order)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
 
-    # encoded: the payload's canonical json, made at most once per command
-    payload = encoded = series = None
+    ring, _, solve = SERIES[args.series]
+    hit = None
     if cache_dir:
         try:
             hit = cache_mod.load(cache_dir, key)
         except cache_mod.CacheError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if hit is not None:
-            payload, encoded = hit
-    if payload is None:
-        from . import trees as tr
-        from .serialize import value_to_obj
+    # encoded: the payload's canonical json, made at most once per command
+    series = encoded = None
+    if hit is not None:
+        payload, encoded = hit
+        if args.format != "json":
+            # csv and tex need the series; a json hit prints the checked text
+            from .serialize import series_from_obj
 
-        series = _compute_series(args.series, args.n, args.order)
-        entries = [[tr.encoding(t), value_to_obj(series.ring, v)] for t, v in series.items()]
-        payload = {
-            "series": args.series,
-            "params": params,
-            "order": args.order,
-            "entries": entries,
-        }
+            try:
+                series = series_from_obj({**payload, "ring": ring})
+            except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+                print(f"error: {cache_mod.entry_path(cache_dir, key)}: unreadable cached "
+                      f"value ({exc!r})", file=sys.stderr)
+                return 1
+    else:
+        from . import solvers
+
+        series = solve(solvers, args.n, args.order)
+        if cache_dir or args.format == "json":
+            from .serialize import series_to_obj
+
+            # the payload lives only as long as its encoding takes
+            encoded = canonical_json({"series": args.series, "params": params,
+                                      "order": args.order,
+                                      "entries": series_to_obj(series)["entries"]})
         if cache_dir:
-            encoded = canonical_json(payload)
             try:
                 cache_mod.store(cache_dir, key, encoded)
             except OSError as exc:
                 print(f"error: cannot write the cache entry: {exc}", file=sys.stderr)
                 return 1
-    elif args.format != "json":
-        # csv and tex need the series; a json hit renders the checked payload
-        from .serialize import series_from_obj
-
-        try:
-            series = series_from_obj(
-                {"order": payload["order"], "ring": SERIES_RING[args.series],
-                 "entries": payload["entries"]}
-            )
-        except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
-            print(f"error: {cache_mod.entry_path(cache_dir, key)}: unreadable cached "
-                  f"value ({exc!r})", file=sys.stderr)
-            return 1
 
     if args.format == "json":
-        text = (canonical_json(payload) if encoded is None else encoded) + "\n"
+        text = encoded + "\n"
     elif args.format == "csv":
         text = _render_csv(series)
     else:
@@ -322,46 +303,44 @@ def _partition(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _print_report(report) -> int:
+    """Print a check's status line, and its witness if it failed; return the
+    number of failures it counts for (0 or 1)."""
+    print(f"{report.status.upper():4s}  {report.name:24s} {report.seconds:8.2f}s")
+    if report.ok():
+        return 0
+    print(f"      witness: {canonical_json(report.witness)}")
+    return 1
+
+
 def cmd_verify(args) -> int:
     from . import verify as vf
 
     names = args.suite
-    failures = 0
-    for name in names:
-        report = vf.check_theorem(name, args.max_order, n_range=args.n_range,
-                                  bound=args.coloring_bound)
-        status = report.status.upper()
-        print(f"{status:4s}  {name:24s} {report.seconds:8.2f}s")
-        if not report.ok():
-            failures += 1
-            print(f"      witness: {canonical_json(report.witness)}")
+    failures = sum(_print_report(vf.check_theorem(name, args.max_order, n_range=args.n_range,
+                                                  bound=args.coloring_bound))
+                   for name in names)
     print(f"{len(names) - failures}/{len(names)} checks passed")
     return 1 if failures else 0
+
+
+def _progress(msg: str) -> None:
+    print(f"  .. {msg}", file=sys.stderr)
+
+
+def _partition_sweep(vf, args):
+    try:
+        return vf.check_partition_conjecture(args.lam, args.k, args.order_cap)
+    except ValueError as exc:  # the tree is above --order-cap
+        print(f"INCONCLUSIVE  partition: {exc}")
+        return None
 
 
 def cmd_conjecture(args) -> int:
     from . import verify as vf
 
-    def progress(msg: str):
-        print(f"  .. {msg}", file=sys.stderr)
-
-    if args.name == "corolla-denominator":
-        report = vf.check_corolla_denominator(args.max_n, progress=progress)
-    elif args.name == "newton":
-        report = vf.check_newton_sweep(args.max_size, progress=progress)
-    elif args.name == "partition":
-        try:
-            report = vf.check_partition_conjecture(args.lam, args.k, args.order_cap)
-        except ValueError as exc:  # the tree is above --order-cap
-            print(f"INCONCLUSIVE  partition: {exc}")
-            return 0
-    else:
-        raise SystemExit(f"error: unknown conjecture {args.name!r}")
-    print(f"{report.status.upper():4s}  {report.name:24s} {report.seconds:8.2f}s")
-    if not report.ok():
-        print(f"      witness: {canonical_json(report.witness)}")
-        return 1
-    return 0
+    report = args.sweep(vf, args)
+    return 0 if report is None else _print_report(report)
 
 
 def cmd_cache(args) -> int:
@@ -369,16 +348,6 @@ def cmd_cache(args) -> int:
     if not directory:
         print(f"error: give --dir or set {CACHE_DIR_ENV}", file=sys.stderr)
         return 2
-    if args.action == "list":
-        entries = cache_mod.list_entries(directory)
-        for e in entries:
-            if e.get("status") == "ok":
-                print(f"{e['file']}  {e['series']}  params={canonical_json(e['params'])} "
-                      f"order={e['order']} v{e['version']} sha={e['sha256']}")
-            else:
-                print(f"{e['file']}  {e['status']}")
-        print(f"{len(entries)} entries")
-        return 0
     if args.action == "gc":
         try:
             removed = cache_mod.gc(directory)
@@ -387,14 +356,24 @@ def cmd_cache(args) -> int:
             return 1
         print(f"removed {removed} stale entries")
         return 0
-    if args.action == "verify-hashes":
-        results = cache_mod.verify_hashes(directory)
-        bad = [name for name, ok in results if not ok]
-        for name, ok in results:
-            print(f"{'ok  ' if ok else 'BAD '} {name}")
-        print(f"{len(results) - len(bad)}/{len(results)} entries verified")
-        return 1 if bad else 0
-    raise SystemExit(f"error: unknown cache action {args.action!r}")
+    count = bad = 0
+    for name, entry in cache_mod.scan(directory):
+        count += 1
+        corrupt = isinstance(entry, cache_mod.CacheError)
+        bad += corrupt
+        if args.action == "verify-hashes":
+            print(f"{'BAD ' if corrupt else 'ok  '} {name}")
+        elif corrupt:
+            print(f"{name}  corrupt: {entry}")
+        else:
+            key = entry.key
+            print(f"{name}  {key.get('series')}  params={canonical_json(key.get('params'))} "
+                  f"order={key.get('order')} v{key.get('version')} sha={entry.sha256[:12]}")
+    if args.action == "list":
+        print(f"{count} entries")
+        return 0
+    print(f"{count - bad}/{count} entries verified")
+    return 1 if bad else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute a series coefficient table")
-    p.add_argument("series", choices=sorted(SERIES_RING))
+    p.add_argument("series", choices=sorted(SERIES))
     p.add_argument("--n", type=int, default=None,
                    help="parameter for F/G (color bound) or pawn_at (q-integer)")
     p.add_argument("--order", type=_positive, default=6)
@@ -427,14 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("conjecture", help="run a conjecture sweep")
-    p.add_argument("name", choices=("corolla-denominator", "newton", "partition"))
+    p.set_defaults(fn=cmd_conjecture)
+    # one parser per sweep, so a flag of another sweep is a usage error
+    sweeps = p.add_subparsers(dest="name", required=True)
+    p = sweeps.add_parser("corolla-denominator")
     p.add_argument("--max-n", type=_nonnegative, default=12)
+    p.set_defaults(sweep=lambda vf, a: vf.check_corolla_denominator(a.max_n, progress=_progress))
+    p = sweeps.add_parser("newton")
     p.add_argument("--max-size", type=_positive, default=8)
+    p.set_defaults(sweep=lambda vf, a: vf.check_newton_sweep(a.max_size, progress=_progress))
+    p = sweeps.add_parser("partition")
     p.add_argument("--lam", type=_partition, default=(),
                    help="partition, comma separated (e.g. 2,1)")
     p.add_argument("--k", type=_positive, default=3)
     p.add_argument("--order-cap", type=_positive, default=12)
-    p.set_defaults(fn=cmd_conjecture)
+    p.set_defaults(sweep=_partition_sweep)
 
     p = sub.add_parser("cache", help="maintain the on-disk cache")
     p.add_argument("action", choices=("list", "gc", "verify-hashes"))

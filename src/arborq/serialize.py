@@ -85,28 +85,21 @@ def qseries_from_obj(obj) -> QSeries:
     return QSeries([frac_from_str(c) for c in obj["coeffs"]], obj["order"])
 
 
+# ring -> (writer, reader) of one coefficient
+_CODECS = {
+    "rational": (frac_to_str, frac_from_str),
+    "qrat": (qrat_to_obj, qrat_from_obj),
+    "xpoly": (xpoly_to_obj, xpoly_from_obj),
+    "qseries": (qseries_to_obj, qseries_from_obj),
+}
+
+
 def value_to_obj(ring: str, v):
-    if ring == "rational":
-        return frac_to_str(v)
-    if ring == "qrat":
-        return qrat_to_obj(v)
-    if ring == "xpoly":
-        return xpoly_to_obj(v)
-    if ring == "qseries":
-        return qseries_to_obj(v)
-    raise ValueError(f"unknown ring {ring!r}")
+    return _CODECS[ring][0](v)
 
 
 def value_from_obj(ring: str, obj):
-    if ring == "rational":
-        return frac_from_str(obj)
-    if ring == "qrat":
-        return qrat_from_obj(obj)
-    if ring == "xpoly":
-        return xpoly_from_obj(obj)
-    if ring == "qseries":
-        return qseries_from_obj(obj)
-    raise ValueError(f"unknown ring {ring!r}")
+    return _CODECS[ring][1](obj)
 
 
 def series_to_obj(s: TreeSeries) -> dict:

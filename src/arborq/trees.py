@@ -89,10 +89,6 @@ def _partitions(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def tree(tid: int) -> Tree:
-    return _TREES[tid]
-
-
 def size(tid: int) -> int:
     return _TREES[tid].size
 

@@ -750,7 +750,7 @@ class TestFractionFree:
             "except ExactDivisionError:\n    print('raised')\n"
         )
         out = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            [sys.executable, "-B", "-O", "-c", code], capture_output=True, text=True,
             env={"PYTHONPATH": ":".join(sys.path)}, check=True,
         ).stdout
         assert out == "raised\n"

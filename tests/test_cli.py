@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from arborq import algebra, cache as C, verify as vf
+from arborq import algebra, cache as C, serialize, solvers as S, trees as T, verify as vf
 from arborq.cli import main
+from tests.test_verify import CORRUPT_TREE, corrupt
 
 
 def run_cli(argv, capsys) -> tuple[int, str, str]:
@@ -101,6 +102,27 @@ class TestCompute:
     def test_pawn_at_requires_n(self, capsys):
         with pytest.raises(SystemExit):
             main(["compute", "pawn_at", "--order", "3"])
+
+    def test_G_csv(self, capsys):
+        code, out, _ = run_cli(["compute", "G", "--n", "1", "--order", "3", "--format", "csv"],
+                               capsys)
+        assert code == 0
+        assert out.splitlines() == ["size,encoding,coefficient", "1,(),q + 1", "2,(()),q",
+                                    "3,(()()),q"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "tex"])
+    def test_cold_csv_and_tex_encode_no_payload(self, fmt, capsys, monkeypatch):
+        # with no cache to store into, nothing reads a json payload
+        monkeypatch.delenv("ARBORQ_CACHE_DIR", raising=False)
+        argv = ["compute", "pawn", "--order", "3", "--format", fmt]
+        _, want, _ = run_cli(argv, capsys)
+
+        def no_payload(ring, v):
+            raise AssertionError("a payload was built")
+
+        monkeypatch.setattr(serialize, "value_to_obj", no_payload)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == want
 
     def test_pawn_at_zero_is_all_ones(self, capsys):
         code, out, _ = run_cli(
@@ -252,6 +274,17 @@ class TestCache:
         )
         assert fresh == cached
 
+    def test_tex_denominator_that_is_not_a_cyclotomic_product(self, tmp_path, capsys):
+        # at x = [-2]_q the one-vertex coefficient 1 + qx is -1/q: its
+        # denominator is no product of Phi_d, so cli._cyclo_tex factors it
+        # with factor_cyclotomic
+        args = ["compute", "pawn_at", "--n", "-2", "--order", "3", "--format", "tex",
+                "--cache-dir", str(tmp_path)]
+        _, fresh, _ = run_cli(args, capsys)
+        code, cached, _ = run_cli(args, capsys)
+        assert code == 0 and cached == fresh
+        assert fresh.splitlines()[2:-1] == ["&\\frac{-1}{(q)} \\cdot \\texttt{()} \\\\"]
+
     def test_cache_csv_render_from_cache(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")
         _, fresh, _ = run_cli(
@@ -324,8 +357,19 @@ class TestCache:
         assert out.splitlines()[-1] == "1/3 entries verified"
         code, out, _ = run_cli(["cache", "list", "--dir", cdir], capsys)
         assert code == 0 and out.count("corrupt:") == 2 and "3 entries" in out
-        assert [ok for _, ok in C.verify_hashes(cdir)] == [
-            e["status"] == "ok" for e in C.list_entries(cdir)] == [True, False, False]
+        assert [(name, isinstance(e, C.CacheEntry)) for name, e in C.scan(cdir)][1:] == [
+            ("x-list.json", False), ("y-key.json", False)]
+        assert [isinstance(e, C.CacheEntry) for _, e in C.scan(cdir)] == [True, False, False]
+
+    def test_entry_whose_key_is_not_the_request(self, tmp_path, capsys):
+        cdir = str(tmp_path)
+        payload = {"series": "E", "params": {}, "order": 3, "entries": []}
+        path = C.store(cdir, C.make_key("E", {}, 3), C.canonical_json(payload))
+        wanted = C.entry_path(cdir, C.make_key("E", {}, 2))
+        os.replace(path, wanted)
+        code, out, err = run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {wanted}: stored key does not match the request\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "tex"])
     def test_payloads_that_do_not_match_their_key(self, tmp_path, capsys, fmt):
@@ -473,6 +517,16 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    def test_failure_prints_the_witness(self, capsys, monkeypatch):
+        corrupt(monkeypatch, CORRUPT_TREE, {5: (1,)})
+        code, out, _ = run_cli(["verify", "--suite", "x_infinity", "--max-order", "5"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL  x_infinity ")
+        assert lines[1] == ('      witness: {"degree":"5","size":"4","tree":"%s"}'
+                            % T.encoding(CORRUPT_TREE))
+        assert lines[2:] == ["0/1 checks passed"]
+
     def test_multiple_suites(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--suite", "q1_no_pole,associativity", "--max-order", "4"], capsys
@@ -485,6 +539,16 @@ class TestConjectureCommand:
     def test_corolla(self, capsys):
         code, out, _ = run_cli(["conjecture", "corolla-denominator", "--max-n", "6"], capsys)
         assert code == 0 and "PASS" in out
+
+    def test_corolla_failure_prints_the_witness(self, capsys, monkeypatch):
+        # the 2-corolla given the 1-corolla's value, whose denominator lacks Phi_3
+        monkeypatch.setitem(S._COROLLA, 2, S.pawn_corolla(1))
+        code, out, _ = run_cli(["conjecture", "corolla-denominator", "--max-n", "3"], capsys)
+        assert code == 1
+        status, witness = out.splitlines()
+        assert status.startswith("FAIL  corolla_denominator ")
+        assert witness == ('      witness: {"denominator":"q + 1","factors":"{2: 1}",'
+                           '"n":"2","remainder":"1"}')
 
     def test_newton(self, capsys):
         code, out, _ = run_cli(["conjecture", "newton", "--max-size", "5"], capsys)
@@ -545,6 +609,10 @@ class TestUsageErrors:
              "--order-cap"),
             (["conjecture", "partition", "--lam", "1", "--k", "3", "--order-cap", "0"],
              "--order-cap"),
+            # a flag of another sweep
+            (["conjecture", "newton", "--max-n", "5", "--max-size", "3"], "--max-n"),
+            (["conjecture", "corolla-denominator", "--max-size", "3", "--lam", "1",
+              "--max-n", "3"], "--max-size"),
         ],
     )
     def test_exit_code_2(self, argv, flag, capsys):
