@@ -20,15 +20,18 @@ derive alike (-, **, exact_div, repr) from their own coercion and ring
 operations.
 
 The fraction-free layer works on plain int tuples: zpolys in Z[q] and
-zxpolys in Z[q][x], with products, exact division by q - 1 and integer
-(pseudo-)division, the quotients of q-factorials the recursions scale by, and
-the cyclotomic reduction of num / [n]_q! (to a canonical QRat, or for a zxpoly
-to a numerator over a monic denominator, all in ints).  The per-tree
-recursions run on it directly; QPoly runs on it too, through its ints: a QPoly
-is ints / den with ints a zpoly and den a positive int coprime to the content
-of ints (zero is ((), 1)), so Q(q) arithmetic runs on Python ints.  The
-Fraction view of a QPoly (coeffs, coeff, leading) is made on demand for
-readers such as printing and tests, and is never stored.
+zxpolys in Z[q][x], with products, integer (pseudo-)division, exact division
+by x - r and by 1 + qx, the quotients of q-factorials the recursions scale
+by, and the cyclotomic reduction of num / [n]_q! (to a canonical QRat, or for
+a zxpoly to a numerator over a monic denominator, all in ints).  Its packed form holds
+a zpoly or zxpoly as one Python int, the Kronecker substitution q = 2^bits,
+x = 2^(bits*width): the per-tree engine solves on packed ints, the cyclotomic
+reduction and the residue filters of cyclotomic trial division divide them.
+The per-tree recursions run on this layer directly; QPoly runs on it too,
+through its ints: a QPoly is ints / den with ints a zpoly and den a positive
+int coprime to the content of ints (zero is ((), 1)), so Q(q) arithmetic runs
+on Python ints.  The Fraction view of a QPoly (coeffs, coeff, leading) is
+made on demand for readers such as printing and tests, and is never stored.
 
 The gcd that keeps QRat reduced is GCDHEU (Char, Geddes & Gonnet, 1989): one
 big-integer gcd of the two primitive numerators evaluated at
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -514,15 +518,20 @@ def factor_cyclotomic(p: QPoly):
     factors: dict[int, int] = {}
     # Phi_d is monic over Z, so it splits off p = ints / den through ints
     rem = p.ints
+    value = zpoly_pack(rem, _RESIDUE_BITS)
     d = 0
     while len(rem) > 1 and d < 2 * (len(rem) - 1) ** 2:
         d += 1
-        # the fold test is cheap; the division stays the authority on each split
-        while _totient(d) < len(rem) and _divisible_by_cyclotomic(rem, d):
+        # the residue rules Phi_d out; the division stays the authority on each split
+        while _totient(d) < len(rem):
+            phi = _cyclotomic_at(d, _RESIDUE_BITS)[0]
+            if value % phi:
+                break
             quot, r = zpoly_divmod(rem, zcyclotomic(d))
             if r:
                 break
             rem = quot
+            value //= phi
             factors[d] = factors.get(d, 0) + 1
     rest = QPoly.from_ints(rem, p.den)
     return rest.leading, factors, rest.monic()
@@ -892,17 +901,6 @@ def zxpoly_trim(a: Sequence[Sequence[int]]) -> tuple:
     return tuple(cs)
 
 
-def zpoly_div_q_minus_1(a: Sequence[int]) -> tuple[int, ...]:
-    """Exact quotient a / (q - 1) by synthetic division at q = 1.
-
-    The remainder is a(1); a nonzero one raises ExactDivisionError.
-    """
-    a = zpoly_trim(a)
-    if sum(a):
-        raise ExactDivisionError(f"{QPoly(a)} is not divisible by q - 1")
-    return tuple(itertools.accumulate(a[:0:-1]))[::-1]
-
-
 def zpoly_divmod(a: Sequence[int], m: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Quotient and remainder of a by a nonzero integer polynomial m over Z.
 
@@ -953,6 +951,149 @@ def zcyclotomic(d: int) -> tuple[int, ...]:
     return num
 
 
+# ---------------------------------------------------------------------------
+# Packed integer polynomials (Kronecker substitution)
+#
+# For bits a multiple of 8, a zpoly a with every |coefficient| < 2^(bits-1) is
+# one Python int a(2^bits): its balanced base-2^bits digits are the
+# coefficients.  A zxpoly whose rows also have q-degree below width is
+# a(2^bits, 2^(bits*width)), row j at digits j*width .. (j+1)*width - 1.
+# Packing evaluates, so a sum, a product or a shift by q^k (<< bits*k) of
+# packed values is the packed result; and under those bounds it is injective
+# (the argument of GCDHEU), so the result reads back whenever it obeys the
+# bounds too.  The callers carry the bounds.  At bits 8, 16, 32 and 64 a digit
+# is a machine integer, and packing and reading back run through struct in
+# one pass.
+
+_STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+# The digit size of the residue filters: Phi_d divides a zpoly a only if
+# Phi_d(2^bits) divides a(2^bits), whatever bits is.
+_RESIDUE_BITS = 64
+
+
+@lru_cache(maxsize=256)
+def _digit_unit(bits: int, slots: int) -> int:
+    """sum_{i < slots} 2^(bits*i): a 1 in each of the lowest slots digits."""
+    return ((1 << bits * slots) - 1) // ((1 << bits) - 1)
+
+
+def zpoly_pack(a: Sequence[int], bits: int) -> int:
+    """a(2^bits) = sum_i a_i 2^(bits*i), for any int coefficients a."""
+    code = _STRUCT_CODES.get(bits)
+    if code is not None:
+        try:
+            raw = int.from_bytes(struct.pack(f"<{len(a)}{code}", *a), "little")
+        except struct.error:  # a coefficient does not fit a machine integer
+            pass
+        else:
+            # raw holds each coefficient in two's complement; flipping the sign
+            # bit of each makes it offset binary, coefficient + 2^(bits-1)
+            offset = _digit_unit(bits, len(a)) << (bits - 1)
+            return (raw ^ offset) - offset
+    if len(a) > 32:  # halve, for O(n log n) rather than Horner's O(n^2) shifting
+        mid = len(a) // 2
+        return zpoly_pack(a[:mid], bits) + (zpoly_pack(a[mid:], bits) << bits * mid)
+    v = 0
+    for c in reversed(a):
+        v = (v << bits) + c
+    return v
+
+
+def _to_digits(v: int, bits: int, slots: int) -> Sequence[int]:
+    """The lowest slots balanced base-2^bits digits of v, each in
+    [-2^(bits-1), 2^(bits-1)); they sum back to v when |v| < 2^(bits*slots-2)."""
+    half = 1 << (bits - 1)
+    offset = _digit_unit(bits, slots) << (bits - 1)
+    w = v + offset  # offset binary: every digit plus 2^(bits-1), no carries
+    size = bits // 8
+    code = _STRUCT_CODES.get(bits)
+    if code is not None:
+        return struct.unpack(f"<{slots}{code}", (w ^ offset).to_bytes(slots * size, "little"))
+    raw = w.to_bytes(slots * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
+
+
+def zpoly_unpack(v: int, bits: int) -> tuple[int, ...]:
+    """The zpoly whose coefficients are the balanced base-2^bits digits of v:
+    a again for v = zpoly_pack(a, bits) with every |a_i| < 2^(bits-1)."""
+    return zpoly_trim(_to_digits(v, bits, abs(v).bit_length() // bits + 2))
+
+
+def zxpoly_pack(a: Sequence[Sequence[int]], bits: int, width: int) -> int:
+    """a(2^bits, 2^(bits*width)) for a zxpoly a whose rows are shorter than width."""
+    flat: list[int] = []
+    for row in a:
+        if len(row) > width:
+            raise ValueError(f"a row of q-degree {len(row) - 1} does not fit {width} slots")
+        flat.extend(row)
+        flat.extend(itertools.repeat(0, width - len(row)))
+    return zpoly_pack(flat, bits)
+
+
+def zxpoly_unpack(v: int, bits: int, width: int) -> tuple:
+    """The zxpoly read back from its packing v at (bits, width)."""
+    rows = -(-(abs(v).bit_length() // bits + 2) // width)
+    digits = _to_digits(v, bits, rows * width)
+    return zxpoly_trim([digits[i:i + width] for i in range(0, rows * width, width)])
+
+
+@lru_cache(maxsize=64)
+def _top_slot_masks(bits: int, width: int, rows: int) -> tuple[int, int]:
+    # every bit of the top slot of each row, and what those slots hold in
+    # offset binary when their digits are zero
+    top = _digit_unit(bits * width, rows) << bits * (width - 1)
+    return top * ((1 << bits) - 1), top << (bits - 1)
+
+
+def zxpack_div_q_minus_1(v: int, bits: int, width: int) -> int:
+    """The packed quotient by q - 1 of the packing v, at (bits, width), of a
+    zxpoly t with L1 norm below 2^(bits-2) and every q-degree below width - 1.
+    A t that q - 1 does not divide raises ExactDivisionError.
+
+    The integer division by 2^bits - 1 leaves no remainder when q - 1 divides
+    t.  When it does not, t = (q - 1) Q + r with r = t(1, x) nonzero.  The norm
+    bound gives |r(1)| < 2^bits - 1, so a zero integer remainder means r(1) = 0
+    and the top nonzero r_J of r has J >= 1; since 2^(bits*width*j) - 1 is
+    2^bits - 1 times sum_{i < j*width} 2^(bits*i), the integer quotient is then
+    Q plus sum_j r_j [j*width]_q, whose digit in the top slot of row J - 1 is
+    r_J.  Q has q-degree below width - 1, and by the norm bound no digit
+    carries, so a zero top slot in every row certifies the division.
+    """
+    quot, rem = divmod(v, (1 << bits) - 1)
+    if not rem:
+        rows = -(-(abs(quot).bit_length() // bits + 2) // width)
+        mask, zero = _top_slot_masks(bits, width, rows)
+        if (quot + (_digit_unit(bits, rows * width) << (bits - 1))) & mask == zero:
+            return quot
+    raise ExactDivisionError("a packed polynomial is not divisible by q - 1")
+
+
+@lru_cache(maxsize=1024)
+def _digit_bounds(bits: int, h: int, slots: int) -> tuple[int, int]:
+    # 2^h in each digit, and every bit at or above h + 1 of each digit
+    unit = _digit_unit(bits, slots)
+    return unit << h, unit * (((1 << bits) - 1) ^ ((2 << h) - 1))
+
+
+def _digits_within(v: int, bits: int, h: int) -> bool:
+    """Whether every balanced base-2^bits digit of v lies in [-2^h, 2^h), for
+    0 <= h <= bits - 2: then v + 2^h sum_i 2^(bits*i) is nonnegative and has
+    no bit at or above h + 1 in any digit."""
+    offset, high = _digit_bounds(bits, h, abs(v).bit_length() // bits + 2)
+    w = v + offset
+    return w >= 0 and not w & high
+
+
+def slot_bits(need: int) -> int:
+    """The digit size for coefficients of need bits or fewer, sign included:
+    8, 16, 32 or 64 (a machine integer), else the next multiple of 64."""
+    for bits in (8, 16, 32, 64):
+        if need <= bits:
+            return bits
+    return -(-need // 64) * 64
+
+
 @lru_cache(maxsize=None)
 def _q_factorial(n: int) -> QPoly:
     return math.prod((q_int_poly(k) for k in range(2, n + 1)), start=QPOLY_ONE)
@@ -988,8 +1129,16 @@ def _cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> QPoly:
     return QPoly._raw(out)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_at(d: int, bits: int) -> tuple[int, int]:
+    """Phi_d(2^bits), and the largest h such that a quotient with digits in
+    [-2^h, 2^h) times Phi_d keeps every coefficient below 2^(bits-2)."""
+    phi = zcyclotomic(d)
+    return zpoly_pack(phi, bits), bits - 2 - sum(map(abs, phi)).bit_length()
+
+
 def _split_q_factorial(rows: Sequence[Sequence[int]], n: int,
-                       q_minus_1_power: int = 0) -> tuple[Sequence, tuple]:
+                       q_minus_1_power: int = 0) -> tuple[list, tuple]:
     """Divide the integer polynomials in rows by each Phi_d of the denominator
     (q - 1)^b [n]_q! (b = q_minus_1_power) that divides all of them, at most as
     often as it divides the denominator.  Returns the quotient rows and the
@@ -998,15 +1147,42 @@ def _split_q_factorial(rows: Sequence[Sequence[int]], n: int,
     [n]_q! = prod_{d=2..n} Phi_d^floor(n/d) and q - 1 = Phi_1.  The Phi_d are
     monic and irreducible, so no Phi_d left in the denominator divides every
     row: the rows over the product of what is left are in lowest terms.
+
+    The rows are packed at q = 2^bits.  Phi_d divides a row only if
+    Phi_d(2^bits) divides its packing, so a nonzero residue rules Phi_d out.
+    A zero residue leaves an integer quotient; when its digits lie in
+    [-2^h, 2^h) (see _cyclotomic_at) it packs a polynomial whose product with
+    Phi_d has coefficients below 2^(bits-1) and packs to the row, so by
+    injectivity that product is the row and the division is exact.  A
+    quotient that fails this digit bound redoes the step with digits twice as
+    wide; for wide enough digits the residue of a row Phi_d does not divide is
+    nonzero, and the quotient of one it divides passes.
     """
+    top = max((max(map(abs, r)) for r in rows if r), default=0)
+    bits = slot_bits(top.bit_length() + 8)
+    packed = [zpoly_pack(r, bits) for r in rows]
     left = []
     for d, e in itertools.chain(((1, q_minus_1_power),), ((d, n // d) for d in range(2, n + 1))):
-        while e and all(_divisible_by_cyclotomic(r, d) for r in rows if r):
-            rows = [zpoly_exact_div(r, zcyclotomic(d)) for r in rows]
-            e -= 1
+        while e:
+            phi, h = _cyclotomic_at(d, bits)
+            quots = []
+            for v in packed:
+                quot, rem = divmod(v, phi)
+                if rem:
+                    break
+                quots.append(quot)
+            else:
+                if h >= 0 and all(_digits_within(v, bits, h) for v in quots):
+                    packed = quots
+                    e -= 1
+                else:
+                    packed = [zpoly_pack(zpoly_unpack(v, bits), 2 * bits) for v in packed]
+                    bits *= 2
+                continue
+            break
         if e:
             left.append((d, e))
-    return rows, tuple(left)
+    return [zpoly_unpack(v, bits) for v in packed], tuple(left)
 
 
 def qrat_over_q_factorial(num: Sequence[int], n: int, q_power: int = 0,
@@ -1041,12 +1217,18 @@ def qrat_certified(num: QPoly, den: QPoly) -> QRat:
 
     When den is a product of cyclotomic polynomials (cyclotomic_exponents),
     num / den is reduced exactly when no Phi_d of den divides num, since the
-    Phi_d are irreducible.  Any other input (a den that is not such a product,
-    or a num sharing a Phi_d with it) goes through QRat(num, den).
+    Phi_d are irreducible.  Phi_d divides num only if Phi_d(2^bits) divides
+    num(2^bits), for any bits, so one nonzero residue rules Phi_d out; only a
+    zero residue runs the exact fold test.  Any other input (a den that is not
+    such a product, or a num sharing a Phi_d with it) goes through
+    QRat(num, den).
     """
     exps = cyclotomic_exponents(den) if num else None
-    if exps is not None and not any(_divisible_by_cyclotomic(num.ints, d) for d, _ in exps):
-        return QRat._raw(num, den)
+    if exps is not None:
+        v = zpoly_pack(num.ints, _RESIDUE_BITS)
+        if all(v % _cyclotomic_at(d, _RESIDUE_BITS)[0] or not _divisible_by_cyclotomic(num.ints, d)
+               for d, _ in exps):
+            return QRat._raw(num, den)
     return QRat(num, den)
 
 

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
     from .series import TreeSeries
 
 CACHE_DIR_ENV = "ARBORQ_CACHE_DIR"
-COSTLY_ORDER = 10
+COSTLY_ORDER = 11
 WORKERS_HELP = "accepted for compatibility (must be >= 1); has no effect"
 
 # name -> (ring, the usage of --n after "requires --n" or None if the series
@@ -179,12 +179,6 @@ def _render_tex(series: TreeSeries, name: str) -> str:
 
 
 def cmd_compute(args) -> int:
-    if args.order >= COSTLY_ORDER:
-        print(
-            f"warning: order {args.order} runs exact bivariate arithmetic over "
-            f"hundreds of tree classes; expect a long run",
-            file=sys.stderr,
-        )
     params = {} if args.n is None else {"n": args.n}
     key = cache_mod.make_key(args.series, params, args.order)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
@@ -214,6 +208,9 @@ def cmd_compute(args) -> int:
     else:
         from . import solvers
 
+        if args.order >= COSTLY_ORDER:
+            print(f"warning: order {args.order} solves thousands of tree classes "
+                  f"exactly; expect a long run", file=sys.stderr)
         series = solve(solvers, args.n, args.order)
         if cache_dir or args.format == "json":
             from .serialize import series_to_obj

@@ -10,9 +10,10 @@ callers) is byte-stable across runs, which the cache hashes rely on; it is
 cache.canonical_json, defined there so that the cache needs no math layer.
 
 Reading a series back needs no polynomial gcd.  Each "p/r" string is parsed
-once by Fraction (frac_from_str is memoized; a series repeats few distinct
-strings) and a q-polynomial is built as one integer polynomial over the lcm
-of its denominators.  A stored value was written reduced over a product of
+once (frac_from_str is memoized; a series repeats few distinct strings): the
+canonical "k/1" of an integer by int, any other string by Fraction.  A
+q-polynomial is built as one integer polynomial over the lcm of its
+denominators.  A stored value was written reduced over a product of
 cyclotomic polynomials, so algebra.qrat_certified checks that no Phi_d of
 the denominator divides the numerator instead of taking a gcd; any other
 input is reduced exactly by QRat, so a value read is the canonical QRat
@@ -36,7 +37,18 @@ def frac_to_str(f: Fraction) -> str:
 
 
 @lru_cache(maxsize=None)
-def frac_from_str(s: str) -> Fraction:
+def frac_from_str(s: str) -> int | Fraction:
+    """The value of a "p/r" string: an int for the canonical "k/1" of an
+    integer k, else the Fraction that Fraction(s) reads."""
+    if s.endswith("/1"):
+        k = s[:-2]
+        try:
+            value = int(k)
+        except ValueError:
+            pass
+        else:
+            if str(value) == k:
+                return value
     return Fraction(s)
 
 
@@ -48,10 +60,10 @@ def qpoly_from_pairs(pairs) -> QPoly:
     if not pairs:
         return QPoly()
     coeffs = [(e, frac_from_str(s)) for e, s in pairs]
-    den = math.lcm(*(c.denominator for _, c in coeffs))
     ints = [0] * (max(e for e, _ in coeffs) + 1)
+    den = math.lcm(*(c.denominator for _, c in coeffs if type(c) is not int))
     for e, c in coeffs:
-        ints[e] = c.numerator * (den // c.denominator)
+        ints[e] = c * den if type(c) is int else c.numerator * (den // c.denominator)
     return QPoly.from_ints(ints, den)
 
 

@@ -8,14 +8,15 @@ branches).  The tests re-derive each recursion by evaluating both sides of
 the original equation with the tree-series primitives, so the derivations
 themselves are guarded.
 
-pawn, omega and omega_bar share one fraction-free engine.  It stores
+pawn, omega and omega_bar share one fraction-free engine.  It solves for
 N_T = [n]_q! * value_T in Z[q][x], where [n]_q! clears every denominator of
 a size-n tree.  Multiplied by [n-1]_q!, each recursion has integer
 polynomials on the right and (q - 1) N_T on the left, so a tree costs one
-exact division by q - 1 and no gcd.  Values become canonical reduced QRat
-only at the output edge, by trial division of N_T with the cyclotomic
-factors of [n]_q!; pawn_fraction cancels them against N_T as a whole, with
-no QRat at all.  pawn_at and the x = 1/(1-q) specialization are read off
+exact division by q - 1 and no gcd.  Each N_T is held as one Python int, its
+Kronecker packing, and read back as a zxpoly at the edge.  Values become
+canonical reduced QRat only at the output edge, by trial division of N_T
+with the cyclotomic factors of [n]_q!; pawn_fraction cancels them against
+N_T as a whole, with no QRat at all.  pawn_at and the x = 1/(1-q) specialization are read off
 N_T at the node in the same way, with no QRat arithmetic on the way.
 
 The per-tree solvers are demand-driven and memoized: asking for one
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
 
 from .algebra import (
     PoleError,
@@ -46,14 +49,13 @@ from .algebra import (
     q_int_poly,
     qrat_over_q_factorial,
     qrat_sum,
-    zpoly_add_scaled,
-    zpoly_div_q_minus_1,
-    zpoly_mul,
-    zpoly_trim,
+    slot_bits,
+    zpoly_pack,
+    zxpack_div_q_minus_1,
     zxpoly_eval,
-    zxpoly_mul,
     zxpoly_over_q_factorial,
-    zxpoly_trim,
+    zxpoly_pack,
+    zxpoly_unpack,
 )
 from . import trees as tr
 from .series import TreeSeries
@@ -68,10 +70,24 @@ def _series(order: int, ring: str, fn) -> TreeSeries:
 # The fraction-free engine behind pawn, omega and omega_bar
 
 
-def _row(rows: list[list[int]], j: int) -> list[int]:
-    while len(rows) <= j:
-        rows.append([])
-    return rows[j]
+def _norm(a: Sequence[Sequence[int]]) -> int:
+    return sum(abs(c) for row in a for c in row)
+
+
+def _q_degree(a: Sequence[Sequence[int]]) -> int:
+    return max((len(row) - 1 for row in a), default=0)
+
+
+@lru_cache(maxsize=None)
+def _quotient_bounds(n: int, parts: tuple[int, ...]) -> tuple[int, int]:
+    """The L1 norm and the degree of q_factorial_quotient(n, parts)."""
+    quot = q_factorial_quotient(n, parts)
+    return sum(map(abs, quot)), len(quot) - 1
+
+
+@lru_cache(maxsize=None)
+def _packed_quotient(n: int, parts: tuple[int, ...], bits: int) -> int:
+    return zpoly_pack(q_factorial_quotient(n, parts), bits)
 
 
 class FractionFreeRecursion:
@@ -83,8 +99,8 @@ class FractionFreeRecursion:
     summed over the proper nonempty leaf subsets S of T (n = #T; c runs over
     the k root branches), solved in Z[q][x] without fractions.
 
-    The memo holds N_T = [n]_q! * v_T as a zxpoly (see algebra).  Multiplying
-    the recursion by [n-1]_q! gives
+    The engine solves for N_T = [n]_q! * v_T.  Multiplying the recursion by
+    [n-1]_q! gives
 
       (q - 1) N_T = sum_S count * w(n, |S|) * [m+1]_q ... [n-1]_q * N_{T minus S}
                     + b(n, k) * ([n-1]_q! / prod_c [#c]_q!) * prod_c N_c
@@ -92,46 +108,99 @@ class FractionFreeRecursion:
     with m = #(T minus S), so each tree costs one exact division by q - 1.
     w(n, r) is a signed monomial (sign, exponent of q); b(n, k) is a zxpoly,
     or None when the branch term is absent.
+
+    Every N_T is one Python int, packed at q = 2^bits and x = 2^(bits*width)
+    (see algebra): a pruned term is a shift, the q-factorial quotients and the
+    branch product are big-int products, and the division by q - 1 is one by
+    2^bits - 1.  The memo holds only these ints; bounds holds an L1-norm bound
+    and a q-degree bound of each N_T, carried through the same recursion.  The
+    slots fit the bounds of every total solved so far: a tree whose total
+    needs more widens them first and repacks the memo.  _slots is where the
+    slots start.
     """
 
-    def __init__(self, leaf: tuple, prune_weight, branch_weight):
+    def __init__(self, leaf: tuple, prune_weight, branch_weight, _slots=(8, 2)):
         self.leaf = leaf
         self.prune_weight = prune_weight
         self.branch_weight = branch_weight
-        self.memo: dict[int, tuple] = {}
+        self.memo: dict[int, int] = {}
+        self.bounds: dict[int, tuple[int, int]] = {}
+        self.bits, self.width = _slots
 
     def numerator(self, t: int) -> tuple:
         """N_T = [#T]_q! * v_T as a zxpoly."""
+        return zxpoly_unpack(self.packed(t), self.bits, self.width)
+
+    def packed(self, t: int) -> int:
+        """N_T packed at the current slots."""
         cached = self.memo.get(t)
         if cached is not None:
             return cached
         n = tr.size(t)
         if n == 1:
-            val = self.leaf
-        else:
-            # prunings that leave m vertices share the factor [m+1]...[n-1]
-            by_size: dict[int, list[list[int]]] = {}
-            for (rest, removed), count in tr.prune_leaf_subsets(t, proper_only=True).items():
-                sign, shift = self.prune_weight(n, removed)
-                rows = by_size.setdefault(tr.size(rest), [])
-                for j, p in enumerate(self.numerator(rest)):
-                    zpoly_add_scaled(_row(rows, j), p, sign * count, shift)
-            total: list[list[int]] = []
-            for m, rows in by_size.items():
-                rising = q_factorial_quotient(n - 1, (m,))
-                for j, p in enumerate(rows):
-                    zpoly_add_scaled(_row(total, j), zpoly_mul(zpoly_trim(p), rising))
-            kids = tr.children(t)
-            prod = self.branch_weight(n, len(kids))
-            if prod is not None:
-                for c in kids:
-                    prod = zxpoly_mul(prod, self.numerator(c))
-                multinomial = q_factorial_quotient(n - 1, tuple(tr.size(c) for c in kids))
-                for j, p in enumerate(prod):
-                    zpoly_add_scaled(_row(total, j), zpoly_mul(p, multinomial))
-            val = zxpoly_trim([zpoly_div_q_minus_1(p) for p in total])
+            norm, deg = _norm(self.leaf), _q_degree(self.leaf)
+            self._fit(norm, deg)
+            self.bounds[t] = norm, deg
+            val = self.memo[t] = zxpoly_pack(self.leaf, self.bits, self.width)
+            return val
+        prunings = tr.prune_leaf_subsets(t, proper_only=True)
+        kids = tr.children(t)
+        weight = self.branch_weight(n, len(kids))
+        # solve the smaller trees first (they may widen the slots) and bound
+        # the total: the L1 norm of a sum or product is at most the sum or
+        # product of the norms, and the degrees add up
+        norm = deg = 0
+        for (rest, removed), count in prunings.items():
+            self.packed(rest)
+            rest_norm, rest_deg = self.bounds[rest]
+            rising_norm, rising_deg = _quotient_bounds(n - 1, (tr.size(rest),))
+            norm += count * rising_norm * rest_norm
+            deg = max(deg, self.prune_weight(n, removed)[1] + rising_deg + rest_deg)
+        if weight is not None:
+            parts = tuple(tr.size(c) for c in kids)
+            branch_norm, branch_deg = _quotient_bounds(n - 1, parts)
+            branch_norm *= _norm(weight)
+            branch_deg += _q_degree(weight)
+            for c in kids:
+                self.packed(c)
+                kid_norm, kid_deg = self.bounds[c]
+                branch_norm *= kid_norm
+                branch_deg += kid_deg
+            norm += branch_norm
+            deg = max(deg, branch_deg)
+        self._fit(norm, deg)
+        bits, memo = self.bits, self.memo
+        # prunings that leave m vertices share the factor [m+1]...[n-1]
+        by_size: dict[int, int] = {}
+        for (rest, removed), count in prunings.items():
+            sign, shift = self.prune_weight(n, removed)
+            m = tr.size(rest)
+            by_size[m] = by_size.get(m, 0) + ((sign * count * memo[rest]) << bits * shift)
+        total = 0
+        for m, acc in by_size.items():
+            total += acc * _packed_quotient(n - 1, (m,), bits)
+        if weight is not None:
+            prod = zxpoly_pack(weight, bits, self.width) * _packed_quotient(n - 1, parts, bits)
+            for c in kids:
+                prod *= memo[c]
+            total += prod
+        val = zxpack_div_q_minus_1(total, bits, self.width)
+        # each coefficient of N_T is a partial sum of a row of the total, at
+        # most half that row's norm, and a row has at most deg of them
+        self.bounds[t] = (max(deg, 1) * norm + 1) // 2, max(deg - 1, 0)
         self.memo[t] = val
         return val
+
+    def _fit(self, norm: int, deg: int) -> None:
+        """Widen the slots, if need be, for a total of L1 norm norm and q-degree
+        deg (see algebra.zxpack_div_q_minus_1), and repack the memo."""
+        bits = max(self.bits, slot_bits(norm.bit_length() + 2))
+        width = max(self.width, deg + 2)
+        if (bits, width) == (self.bits, self.width):
+            return
+        for t, v in self.memo.items():
+            self.memo[t] = zxpoly_pack(zxpoly_unpack(v, self.bits, self.width), bits, width)
+        self.bits, self.width = bits, width
 
     def reduced(self, t: int) -> tuple[QRat, ...]:
         """v_T as canonical QRat coefficients indexed by x-degree (at least one)."""

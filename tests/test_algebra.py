@@ -43,16 +43,21 @@ from arborq.algebra import (
     subst_q,
     xpoly_denominator,
     zcyclotomic,
-    zpoly_div_q_minus_1,
     zpoly_divmod,
     zpoly_mul,
+    zpoly_pack,
+    zpoly_trim,
+    zpoly_unpack,
     zxpoly_div_x_minus,
     zxpoly_divmod_one_plus_qx,
+    zxpack_div_q_minus_1,
     zxpoly_eval,
     zxpoly_mul,
+    zxpoly_pack,
     zxpoly_subst_one_plus_qx,
     zxpoly_support,
     zxpoly_trim,
+    zxpoly_unpack,
 )
 from arborq.serialize import (
     qpoly_from_pairs,
@@ -588,6 +593,15 @@ class TestQRat:
         with pytest.raises(ZeroDivisionError):
             qpoly_from_pairs([[0, "1/0"]])
 
+    def test_pairs_read_integer_strings_as_fraction_does(self):
+        # only the canonical "k/1" is read by int; these go through Fraction
+        for s in ("+3/1", "03/1", "-0/1", "3/1 ", "-7/1", "0/1", "12/1"):
+            p = qpoly_from_pairs([[0, "1/2"], [1, s]])
+            assert p == QPoly((F(1, 2), F(s)))
+            assert qpoly_from_pairs([[2, s]]) == QPoly((0, 0, F(s)))
+        with pytest.raises(ValueError):
+            qpoly_from_pairs([[0, "3./1"]])
+
     def test_serialization_roundtrip_randomized(self):
         rng = random.Random(23)
         for _ in range(25):
@@ -714,21 +728,97 @@ class TestDerivedOperators:
         assert repr(value).startswith(f"{cls.__name__}(")
 
 
+def div_q_minus_1(a, bits: int = 16, width: int = 8) -> tuple:
+    """The zxpoly a / (q - 1) through the packed division."""
+    packed = zxpack_div_q_minus_1(zxpoly_pack(a, bits, width), bits, width)
+    return zxpoly_unpack(packed, bits, width)
+
+
+class TestPacking:
+    """Kronecker packing: one int per polynomial, read back from its balanced
+    digits, with the digit-bound tests that certify what is read."""
+
+    @pytest.mark.parametrize("bits", [8, 16, 24, 32, 64, 128])
+    def test_roundtrip(self, bits):
+        rng = random.Random(bits)
+        top = 2 ** (bits - 1)
+        for _ in range(100):
+            a = zpoly_trim([rng.randint(-top, top - 1) for _ in range(rng.randint(0, 80))])
+            assert zpoly_unpack(zpoly_pack(a, bits), bits) == a
+            width = rng.randint(1, 9)
+            zx = zxpoly_trim([[rng.randint(-top, top - 1) for _ in range(rng.randint(0, width))]
+                              for _ in range(rng.randint(0, 5))])
+            assert zxpoly_unpack(zxpoly_pack(zx, bits, width), bits, width) == zx
+
+    def test_packing_evaluates(self):
+        # any int coefficients, at 2^bits, including those past one digit
+        for a in [(2 ** 70, -3, 1), (-(2 ** 63), 2 ** 63), tuple(range(-50, 50))]:
+            for bits in (8, 64, 72):
+                assert zpoly_pack(a, bits) == sum(c << bits * i for i, c in enumerate(a))
+        assert zxpoly_pack(((1, 2), (), (3,)), 8, 3) == zpoly_pack((1, 2, 0, 0, 0, 0, 3), 8)
+        with pytest.raises(ValueError):
+            zxpoly_pack(((1, 2, 3),), 8, 2)
+
+    def test_digit_bound(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            bits = rng.choice((8, 16, 64, 128))
+            h = rng.randint(0, bits - 2)
+            digits = [rng.randint(-(2 ** h), 2 ** h - 1) for _ in range(rng.randint(1, 20))]
+            v = zpoly_pack(digits, bits)
+            assert algebra._digits_within(v, bits, h)
+            digits[rng.randrange(len(digits))] = rng.choice((2 ** h, -(2 ** h) - 1))
+            assert not algebra._digits_within(zpoly_pack(digits, bits), bits, h)
+
+    def test_reduction_widens_narrow_digits(self, monkeypatch):
+        # at 8-bit digits these quotients fail their digit bound; each step is
+        # redone wider, to the same result
+        cases = [(zpoly_mul(q_factorial_quotient(4, ()), (3, -1, 4)), 4),
+                 (zpoly_mul(zpoly_mul(zcyclotomic(2), zcyclotomic(3)), (40, 0, -33)), 3),
+                 (zpoly_mul(zcyclotomic(5), (100, 0, -99)), 6), ((7, 0, 0, 2), 4)]
+        want = [qrat_over_q_factorial(num, n) for num, n in cases]
+        unpacked_at = []
+        unpack = algebra.zpoly_unpack
+        monkeypatch.setattr(algebra, "slot_bits", lambda need: 8)
+        monkeypatch.setattr(algebra, "zpoly_unpack",
+                            lambda v, bits: unpacked_at.append(bits) or unpack(v, bits))
+        assert [qrat_over_q_factorial(num, n) for num, n in cases] == want
+        assert max(unpacked_at) > 8
+
+
 class TestFractionFree:
     """The integer layer under the per-tree engine: exact divisions raise on
     a remainder, and the cyclotomic reduction matches gcd reduction."""
 
     def test_div_q_minus_1_exact(self):
         a = zpoly_mul((-1, 1), (2, 0, -3, 5))
-        assert zpoly_div_q_minus_1(a) == (2, 0, -3, 5)
-        assert zpoly_div_q_minus_1(()) == ()
-        assert zpoly_div_q_minus_1(a + (0, 0)) == (2, 0, -3, 5)
+        assert div_q_minus_1((a,)) == ((2, 0, -3, 5),)
+        assert div_q_minus_1(()) == ()
+        assert div_q_minus_1(((), a, (), a + (0, 0))) == ((), (2, 0, -3, 5), (), (2, 0, -3, 5))
+        rng = random.Random(11)
+        for _ in range(200):
+            quot = zxpoly_trim([[rng.randint(-40, 40) for _ in range(rng.randint(0, 5))]
+                                for _ in range(rng.randint(0, 4))])
+            assert div_q_minus_1(zxpoly_mul(((-1, 1),), quot)) == quot
 
     def test_div_q_minus_1_remainder_raises(self):
         with pytest.raises(ExactDivisionError):
-            zpoly_div_q_minus_1((1, 1))  # q + 1
+            div_q_minus_1(((1, 1),))  # q + 1
         with pytest.raises(ExactDivisionError):
-            zpoly_div_q_minus_1((3,))
+            div_q_minus_1(((3,),))
+        # 1 - x and q - x^2 vanish at q = x = 1, so 2^bits - 1 divides their
+        # packings; the digit in the top slot of a row rules them out
+        for t in (((1,), (-1,)), ((0, 1), (), (-1,)), ((0, 0, 5), (-2, -3))):
+            assert not zxpoly_pack(t, 16, 8) % (2 ** 16 - 1)
+            with pytest.raises(ExactDivisionError):
+                div_q_minus_1(t)
+        rng = random.Random(12)
+        for _ in range(200):
+            t = zxpoly_trim([[rng.randint(-40, 40) for _ in range(rng.randint(0, 5))]
+                             for _ in range(rng.randint(1, 4))])
+            if any(sum(row) for row in t):
+                with pytest.raises(ExactDivisionError):
+                    div_q_minus_1(t)
 
     def test_div_x_minus(self):
         # (x - (1 + q)) (q x^2 + 2) over Z[q], divided back by each factor
@@ -745,15 +835,16 @@ class TestFractionFree:
 
     def test_div_q_minus_1_raises_under_optimize(self):
         code = (
-            "from arborq.algebra import ExactDivisionError, zpoly_div_q_minus_1\n"
-            "try:\n    zpoly_div_q_minus_1((1, 1))\n"
-            "except ExactDivisionError:\n    print('raised')\n"
+            "from arborq.algebra import ExactDivisionError, zxpack_div_q_minus_1, zxpoly_pack\n"
+            "for t in (((1, 1),), ((1,), (-1,))):\n"
+            "    try:\n        zxpack_div_q_minus_1(zxpoly_pack(t, 16, 8), 16, 8)\n"
+            "    except ExactDivisionError:\n        print('raised')\n"
         )
         out = subprocess.run(
             [sys.executable, "-B", "-O", "-c", code], capture_output=True, text=True,
             env={"PYTHONPATH": ":".join(sys.path)}, check=True,
         ).stdout
-        assert out == "raised\n"
+        assert out == "raised\nraised\n"
 
     def test_divmod_monic(self):
         a = (5, -1, 0, 2, 7)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from arborq import algebra, cache as C, serialize, solvers as S, trees as T, verify as vf
-from arborq.cli import main
+from arborq.cli import COSTLY_ORDER, main
 from tests.test_verify import CORRUPT_TREE, corrupt
 
 
@@ -146,10 +146,16 @@ class TestCompute:
         assert err.startswith("error: cannot write ") and str(target) in err
         assert len(err.splitlines()) == 1
 
-    def test_cost_warning(self, capsys):
-        code, _, err = run_cli(["compute", "E", "--order", "10"], capsys)
+    def test_cost_warning(self, capsys, tmp_path):
+        argv = ["compute", "E", "--order", str(COSTLY_ORDER), "--cache-dir", str(tmp_path)]
+        code, _, err = run_cli(argv, capsys)
         assert code == 0
         assert "warning" in err
+        # a cache hit solves nothing and does not warn, nor does a cheaper order
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        code, _, err = run_cli(["compute", "E", "--order", str(COSTLY_ORDER - 1)], capsys)
+        assert code == 0 and err == ""
 
 
 # Run in a fresh interpreter: the CLI's main(argv) with stdout captured, then
@@ -326,6 +332,23 @@ class TestCache:
         code, cached, _ = run_cli([*args, "--cache-dir", cdir], capsys)
         assert code == 0 and cached == fresh
         assert not calls
+
+    def test_hit_sharing_a_cyclotomic_factor_reads_canonical(self, tmp_path, capsys):
+        # a stored value whose numerator shares Phi_2 and Phi_3 with its
+        # denominator: their residues are zero, the fold test confirms them,
+        # and the value read is the canonical QRat(num, den)
+        cdir = str(tmp_path)
+        num = algebra.QPoly((5, 0, 1)) * algebra.cyclotomic(2) * algebra.cyclotomic(3)
+        den = algebra.cyclotomic(2) ** 2 * algebra.cyclotomic(3) * algebra.cyclotomic(4)
+        value = {"num": serialize.qpoly_to_pairs(num), "den": serialize.qpoly_to_pairs(den)}
+        want = algebra.QRat(num, den)
+        assert want.den == algebra.cyclotomic(2) * algebra.cyclotomic(4)
+        assert serialize.qrat_from_obj(value) == want
+        payload = {"series": "omega", "params": {}, "order": 1, "entries": [["()", value]]}
+        C.store(cdir, C.make_key("omega", {}, 1), C.canonical_json(payload))
+        args = ["compute", "omega", "--order", "1", "--format", "csv", "--cache-dir", cdir]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and out.splitlines()[1:] == [f"1,(),{want}"]
 
     def test_corruption_detected(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")

@@ -6,10 +6,13 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import pytest
+
 from arborq import solvers as S
 from arborq import trees as T
 from arborq import verify as V
 from arborq.algebra import (
+    ExactDivisionError,
     Q,
     QPOLY_ONE,
     QPoly,
@@ -36,6 +39,7 @@ from arborq.series import (
     unit_vertex,
     zero_series,
 )
+from tests import engine_reference as ER
 from tests import qrat_reference as R
 
 EX5 = T.b_plus([T.leaf(), T.b_plus([T.leaf(), T.leaf()])])
@@ -145,6 +149,55 @@ class TestPawnFraction:
         assert all(isinstance(c, int) for r in num for c in r)
         assert V.check_newton(EX5).ok()
         assert V.check_newton(T.crl(6)).ok()
+
+
+ENGINES = {"pawn": S._PAWN_ENGINE, "omega": S._OMEGA_ENGINE, "omega_bar": S._OMEGA_BAR_ENGINE}
+
+
+class TestPackedEngine:
+    """The packed engine against the list recursion it replaced
+    (tests/engine_reference.py), and its slots against its bounds."""
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_numerators_match_list_reference(self, name):
+        engine = ENGINES[name]
+        ref = ER.ListRecursion.like(engine)
+        for t in T.trees_upto(9):
+            assert engine.numerator(t) == ref.numerator(t), T.encoding(t)
+
+    def test_corolla_numerators_match_list_reference(self):
+        # the corollas of test_corolla_recursion_against_solver reach size 13
+        # and q-degree 91, past 64-bit digits or 64 slots per row
+        ref = ER.ListRecursion.like(S._PAWN_ENGINE)
+        for n in range(13):
+            assert S.pawn_numerator(T.crl(n)) == ref.numerator(T.crl(n))
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_slots_widen_from_the_minimum(self, name):
+        engine = ENGINES[name]
+        narrow = S.FractionFreeRecursion(engine.leaf, engine.prune_weight,
+                                         engine.branch_weight, _slots=(8, 1))
+        trees = T.trees_upto(7)
+        assert [narrow.numerator(t) for t in trees] == [engine.numerator(t) for t in trees]
+        assert narrow.bits > 8 and narrow.width > 1
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_slots_hold_the_bounds(self, name):
+        engine = ENGINES[name]
+        for t in T.trees_upto(8):
+            num = engine.numerator(t)
+            norm, deg = engine.bounds[t]
+            assert sum(abs(c) for row in num for c in row) <= norm
+            assert all(len(row) - 1 <= deg for row in num)
+            assert deg < engine.width
+
+    def test_indivisible_total_raises(self):
+        # the leaf's total at size 2 is N_leaf, which q - 1 does not divide:
+        # 1 leaves an integer remainder, 1 - x a digit in a top slot
+        for leaf in (((1,),), ((1,), (-1,))):
+            engine = S.FractionFreeRecursion(leaf, lambda n, r: (1, 0), lambda n, k: None)
+            with pytest.raises(ExactDivisionError):
+                engine.numerator(T.lnr(2))
 
 
 class TestFiveVertexExample:

@@ -158,8 +158,8 @@ WITNESS_PARAM = {"valeur_n_positif": "n", "valeur_n_negatif": "n", "facteurs_con
 
 
 def corrupt(monkeypatch, t: int, terms: dict) -> None:
-    """Replace N_t in the engine memo, and the pawn coefficient the QRat
-    references read, by the same corrupted value."""
+    """Replace N_t in the engine memo (packed at the engine's slots), and the
+    pawn coefficient the QRat references read, by the same corrupted value."""
     for u in T.trees_upto(T.size(t) + 1):
         S.pawn_coeff(u)  # solve the neighbours from the true values first
     num = [list(c) for c in S.pawn_numerator(t)]
@@ -167,7 +167,10 @@ def corrupt(monkeypatch, t: int, terms: dict) -> None:
     for j, p in terms.items():
         algebra.zpoly_add_scaled(num[j], p)
     bad = algebra.zxpoly_trim(num)
-    monkeypatch.setitem(S._PAWN_ENGINE.memo, t, bad)
+    engine = S._PAWN_ENGINE
+    packed = algebra.zxpoly_pack(bad, engine.bits, engine.width)
+    monkeypatch.setitem(engine.memo, t, packed)
+    assert S.pawn_numerator(t) == bad
     monkeypatch.setitem(S._PAWN, t, XPoly([algebra.qrat_over_q_factorial(c, T.size(t)) for c in bad]))
 
 
