@@ -991,9 +991,6 @@ def zpoly_pack(a: Sequence[int], bits: int) -> int:
             # bit of each makes it offset binary, coefficient + 2^(bits-1)
             offset = _digit_unit(bits, len(a)) << (bits - 1)
             return (raw ^ offset) - offset
-    if len(a) > 32:  # halve, for O(n log n) rather than Horner's O(n^2) shifting
-        mid = len(a) // 2
-        return zpoly_pack(a[:mid], bits) + (zpoly_pack(a[mid:], bits) << bits * mid)
     v = 0
     for c in reversed(a):
         v = (v << bits) + c

@@ -10,7 +10,7 @@ callers) is byte-stable across runs, which the cache hashes rely on; it is
 cache.canonical_json, defined there so that the cache needs no math layer.
 
 Reading a series back needs no polynomial gcd.  Each "p/r" string is parsed
-once (frac_from_str is memoized; a series repeats few distinct strings): the
+once (the parser is memoized; a series repeats few distinct strings): the
 canonical "k/1" of an integer by int, any other string by Fraction.  A
 q-polynomial is built as one integer polynomial over the lcm of its
 denominators.  A stored value was written reduced over a product of
@@ -37,9 +37,14 @@ def frac_to_str(f: Fraction) -> str:
 
 
 @lru_cache(maxsize=None)
-def frac_from_str(s: str) -> int | Fraction:
+def frac_from_str(s: str) -> Fraction:
+    return Fraction(s)
+
+
+@lru_cache(maxsize=None)
+def _coeff_from_str(s: str) -> int | Fraction:
     """The value of a "p/r" string: an int for the canonical "k/1" of an
-    integer k, else the Fraction that Fraction(s) reads."""
+    integer k, else frac_from_str(s)."""
     if s.endswith("/1"):
         k = s[:-2]
         try:
@@ -49,7 +54,7 @@ def frac_from_str(s: str) -> int | Fraction:
         else:
             if str(value) == k:
                 return value
-    return Fraction(s)
+    return frac_from_str(s)
 
 
 def qpoly_to_pairs(p: QPoly) -> list:
@@ -59,11 +64,11 @@ def qpoly_to_pairs(p: QPoly) -> list:
 def qpoly_from_pairs(pairs) -> QPoly:
     if not pairs:
         return QPoly()
-    coeffs = [(e, frac_from_str(s)) for e, s in pairs]
+    coeffs = [(e, _coeff_from_str(s)) for e, s in pairs]
+    den = math.lcm(*(c.denominator for _, c in coeffs))
     ints = [0] * (max(e for e, _ in coeffs) + 1)
-    den = math.lcm(*(c.denominator for _, c in coeffs if type(c) is not int))
     for e, c in coeffs:
-        ints[e] = c * den if type(c) is int else c.numerator * (den // c.denominator)
+        ints[e] = c.numerator * (den // c.denominator)
     return QPoly.from_ints(ints, den)
 
 

@@ -64,6 +64,8 @@ from arborq.serialize import (
     qpoly_to_pairs,
     qrat_from_obj,
     qrat_to_obj,
+    value_from_obj,
+    value_to_obj,
     xpoly_from_obj,
     xpoly_to_obj,
 )
@@ -601,6 +603,13 @@ class TestQRat:
             assert qpoly_from_pairs([[2, s]]) == QPoly((0, 0, F(s)))
         with pytest.raises(ValueError):
             qpoly_from_pairs([[0, "3./1"]])
+
+    def test_rational_reader_gives_fractions(self):
+        # the int reading of "k/1" is private to the q-polynomial pairs
+        for s in ("3/1", "-7/1", "0/1", "5/6"):
+            v = value_from_obj("rational", s)
+            assert type(v) is F and v == F(s)
+            assert value_to_obj("rational", v) == s
 
     def test_serialization_roundtrip_randomized(self):
         rng = random.Random(23)

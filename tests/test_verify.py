@@ -13,6 +13,7 @@ from arborq import solvers as S
 from arborq import trees as T
 from arborq import verify as V
 from arborq.algebra import QPoly, QRAT_ONE, QRat, XPOLY_ONE, XPoly, q_integer
+from tests import engine_reference as ER
 from tests import qrat_reference as R
 
 EX5 = T.b_plus([T.leaf(), T.b_plus([T.leaf(), T.leaf()])])
@@ -168,8 +169,14 @@ def corrupt(monkeypatch, t: int, terms: dict) -> None:
         algebra.zpoly_add_scaled(num[j], p)
     bad = algebra.zxpoly_trim(num)
     engine = S._PAWN_ENGINE
-    packed = algebra.zxpoly_pack(bad, engine.bits, engine.width)
-    monkeypatch.setitem(engine.memo, t, packed)
+    # a packed value means something only at the slots it was packed at, and
+    # a later solve may widen the slots and repack the memo: the whole state
+    # is replaced by a copy and restored together
+    for name in ("memo", "bounds"):
+        monkeypatch.setattr(engine, name, dict(getattr(engine, name)))
+    for name in ("bits", "width"):
+        monkeypatch.setattr(engine, name, getattr(engine, name))
+    engine.memo[t] = algebra.zxpoly_pack(bad, engine.bits, engine.width)
     assert S.pawn_numerator(t) == bad
     monkeypatch.setitem(S._PAWN, t, XPoly([algebra.qrat_over_q_factorial(c, T.size(t)) for c in bad]))
 
@@ -208,6 +215,18 @@ class TestZqIdentities:
         report = V.check_theorem("x_infinity", 5)
         assert report.status == "fail"
         assert report.witness == {"tree": T.encoding(CORRUPT_TREE), "degree": "5", "size": "4"}
+
+    def test_corrupt_restores_a_widened_engine(self):
+        engine = S._PAWN_ENGINE
+        with pytest.MonkeyPatch.context() as mp:
+            corrupt(mp, CORRUPT_TREE, {0: (1,)})
+            slots = engine.bits, engine.width
+            engine._fit(1, engine.width + 1)  # widen the rows and repack
+            assert (engine.bits, engine.width) != slots
+        assert (engine.bits, engine.width) == slots
+        ref = ER.ListRecursion.like(engine)
+        for t in T.trees_upto(T.size(CORRUPT_TREE) + 1):
+            assert S.pawn_numerator(t) == ref.numerator(t)
 
     def test_runs_no_gcd(self, monkeypatch):
         # after one run has built the q-factorial tables, the checks and
