@@ -309,6 +309,8 @@ class QPoly(_Ring):
         """(exponent, numerator, denominator) of each nonzero coefficient in
         lowest terms, lowest degree first."""
         den = self.den
+        if den == 1:
+            return [(e, c, 1) for e, c in enumerate(self.ints) if c]
         out = []
         for e, c in enumerate(self.ints):
             if c:

@@ -19,6 +19,7 @@ algebra, verify or serialize modules.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -134,7 +135,8 @@ def _qrat_tex(r: QRat) -> str:
     return f"\\frac{{{num}}}{{{_cyclo_tex(r.den)}}}"
 
 
-def _xpoly_tex(f: XPoly) -> str:
+def _xpoly_tex(f: XPoly, cofactor) -> str:
+    """cofactor(den, part) is den / part, divided exactly."""
     from .algebra import xpoly_denominator
 
     den = xpoly_denominator(f)
@@ -143,7 +145,7 @@ def _xpoly_tex(f: XPoly) -> str:
         c = f.coeffs[j]
         if c.is_zero():
             continue
-        body = _qpoly_tex(c.num * den.exact_div(c.den))
+        body = _qpoly_tex(c.num * cofactor(den, c.den))
         if j == 0:
             rows.append(body)
         else:
@@ -157,10 +159,14 @@ def _xpoly_tex(f: XPoly) -> str:
 
 def _render_tex(series: TreeSeries, name: str) -> str:
     from . import trees as tr
+    from .algebra import QPoly
 
+    # the coefficients of a series share few (common denominator,
+    # denominator) pairs: 278 at pawn order 8, against 1 646 coefficients
+    cofactor = functools.cache(QPoly.exact_div)
     lines = [f"% series {name}, order {series.order}", "\\begin{align*}"]
     for t, v in series.items():
-        coeff = _xpoly_tex(v) if series.ring == "xpoly" else _qrat_tex(v)
+        coeff = _xpoly_tex(v, cofactor) if series.ring == "xpoly" else _qrat_tex(v)
         if not coeff.startswith("\\frac") and " " in coeff:
             coeff = f"\\left({coeff}\\right)"
         aut = tr.aut_order(t)
@@ -194,13 +200,14 @@ def cmd_compute(args) -> int:
     # encoded: the payload's canonical json, made at most once per command
     series = encoded = None
     if hit is not None:
-        payload, encoded = hit
+        encoded = hit.text
         if args.format != "json":
             # csv and tex need the series; a json hit prints the checked text
             from .serialize import series_from_obj
 
             try:
-                series = series_from_obj({**payload, "ring": ring})
+                series = series_from_obj({**hit.header, "ring": ring,
+                                          "entries": cache_mod.iter_entries(encoded)})
             except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
                 print(f"error: {cache_mod.entry_path(cache_dir, key)}: unreadable cached "
                       f"value ({exc!r})", file=sys.stderr)
@@ -213,12 +220,11 @@ def cmd_compute(args) -> int:
                   f"exactly; expect a long run", file=sys.stderr)
         series = solve(solvers, args.n, args.order)
         if cache_dir or args.format == "json":
-            from .serialize import series_to_obj
+            from .serialize import series_entries
 
-            # the payload lives only as long as its encoding takes
-            encoded = canonical_json({"series": args.series, "params": params,
-                                      "order": args.order,
-                                      "entries": series_to_obj(series)["entries"]})
+            # each entry lives only as long as its encoding takes
+            encoded = cache_mod.payload_text(args.series, params, args.order,
+                                             series_entries(series))
         if cache_dir:
             try:
                 cache_mod.store(cache_dir, key, encoded)

@@ -8,6 +8,8 @@ is a [x-exponent, rational-function] pair list, and a tree series is
 The canonical JSON form (sorted keys, no spaces, trailing newline added by
 callers) is byte-stable across runs, which the cache hashes rely on; it is
 cache.canonical_json, defined there so that the cache needs no math layer.
+series_entries yields the entries one at a time, so that cache.payload_text
+can encode a payload without holding all of its entries.
 
 Reading a series back needs no polynomial gcd.  Each "p/r" string is parsed
 once (the parser is memoized; a series repeats few distinct strings): the
@@ -119,12 +121,20 @@ def value_from_obj(ring: str, obj):
     return _CODECS[ring][1](obj)
 
 
+def series_entries(s: TreeSeries):
+    """Yield the [encoding, value] entries of a series one at a time, in the
+    order of its items: sorted by (size, encoding)."""
+    for t, v in s.items():
+        yield [tr.encoding(t), value_to_obj(s.ring, v)]
+
+
 def series_to_obj(s: TreeSeries) -> dict:
-    entries = [[tr.encoding(t), value_to_obj(s.ring, v)] for t, v in s.items()]
-    return {"order": s.order, "ring": s.ring, "entries": entries}
+    return {"order": s.order, "ring": s.ring, "entries": list(series_entries(s))}
 
 
 def series_from_obj(obj) -> TreeSeries:
+    """The series of {"order", "ring", "entries"}; the entries may be any
+    iterable, read once."""
     ring = obj["ring"]
     coeffs = {tr.parse(enc): value_from_obj(ring, v) for enc, v in obj["entries"]}
     return TreeSeries(obj["order"], ring, coeffs)

@@ -440,19 +440,24 @@ class TestCache:
 
         argv = ["compute", "pawn", "--order", "3"]
         _, want, _ = run_cli(argv, capsys)
+        entries = json.loads(want)["entries"]
         encoded, canonical_json = [], C.canonical_json
 
         def counting(obj):
-            encoded.append("entries" in obj)
+            encoded.append(obj)
             return canonical_json(obj)
 
         monkeypatch.setattr(C, "canonical_json", counting)
         monkeypatch.setattr(cli, "canonical_json", counting)
-        # no cache, then a cold compute that stores, then a hit
+        # no cache, then a cold compute that stores, then a hit: each entry is
+        # encoded once (to write it, or to check it on the load), and the
+        # payload is never encoded whole
         for extra in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
             encoded.clear()
             code, out, _ = run_cli(argv + extra, capsys)
-            assert code == 0 and out == want and encoded.count(True) == 1, extra
+            assert code == 0 and out == want, extra
+            assert [obj for obj in encoded if isinstance(obj, list)] == entries, extra
+            assert not [obj for obj in encoded if isinstance(obj, dict) and "entries" in obj]
         assert len(os.listdir(tmp_path)) == 1
 
     def test_store_writes_the_canonical_entry(self, tmp_path, capsys):
@@ -467,6 +472,134 @@ class TestCache:
                 written = fh.read()
             assert written == C.canonical_json(
                 {"key": key, "payload": payload, "sha256": C.payload_hash(text)}) + "\n"
+
+    PAYLOAD_CASES = [("pawn", None), ("E", None), ("F", 2), ("G", 1), ("omega", None),
+                     ("omega_bar", None), ("pawn_at", 3), ("pawn_at", -2)]
+
+    @pytest.mark.parametrize("name, n", PAYLOAD_CASES)
+    def test_payload_text_is_the_canonical_payload(self, name, n):
+        import arborq.cli as cli
+
+        assert {case for case, _ in self.PAYLOAD_CASES} == set(cli.SERIES)
+        series = cli.SERIES[name][2](S, n, 5)
+        params = {} if n is None else {"n": n}
+        payload = {"series": name, "params": params, "order": 5,
+                   "entries": serialize.series_to_obj(series)["entries"]}
+        assert C.payload_text(name, params, 5, serialize.series_entries(series)) \
+            == C.canonical_json(payload)
+
+    def test_payload_text_of_unicode_and_empty_payloads(self):
+        for series, params, entries in (("\u00e9", {"n": "\u00e9\"\\"}, [["\n", "1/1"]]),
+                                        ("E", {}, [])):
+            assert C.payload_text(series, params, 3, iter(entries)) == C.canonical_json(
+                {"series": series, "params": params, "order": 3, "entries": entries})
+
+    def test_streamed_reader_agrees_with_the_whole_parse(self, tmp_path, capsys, monkeypatch):
+        # the entry files of this class, stored or hand-written, corrupt or
+        # not: each reads to the same entry or the same error whether a file
+        # in store's layout is read an entry at a time or parsed whole
+        cdir = str(tmp_path)
+        for argv in (["pawn", "--order", "3"], ["omega", "--order", "3"], ["E", "--order", "2"],
+                     ["pawn_at", "--n", "-2", "--order", "3"]):
+            run_cli(["compute", *argv, "--cache-dir", cdir], capsys)
+        C.store(cdir, dict(C.make_key("E", {}, 3), version=C.FORMAT_VERSION - 1),
+                C.canonical_json({"series": "E", "params": {}, "order": 3, "entries": []}))
+        params, entries = {"n": "\u00e9\"\\"}, [["\n", "1/1"]]
+        C.store(cdir, C.make_key("\u00e9", params, 3), C.canonical_json(
+            {"series": "\u00e9", "params": params, "order": 3, "entries": entries}))
+        stored = sorted(os.listdir(cdir))
+        # stored too, but with no order or params: not a payload payload_text makes
+        C.store(cdir, C.make_key("\u00e9", {"n": 1}, 3),
+                C.canonical_json({"series": "\u00e9", "entries": entries}))
+        with open(C.entry_path(cdir, C.make_key("E", {}, 2))) as fh:
+            text = fh.read()
+        key = C.make_key("omega", {}, 3)
+        good = {"series": "omega", "params": {}, "order": 3, "entries": [["()", "x"]]}
+
+        def laid_out(payload, k=key):  # as store writes it
+            return C.canonical_json({"key": k, "payload": payload,
+                                     "sha256": C.payload_hash(C.canonical_json(payload))}) + "\n"
+
+        corrupt = json.loads(text)
+        corrupt["payload"]["entries"][0][1]["num"] = [[0, "2/1"]]
+        files = {
+            "a-spaced": json.dumps(json.loads(text)),
+            "a-corrupt": json.dumps(corrupt),
+            "b-trailing-space": text + " ",
+            "c-flipped-digit": text.replace('"1/1"', '"2/1"', 1),
+            "c-renamed-hash": text.replace('"sha256":', '"sha257":'),
+            "c-renamed-payload": text.replace('"payload":', '"paylaod":'),
+            "d-truncated": text[:len(text) // 2],
+            "e-empty": "",
+            "f-list": "[]\n",
+            "g-spaced-entry": laid_out(good).replace('["()","x"]', '["()", "x"]'),
+            "g-spaced-params": laid_out(good).replace('"params":{},"series":"omega"}',
+                                                      '"params":{ },"series":"omega"}'),
+            "g-spaced-last-field": laid_out(dict(good, zz=1)).replace('"zz":1}', '"zz":1 }'),
+            "g-brace-for-bracket": laid_out(good).replace('["()","x"]]', '["()","x"]}'),
+            "h-extra-field": laid_out(dict(good, ring="qrat")),
+            "h-field-before-entries": laid_out(dict(good, a=1)),
+        }
+        for i, (k, payload) in enumerate([(key, []), (key, {"order": 3}), (key, good),
+                                          ([1], {"entries": []})]):
+            files[f"k{i}-dumped"] = json.dumps(
+                {"key": k, "payload": payload, "sha256": C.payload_hash(C.canonical_json(payload))})
+            files[f"k{i}-stored"] = laid_out(payload, k)
+        for name, body in files.items():
+            with open(os.path.join(cdir, f"{name}.json"), "w") as fh:
+                fh.write(body)
+
+        def fields(scanned):
+            name, entry = scanned
+            if isinstance(entry, C.CacheError):
+                return name, str(entry)
+            return name, (entry.key, entry.header, entry.text, entry.sha256,
+                          list(C.iter_entries(entry.text)))
+
+        streamed, read_stored = [], C._read_stored
+
+        def spy(raw):
+            entry = read_stored(raw)
+            streamed.append(entry is not None)
+            return entry
+
+        monkeypatch.setattr(C, "_read_stored", spy)
+        by_stream = [fields(scanned) for scanned in C.scan(cdir)]
+        monkeypatch.setattr(C, "_read_stored", lambda raw: None)
+        assert by_stream == [fields(scanned) for scanned in C.scan(cdir)]
+        # the streamed reading took every file store wrote of a whole payload,
+        # and of the others those in its exact layout: one whose hash then
+        # fails, and one that a csv or tex hit then finds unreadable
+        names = [name for name, _ in by_stream]
+        assert {name for name, s in zip(names, streamed) if s} == {
+            *stored, "c-flipped-digit.json", "k2-stored.json"}
+
+    def test_a_stored_entry_is_never_held_whole(self, tmp_path, capsys, monkeypatch):
+        # a cold compute encodes the payload an entry at a time, and a hit or
+        # a cache command reads a stored entry with no whole-file parse
+        cdir = str(tmp_path)
+        argv = ["compute", "pawn", "--order", "4"]
+        want = {fmt: run_cli([*argv, "--format", fmt], capsys)[1] for fmt in ("json", "csv", "tex")}
+        canonical_json = C.canonical_json
+
+        def no_whole_payload(obj):
+            assert not (isinstance(obj, dict) and "entries" in obj), "payload encoded whole"
+            return canonical_json(obj)
+
+        monkeypatch.setattr(C, "canonical_json", no_whole_payload)
+        assert run_cli([*argv, "--cache-dir", cdir], capsys)[:2] == (0, want["json"])
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("an entry file was parsed whole")
+
+        monkeypatch.setattr(json, "load", no_parse)
+        monkeypatch.setattr(json, "loads", no_parse)
+        for fmt in ("json", "csv", "tex"):
+            code, out, _ = run_cli([*argv, "--format", fmt, "--cache-dir", cdir], capsys)
+            assert code == 0 and out == want[fmt], fmt
+        for action in ("list", "verify-hashes"):
+            code, out, _ = run_cli(["cache", action, "--dir", cdir], capsys)
+            assert code == 0 and "corrupt" not in out and "BAD" not in out, action
 
     def test_gc_reports_an_entry_it_cannot_remove(self, tmp_path, capsys):
         os.mkdir(tmp_path / "x.json")
@@ -488,7 +621,8 @@ class TestCache:
         payload = {"series": "E", "params": {}, "order": 2, "entries": []}
         os.makedirs(C.entry_path(str(tmp_path), key) + ".tmp")
         path = C.store(str(tmp_path), key, C.canonical_json(payload))
-        assert C.load(str(tmp_path), key) == (payload, C.canonical_json(payload))
+        entry = C.load(str(tmp_path), key)
+        assert (entry.key, entry.text) == (key, C.canonical_json(payload))
         assert sorted(os.listdir(tmp_path)) == sorted(
             [os.path.basename(path), os.path.basename(path) + ".tmp"])
 
