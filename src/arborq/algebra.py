@@ -720,8 +720,11 @@ class QRat(_Ring):
     def __str__(self) -> str:
         if self.den == QPOLY_ONE:
             return str(self.num)
-        return f"({self.num})/({self.den})"
+        return f"({self.num})/({_den_text(self.den)})"
 
+
+# the values of a series share few denominators: each one's text is made once
+_den_text = lru_cache(maxsize=None)(QPoly.__str__)
 
 QRAT_ZERO = QRat._raw(QPOLY_ZERO, QPOLY_ONE)
 QRAT_ONE = QRat._raw(QPOLY_ONE, QPOLY_ONE)
@@ -1210,6 +1213,12 @@ def zxpoly_over_q_factorial(num: Sequence[Sequence[int]], n: int) -> tuple[tuple
     return tuple(rows), _cyclotomic_product(left)
 
 
+# The digit size of the certificate's residues: small, so that they are cheap,
+# and Phi_d(2^16) >= 2^16 - 1, so that a zero residue, which runs the exact
+# fold test, is rare when Phi_d does not divide.
+_CERTIFY_BITS = 16
+
+
 def qrat_certified(num: QPoly, den: QPoly) -> QRat:
     """The canonical QRat equal to num / den, without a gcd when den certifies
     that num / den is already reduced.
@@ -1224,8 +1233,8 @@ def qrat_certified(num: QPoly, den: QPoly) -> QRat:
     """
     exps = cyclotomic_exponents(den) if num else None
     if exps is not None:
-        v = zpoly_pack(num.ints, _RESIDUE_BITS)
-        if all(v % _cyclotomic_at(d, _RESIDUE_BITS)[0] or not _divisible_by_cyclotomic(num.ints, d)
+        v = zpoly_pack(num.ints, _CERTIFY_BITS)
+        if all(v % _cyclotomic_at(d, _CERTIFY_BITS)[0] or not _divisible_by_cyclotomic(num.ints, d)
                for d, _ in exps):
             return QRat._raw(num, den)
     return QRat(num, den)

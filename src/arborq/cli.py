@@ -14,6 +14,12 @@ At module level this file imports only the standard library and the cache,
 which needs nothing else.  Each handler imports the layers it runs, so a json
 cache hit, `cache list` and `cache verify-hashes` never load the solver,
 algebra, verify or serialize modules.
+
+A compute writes its output one tree at a time.  A cold compute solves,
+reduces and writes each tree in turn: the json text goes to the output, or
+into the cache entry and then from it to the output, and a csv or tex row is
+rendered from the same value.  A csv or tex cache hit renders each entry as
+the load decodes and checks it, with no series of values built.
 """
 
 from __future__ import annotations
@@ -29,23 +35,24 @@ from .cache import canonical_json
 
 if TYPE_CHECKING:
     from .algebra import QPoly, QRat, XPoly
-    from .series import TreeSeries
 
 CACHE_DIR_ENV = "ARBORQ_CACHE_DIR"
 COSTLY_ORDER = 11
 WORKERS_HELP = "accepted for compatibility (must be >= 1); has no effect"
 
 # name -> (ring, the usage of --n after "requires --n" or None if the series
-# takes none, solver).  A solver is given the solvers module, n and the order,
-# so that importing the CLI loads no math layer.
+# takes none, values).  values is given the solvers module, n and the order,
+# so that importing the CLI loads no math layer, and gives (tree, value) for
+# each tree up to the order, sorted by (size, encoding).
 SERIES = {
-    "pawn": ("xpoly", None, lambda sv, n, order: sv.solve_pawn(order)),
-    "E": ("qrat", None, lambda sv, n, order: sv.series_E(order)),
-    "F": ("qrat", ">= 0", lambda sv, n, order: sv.coloring_series(order, n, "weak")),
-    "G": ("qrat", ">= 0", lambda sv, n, order: sv.coloring_series(order, n, "strict")),
-    "omega": ("qrat", None, lambda sv, n, order: sv.solve_omega(order)),
-    "omega_bar": ("qrat", None, lambda sv, n, order: sv.solve_omega_bar(order)),
-    "pawn_at": ("qrat", "(the q-integer)", lambda sv, n, order: sv.eval_pawn_at_qint(order, n)),
+    "pawn": ("xpoly", None, lambda sv, n, order: sv.pawn_values(order)),
+    "E": ("qrat", None, lambda sv, n, order: sv.series_E(order).items()),
+    "F": ("qrat", ">= 0", lambda sv, n, order: sv.coloring_series(order, n, "weak").items()),
+    "G": ("qrat", ">= 0", lambda sv, n, order: sv.coloring_series(order, n, "strict").items()),
+    "omega": ("qrat", None, lambda sv, n, order: sv.solve_omega(order).items()),
+    "omega_bar": ("qrat", None, lambda sv, n, order: sv.solve_omega_bar(order).items()),
+    "pawn_at": ("qrat", "(the q-integer)",
+                lambda sv, n, order: sv.eval_pawn_at_qint(order, n).items()),
 }
 
 
@@ -73,20 +80,6 @@ def _check_verify_args(parser: argparse.ArgumentParser, args) -> None:
 
 # ---------------------------------------------------------------------------
 # Renderers
-
-
-def _render_csv(series: TreeSeries) -> str:
-    import csv
-    import io
-
-    from . import trees as tr
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["size", "encoding", "coefficient"])
-    for t, v in series.items():
-        writer.writerow([tr.size(t), tr.encoding(t), str(v)])
-    return buf.getvalue()
 
 
 def _qpoly_tex(p: QPoly) -> str:
@@ -157,27 +150,109 @@ def _xpoly_tex(f: XPoly, cofactor) -> str:
     return f"\\frac{{{numerator}}}{{{_cyclo_tex(den)}}}"
 
 
-def _render_tex(series: TreeSeries, name: str) -> str:
-    from . import trees as tr
+def _coefficient_text(fmt: str, ring: str):
+    """The text of a value in a csv or tex row: the value's own str, or its
+    tex, in parentheses when it is a sum that is not a fraction."""
+    if fmt == "csv":
+        return str
     from .algebra import QPoly
 
     # the coefficients of a series share few (common denominator,
     # denominator) pairs: 278 at pawn order 8, against 1 646 coefficients
     cofactor = functools.cache(QPoly.exact_div)
-    lines = [f"% series {name}, order {series.order}", "\\begin{align*}"]
-    for t, v in series.items():
-        coeff = _xpoly_tex(v, cofactor) if series.ring == "xpoly" else _qrat_tex(v)
+
+    def tex(v) -> str:
+        coeff = _xpoly_tex(v, cofactor) if ring == "xpoly" else _qrat_tex(v)
         if not coeff.startswith("\\frac") and " " in coeff:
             coeff = f"\\left({coeff}\\right)"
+        return coeff
+
+    return tex
+
+
+def _write_table(out, fmt: str, name: str, order: int, rows) -> None:
+    """Write the csv or tex table of the (tree, coefficient text) rows."""
+    from . import trees as tr
+
+    if fmt == "csv":
+        import csv
+
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["size", "encoding", "coefficient"])
+        for t, text in rows:
+            writer.writerow([tr.size(t), tr.encoding(t), text])
+        return
+    out.write(f"% series {name}, order {order}\n\\begin{{align*}}\n")
+    for t, text in rows:
         aut = tr.aut_order(t)
         tree_part = (
             f"\\frac{{\\texttt{{{tr.encoding(t)}}}}}{{{aut}}}"
             if aut > 1
             else f"\\texttt{{{tr.encoding(t)}}}"
         )
-        lines.append(f"&{coeff} \\cdot {tree_part} \\\\")
-    lines.append("\\end{align*}")
-    return "\n".join(lines) + "\n"
+        out.write(f"&{text} \\cdot {tree_part} \\\\\n")
+    out.write("\\end{align*}\n")
+
+
+# what reading a cached value raises when the value is unreadable
+_UNREADABLE = (ValueError, KeyError, TypeError, ArithmeticError)
+
+
+def _hit_reader(ring: str, order: int, text):
+    """The load's each for a csv or tex hit: (tree, coefficient text, or None
+    for a zero value) of one entry, or what reading it raised; an entry beyond
+    the order is unreadable, as it is in a TreeSeries."""
+    from . import trees as tr
+    from .serialize import value_from_obj
+
+    def read(entry):
+        try:
+            enc, obj = entry
+            t = tr.parse(enc)
+            if tr.size(t) > order:
+                raise ValueError("coefficient beyond the truncation order")
+            v = value_from_obj(ring, obj)
+            return t, text(v) if v else None
+        except _UNREADABLE as exc:  # reported only if the entry passes its checks
+            return exc
+
+    return read
+
+
+def _hit_rows(items):
+    """The rows of the (tree, text) items a hit read: as a series holds them,
+    the last value of a tree kept, zeros dropped, sorted by (size, encoding).
+    The first entry that could not be read raises what it raised."""
+    from . import trees as tr
+
+    for item in items:
+        if isinstance(item, Exception):
+            raise item
+    rows = dict(items)
+    return [(t, rows[t]) for t in sorted(rows, key=tr.tree_sort_key) if rows[t] is not None]
+
+
+def _json(write_payload):
+    """The output of a json compute: the payload, then a newline."""
+    def write(out) -> None:
+        write_payload(out)
+        out.write("\n")
+
+    return write
+
+
+def _emit(args, write) -> int:
+    """Call write on the output stream: the --out file, or stdout."""
+    if not args.out:
+        write(sys.stdout)
+        return 0
+    try:
+        with open(args.out, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        print(f"error: cannot write the output file: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -188,67 +263,67 @@ def cmd_compute(args) -> int:
     params = {} if args.n is None else {"n": args.n}
     key = cache_mod.make_key(args.series, params, args.order)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+    ring, _, values = SERIES[args.series]
+    fmt = args.format
+    # csv and tex load their layers before a hit reads its file; a json hit
+    # prints the checked text and loads none
+    text = None if fmt == "json" else _coefficient_text(fmt, ring)
 
-    ring, _, solve = SERIES[args.series]
-    hit = None
+    def table(rows):
+        return lambda out: _write_table(out, fmt, args.series, args.order, rows)
+
     if cache_dir:
         try:
-            hit = cache_mod.load(cache_dir, key)
+            hit = cache_mod.load(cache_dir, key,
+                                 None if text is None else _hit_reader(ring, args.order, text))
         except cache_mod.CacheError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    # encoded: the payload's canonical json, made at most once per command
-    series = encoded = None
-    if hit is not None:
-        encoded = hit.text
-        if args.format != "json":
-            # csv and tex need the series; a json hit prints the checked text
-            from .serialize import series_from_obj
-
+        if hit is not None:
+            if text is None:
+                return _emit(args, _json(lambda out: out.write(hit.text)))
             try:
-                series = series_from_obj({**hit.header, "ring": ring,
-                                          "entries": cache_mod.iter_entries(encoded)})
-            except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+                rows = _hit_rows(hit.items)
+            except _UNREADABLE as exc:
                 print(f"error: {cache_mod.entry_path(cache_dir, key)}: unreadable cached "
                       f"value ({exc!r})", file=sys.stderr)
                 return 1
-    else:
-        from . import solvers
+            return _emit(args, table(rows))
 
-        if args.order >= COSTLY_ORDER:
-            print(f"warning: order {args.order} solves thousands of tree classes "
-                  f"exactly; expect a long run", file=sys.stderr)
-        series = solve(solvers, args.n, args.order)
-        if cache_dir or args.format == "json":
-            from .serialize import series_entries
+    from . import solvers
+    from .serialize import entries_json
 
-            # each entry lives only as long as its encoding takes
-            encoded = cache_mod.payload_text(args.series, params, args.order,
-                                             series_entries(series))
-        if cache_dir:
-            try:
-                cache_mod.store(cache_dir, key, encoded)
-            except OSError as exc:
-                print(f"error: cannot write the cache entry: {exc}", file=sys.stderr)
-                return 1
+    if args.order >= COSTLY_ORDER:
+        print(f"warning: order {args.order} solves thousands of tree classes "
+              f"exactly; expect a long run", file=sys.stderr)
+    pairs = values(solvers, args.n, args.order)
+    if not cache_dir:
+        if text is not None:
+            return _emit(args, table((t, text(v)) for t, v in pairs if v))
+        pieces = cache_mod.payload_pieces(args.series, params, args.order,
+                                          entries_json(ring, pairs))
+        return _emit(args, _json(lambda out: out.writelines(pieces)))
 
-    if args.format == "json":
-        text = encoded + "\n"
-    elif args.format == "csv":
-        text = _render_csv(series)
-    else:
-        text = _render_tex(series, args.series)
+    # the entry is written as the trees are solved; the output follows it, so
+    # a store that fails leaves stdout empty
+    rows = []
 
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write the output file: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
-    return 0
+    def rendered(pairs):
+        for t, v in pairs:
+            if v:
+                rows.append((t, text(v)))
+            yield t, v
+
+    entries = entries_json(ring, pairs if text is None else rendered(pairs))
+    try:
+        path = cache_mod.store(cache_dir, key, cache_mod.payload_pieces(
+            args.series, params, args.order, entries))
+    except OSError as exc:
+        print(f"error: cannot write the cache entry: {exc}", file=sys.stderr)
+        return 1
+    if text is None:
+        return _emit(args, _json(lambda out: cache_mod.copy_payload(path, key, out)))
+    return _emit(args, table(rows))
 
 
 # ---------------------------------------------------------------------------

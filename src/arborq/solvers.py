@@ -215,17 +215,20 @@ def _alternating(n: int, removed: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # The main two-variable series ("pawn" in the CLI)
 
-_PAWN: dict[int, XPoly] = {}
-
 # (q^n - 1) P_T = sum_S (-1)^|S| P_{T minus S} + q^n (1 + (q-1) x) prod_c P_c
 _PAWN_ENGINE = FractionFreeRecursion(
     leaf=((1,), (0, 1)),
     prune_weight=_alternating,
     branch_weight=lambda n, k: ((0,) * n + (1,), (0,) * n + (-1, 1)),
 )
+# the pawn coefficients solved: the engine's memo of packed N_T, which every
+# route to a coefficient fills; the reduced values are kept only for the
+# library's pawn_coeff
+_PAWN = _PAWN_ENGINE.memo
+_PAWN_COEFF: dict[int, XPoly] = {}
 
 
-@tr.memoized(_PAWN)
+@tr.memoized(_PAWN_COEFF)
 def pawn_coeff(t: int) -> XPoly:
     """Coefficient of the tree t, a polynomial in x of degree #t over Q(q)."""
     return XPoly(_PAWN_ENGINE.reduced(t))
@@ -234,6 +237,15 @@ def pawn_coeff(t: int) -> XPoly:
 def solve_pawn(order: int) -> TreeSeries:
     """The unique solution of the defining equation, to the given order."""
     return _series(order, "xpoly", pawn_coeff)
+
+
+def pawn_values(order: int):
+    """(tree, coefficient) for each tree up to the order, sorted by (size,
+    encoding).  Each coefficient is reduced from N_T when it is reached and is
+    not kept, so a caller that writes them out one at a time never holds the
+    series; only the engine's memo grows."""
+    for t in tr.trees_upto(order):
+        yield t, XPoly(_PAWN_ENGINE.reduced(t))
 
 
 def pawn_fraction(t: int) -> tuple[tuple, QPoly]:

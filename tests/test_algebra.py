@@ -59,14 +59,12 @@ from arborq.algebra import (
     zxpoly_trim,
     zxpoly_unpack,
 )
-from arborq.serialize import (
-    qpoly_from_pairs,
+from arborq.serialize import qpoly_from_pairs, qrat_from_obj, xpoly_from_obj
+from tests.serialize_reference import (
     qpoly_to_pairs,
-    qrat_from_obj,
     qrat_to_obj,
     value_from_obj,
     value_to_obj,
-    xpoly_from_obj,
     xpoly_to_obj,
 )
 

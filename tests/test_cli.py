@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 from arborq import algebra, cache as C, serialize, solvers as S, trees as T, verify as vf
 from arborq.cli import COSTLY_ORDER, main
+from tests import serialize_reference as SR
 from tests.test_verify import CORRUPT_TREE, corrupt
 
 
@@ -117,10 +119,10 @@ class TestCompute:
         argv = ["compute", "pawn", "--order", "3", "--format", fmt]
         _, want, _ = run_cli(argv, capsys)
 
-        def no_payload(ring, v):
+        def no_payload(ring, values):
             raise AssertionError("a payload was built")
 
-        monkeypatch.setattr(serialize, "value_to_obj", no_payload)
+        monkeypatch.setattr(serialize, "entries_json", no_payload)
         code, out, _ = run_cli(argv, capsys)
         assert code == 0 and out == want
 
@@ -255,6 +257,95 @@ class TestByteIdentity:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def entry_corpus(cdir: str, capsys) -> list[str]:
+    """Fill cdir with entry files of every kind, stored or hand-written,
+    corrupt or not; return the names of those store wrote of a whole
+    payload."""
+    for argv in (["pawn", "--order", "3"], ["omega", "--order", "3"], ["E", "--order", "2"],
+                 ["pawn_at", "--n", "-2", "--order", "3"]):
+        run_cli(["compute", *argv, "--cache-dir", cdir], capsys)
+    C.store(cdir, dict(C.make_key("E", {}, 3), version=C.FORMAT_VERSION - 1),
+            [C.canonical_json({"series": "E", "params": {}, "order": 3, "entries": []})])
+    params, entries = {"n": "\u00e9\"\\"}, [["\n", "1/1"]]
+    C.store(cdir, C.make_key("\u00e9", params, 3), [C.canonical_json(
+        {"series": "\u00e9", "params": params, "order": 3, "entries": entries})])
+    stored = sorted(os.listdir(cdir))
+    # stored too, but with no order or params: not a payload payload_pieces makes
+    C.store(cdir, C.make_key("\u00e9", {"n": 1}, 3),
+            [C.canonical_json({"series": "\u00e9", "entries": entries})])
+    with open(C.entry_path(cdir, C.make_key("E", {}, 2))) as fh:
+        text = fh.read()
+    key = C.make_key("omega", {}, 3)
+    good = {"series": "omega", "params": {}, "order": 3, "entries": [["()", "x"]]}
+
+    def laid_out(payload, k=key):  # as store writes it
+        return C.canonical_json({"key": k, "payload": payload,
+                                 "sha256": C.payload_hash(C.canonical_json(payload))}) + "\n"
+
+    corrupt = json.loads(text)
+    corrupt["payload"]["entries"][0][1]["num"] = [[0, "2/1"]]
+    files = {
+        "a-spaced": json.dumps(json.loads(text)),
+        "a-corrupt": json.dumps(corrupt),
+        "b-trailing-space": text + " ",
+        "c-flipped-digit": text.replace('"1/1"', '"2/1"', 1),
+        "c-renamed-hash": text.replace('"sha256":', '"sha257":'),
+        "c-renamed-payload": text.replace('"payload":', '"paylaod":'),
+        "d-truncated": text[:len(text) // 2],
+        "e-empty": "",
+        "f-list": "[]\n",
+        "g-spaced-entry": laid_out(good).replace('["()","x"]', '["()", "x"]'),
+        "g-spaced-params": laid_out(good).replace('"params":{},"series":"omega"}',
+                                                  '"params":{ },"series":"omega"}'),
+        "g-spaced-last-field": laid_out(dict(good, zz=1)).replace('"zz":1}', '"zz":1 }'),
+        "g-brace-for-bracket": laid_out(good).replace('["()","x"]]', '["()","x"]}'),
+        "h-extra-field": laid_out(dict(good, ring="qrat")),
+        "h-field-before-entries": laid_out(dict(good, a=1)),
+    }
+    for i, (k, payload) in enumerate([(key, []), (key, {"order": 3}), (key, good),
+                                      ([1], {"entries": []})]):
+        files[f"k{i}-dumped"] = json.dumps(
+            {"key": k, "payload": payload, "sha256": C.payload_hash(C.canonical_json(payload))})
+        files[f"k{i}-stored"] = laid_out(payload, k)
+    for name, body in files.items():
+        with open(os.path.join(cdir, f"{name}.json"), "w") as fh:
+            fh.write(body)
+    return stored
+
+
+def lean_render(path: str, fmt: str):
+    """The csv or tex table a hit on the entry file at path prints, each entry
+    rendered as the load reads it; or the type of the exception it raises."""
+    import arborq.cli as cli
+
+    try:
+        key = C._read_entry(path).key
+        ring = cli.SERIES.get(key["series"], ("qrat",))[0]
+        text = cli._coefficient_text(fmt, ring)
+        rows = cli._hit_rows(C._read_entry(path, cli._hit_reader(ring, key["order"], text)).items)
+    except Exception as exc:
+        return type(exc)
+    out = io.StringIO()
+    cli._write_table(out, fmt, key["series"], key["order"], rows)
+    return out.getvalue()
+
+
+def object_render(path: str, fmt: str):
+    """The same table by the object path: the whole payload read back into a
+    TreeSeries, whose values are then rendered; or the exception's type."""
+    import arborq.cli as cli
+
+    try:
+        entry = C._read_entry(path)
+        key = entry.key
+        series = SR.series_from_obj({"order": key["order"],
+                                     "ring": cli.SERIES.get(key["series"], ("qrat",))[0],
+                                     "entries": json.loads(entry.text)["entries"]})
+    except Exception as exc:
+        return type(exc)
+    return SR.render_table(series, fmt, key["series"])
+
+
 class TestCache:
     def test_roundtrip(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")
@@ -308,10 +399,10 @@ class TestCache:
         args = ["compute", "pawn", "--order", "3", "--cache-dir", cdir]
         _, fresh, _ = run_cli(args, capsys)
 
-        def no_parse(_obj):
+        def no_parse(_ring, _obj):
             raise AssertionError("json cache hit parsed the payload")
 
-        monkeypatch.setattr("arborq.serialize.series_from_obj", no_parse)
+        monkeypatch.setattr("arborq.serialize.value_from_obj", no_parse)
         code, cached, _ = run_cli(args, capsys)
         assert code == 0 and cached == fresh
         with pytest.raises(AssertionError):
@@ -340,15 +431,17 @@ class TestCache:
         cdir = str(tmp_path)
         num = algebra.QPoly((5, 0, 1)) * algebra.cyclotomic(2) * algebra.cyclotomic(3)
         den = algebra.cyclotomic(2) ** 2 * algebra.cyclotomic(3) * algebra.cyclotomic(4)
-        value = {"num": serialize.qpoly_to_pairs(num), "den": serialize.qpoly_to_pairs(den)}
+        value = {"num": SR.qpoly_to_pairs(num), "den": SR.qpoly_to_pairs(den)}
         want = algebra.QRat(num, den)
         assert want.den == algebra.cyclotomic(2) * algebra.cyclotomic(4)
         assert serialize.qrat_from_obj(value) == want
         payload = {"series": "omega", "params": {}, "order": 1, "entries": [["()", value]]}
-        C.store(cdir, C.make_key("omega", {}, 1), C.canonical_json(payload))
+        path = C.store(cdir, C.make_key("omega", {}, 1), [C.canonical_json(payload)])
         args = ["compute", "omega", "--order", "1", "--format", "csv", "--cache-dir", cdir]
         code, out, _ = run_cli(args, capsys)
         assert code == 0 and out.splitlines()[1:] == [f"1,(),{want}"]
+        for fmt in ("csv", "tex"):
+            assert lean_render(path, fmt) == object_render(path, fmt)
 
     def test_corruption_detected(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")
@@ -387,7 +480,7 @@ class TestCache:
     def test_entry_whose_key_is_not_the_request(self, tmp_path, capsys):
         cdir = str(tmp_path)
         payload = {"series": "E", "params": {}, "order": 3, "entries": []}
-        path = C.store(cdir, C.make_key("E", {}, 3), C.canonical_json(payload))
+        path = C.store(cdir, C.make_key("E", {}, 3), [C.canonical_json(payload)])
         wanted = C.entry_path(cdir, C.make_key("E", {}, 2))
         os.replace(path, wanted)
         code, out, err = run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
@@ -429,7 +522,7 @@ class TestCache:
         key = C.make_key("E", {}, 3)
         stale_key = dict(key, version=C.FORMAT_VERSION - 1)
         C.store(cdir, stale_key,
-                C.canonical_json({"series": "E", "params": {}, "order": 3, "entries": []}))
+                [C.canonical_json({"series": "E", "params": {}, "order": 3, "entries": []})])
         assert len(os.listdir(cdir)) == 2
         code, out, _ = run_cli(["cache", "gc", "--dir", cdir], capsys)
         assert code == 0 and "removed 1" in out
@@ -442,21 +535,30 @@ class TestCache:
         _, want, _ = run_cli(argv, capsys)
         entries = json.loads(want)["entries"]
         encoded, canonical_json = [], C.canonical_json
+        written, xpoly_json = [], serialize.xpoly_json
 
         def counting(obj):
             encoded.append(obj)
             return canonical_json(obj)
 
+        def writing(f):
+            written.append(f)
+            return xpoly_json(f)
+
         monkeypatch.setattr(C, "canonical_json", counting)
         monkeypatch.setattr(cli, "canonical_json", counting)
+        monkeypatch.setitem(serialize._WRITERS, "xpoly", writing)
         # no cache, then a cold compute that stores, then a hit: each entry is
-        # encoded once (to write it, or to check it on the load), and the
-        # payload is never encoded whole
-        for extra in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
+        # encoded once (written from its value, or checked by canonical_json
+        # on the load), and the payload is never encoded whole
+        for extra, cold in (([], True), (["--cache-dir", str(tmp_path)], True),
+                            (["--cache-dir", str(tmp_path)], False)):
             encoded.clear()
+            written.clear()
             code, out, _ = run_cli(argv + extra, capsys)
             assert code == 0 and out == want, extra
-            assert [obj for obj in encoded if isinstance(obj, list)] == entries, extra
+            assert len(written) == (len(entries) if cold else 0), extra
+            assert [obj for obj in encoded if isinstance(obj, list)] == ([] if cold else entries)
             assert not [obj for obj in encoded if isinstance(obj, dict) and "entries" in obj]
         assert len(os.listdir(tmp_path)) == 1
 
@@ -467,105 +569,77 @@ class TestCache:
         key = C.make_key("pawn", {"n": "\u00e9\"\\"}, 3)
         for payload in (json.loads(out), {"series": "é", "entries": [["\n", "1/1"]]}):
             text = C.canonical_json(payload)
-            path = C.store(str(tmp_path), key, text)
+            path = C.store(str(tmp_path), key, [text])
             with open(path, encoding="utf-8") as fh:
                 written = fh.read()
             assert written == C.canonical_json(
                 {"key": key, "payload": payload, "sha256": C.payload_hash(text)}) + "\n"
 
-    PAYLOAD_CASES = [("pawn", None), ("E", None), ("F", 2), ("G", 1), ("omega", None),
+    PAYLOAD_CASES = [("pawn", None), ("E", None), ("F", 2), ("G", 1), ("G", 2), ("omega", None),
                      ("omega_bar", None), ("pawn_at", 3), ("pawn_at", -2)]
 
     @pytest.mark.parametrize("name, n", PAYLOAD_CASES)
     def test_payload_text_is_the_canonical_payload(self, name, n):
+        # the writer against the object path it replaced: canonical_json of
+        # value_to_obj, entry by entry and for the whole payload
         import arborq.cli as cli
 
         assert {case for case, _ in self.PAYLOAD_CASES} == set(cli.SERIES)
-        series = cli.SERIES[name][2](S, n, 5)
+        ring, _, values = cli.SERIES[name]
+        pairs = list(values(S, n, 5))
         params = {} if n is None else {"n": n}
+        texts = list(serialize.entries_json(ring, pairs))
+        assert texts == [SR.entry_text(ring, t, v) for t, v in pairs if v]
         payload = {"series": name, "params": params, "order": 5,
-                   "entries": serialize.series_to_obj(series)["entries"]}
-        assert C.payload_text(name, params, 5, serialize.series_entries(series)) \
+                   "entries": [json.loads(text) for text in texts]}
+        assert "".join(C.payload_pieces(name, params, 5, iter(texts))) \
             == C.canonical_json(payload)
 
     def test_payload_text_of_unicode_and_empty_payloads(self):
         for series, params, entries in (("\u00e9", {"n": "\u00e9\"\\"}, [["\n", "1/1"]]),
                                         ("E", {}, [])):
-            assert C.payload_text(series, params, 3, iter(entries)) == C.canonical_json(
+            pieces = C.payload_pieces(series, params, 3, map(C.canonical_json, entries))
+            assert "".join(pieces) == C.canonical_json(
                 {"series": series, "params": params, "order": 3, "entries": entries})
+
+    def test_pawn_order_8_entry_file(self, tmp_path, capsys):
+        # the whole entry file, key, payload and hash, as the object path wrote it
+        code, out, _ = run_cli(["compute", "pawn", "--order", "8", "--cache-dir", str(tmp_path)],
+                               capsys)
+        (name,) = os.listdir(tmp_path)
+        with open(tmp_path / name, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+            "74e798a2d0ea2376cf018c012d8080226f3e9665c2e74ce143f9867b3b8592ba"
+        assert name == "pawn-cf03c8978cd16241.json"
+        assert digest == "a7f1c6339c168d7b3a514812ddeed759b17c27908b8df016091bad9bc0ef63f6"
 
     def test_streamed_reader_agrees_with_the_whole_parse(self, tmp_path, capsys, monkeypatch):
         # the entry files of this class, stored or hand-written, corrupt or
         # not: each reads to the same entry or the same error whether a file
         # in store's layout is read an entry at a time or parsed whole
         cdir = str(tmp_path)
-        for argv in (["pawn", "--order", "3"], ["omega", "--order", "3"], ["E", "--order", "2"],
-                     ["pawn_at", "--n", "-2", "--order", "3"]):
-            run_cli(["compute", *argv, "--cache-dir", cdir], capsys)
-        C.store(cdir, dict(C.make_key("E", {}, 3), version=C.FORMAT_VERSION - 1),
-                C.canonical_json({"series": "E", "params": {}, "order": 3, "entries": []}))
-        params, entries = {"n": "\u00e9\"\\"}, [["\n", "1/1"]]
-        C.store(cdir, C.make_key("\u00e9", params, 3), C.canonical_json(
-            {"series": "\u00e9", "params": params, "order": 3, "entries": entries}))
-        stored = sorted(os.listdir(cdir))
-        # stored too, but with no order or params: not a payload payload_text makes
-        C.store(cdir, C.make_key("\u00e9", {"n": 1}, 3),
-                C.canonical_json({"series": "\u00e9", "entries": entries}))
-        with open(C.entry_path(cdir, C.make_key("E", {}, 2))) as fh:
-            text = fh.read()
-        key = C.make_key("omega", {}, 3)
-        good = {"series": "omega", "params": {}, "order": 3, "entries": [["()", "x"]]}
-
-        def laid_out(payload, k=key):  # as store writes it
-            return C.canonical_json({"key": k, "payload": payload,
-                                     "sha256": C.payload_hash(C.canonical_json(payload))}) + "\n"
-
-        corrupt = json.loads(text)
-        corrupt["payload"]["entries"][0][1]["num"] = [[0, "2/1"]]
-        files = {
-            "a-spaced": json.dumps(json.loads(text)),
-            "a-corrupt": json.dumps(corrupt),
-            "b-trailing-space": text + " ",
-            "c-flipped-digit": text.replace('"1/1"', '"2/1"', 1),
-            "c-renamed-hash": text.replace('"sha256":', '"sha257":'),
-            "c-renamed-payload": text.replace('"payload":', '"paylaod":'),
-            "d-truncated": text[:len(text) // 2],
-            "e-empty": "",
-            "f-list": "[]\n",
-            "g-spaced-entry": laid_out(good).replace('["()","x"]', '["()", "x"]'),
-            "g-spaced-params": laid_out(good).replace('"params":{},"series":"omega"}',
-                                                      '"params":{ },"series":"omega"}'),
-            "g-spaced-last-field": laid_out(dict(good, zz=1)).replace('"zz":1}', '"zz":1 }'),
-            "g-brace-for-bracket": laid_out(good).replace('["()","x"]]', '["()","x"]}'),
-            "h-extra-field": laid_out(dict(good, ring="qrat")),
-            "h-field-before-entries": laid_out(dict(good, a=1)),
-        }
-        for i, (k, payload) in enumerate([(key, []), (key, {"order": 3}), (key, good),
-                                          ([1], {"entries": []})]):
-            files[f"k{i}-dumped"] = json.dumps(
-                {"key": k, "payload": payload, "sha256": C.payload_hash(C.canonical_json(payload))})
-            files[f"k{i}-stored"] = laid_out(payload, k)
-        for name, body in files.items():
-            with open(os.path.join(cdir, f"{name}.json"), "w") as fh:
-                fh.write(body)
+        stored = entry_corpus(cdir, capsys)
 
         def fields(scanned):
             name, entry = scanned
             if isinstance(entry, C.CacheError):
                 return name, str(entry)
-            return name, (entry.key, entry.header, entry.text, entry.sha256,
-                          list(C.iter_entries(entry.text)))
+            items = C._read_entry(os.path.join(cdir, name), lambda e: e).items
+            return name, (entry.key, entry.header, entry.text, entry.sha256, entry.digest,
+                          list(items))
 
         streamed, read_stored = [], C._read_stored
 
-        def spy(raw):
-            entry = read_stored(raw)
-            streamed.append(entry is not None)
+        def spy(path, each):
+            entry = read_stored(path, each)
+            if each is None:
+                streamed.append(entry is not None)
             return entry
 
         monkeypatch.setattr(C, "_read_stored", spy)
         by_stream = [fields(scanned) for scanned in C.scan(cdir)]
-        monkeypatch.setattr(C, "_read_stored", lambda raw: None)
+        monkeypatch.setattr(C, "_read_stored", lambda path, each: None)
         assert by_stream == [fields(scanned) for scanned in C.scan(cdir)]
         # the streamed reading took every file store wrote of a whole payload,
         # and of the others those in its exact layout: one whose hash then
@@ -573,6 +647,68 @@ class TestCache:
         names = [name for name, _ in by_stream]
         assert {name for name, s in zip(names, streamed) if s} == {
             *stored, "c-flipped-digit.json", "k2-stored.json"}
+
+    def test_lean_hit_renders_agree_with_the_object_renders(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a csv or tex hit renders each entry as the load reads it; on every
+        # file of the corpus, read an entry at a time or parsed whole, that
+        # is the table of the series the payload reads back to, or the same
+        # error
+        cdir = str(tmp_path)
+        entry_corpus(cdir, capsys)
+        tables = 0
+        for whole in (False, True):
+            if whole:
+                monkeypatch.setattr(C, "_read_stored", lambda path, each: None)
+            for name in sorted(os.listdir(cdir)):
+                path = os.path.join(cdir, name)
+                for fmt in ("csv", "tex"):
+                    lean = lean_render(path, fmt)
+                    assert lean == object_render(path, fmt), (name, fmt, whole)
+                    tables += isinstance(lean, str)
+        # pawn, omega, pawn_at and E at two orders, as store wrote them, and
+        # two hand-made copies of the order-2 E entry; the rest are errors
+        assert tables == 2 * 2 * 7
+
+    def test_a_hit_decodes_each_entry_once(self, tmp_path, capsys, monkeypatch):
+        cdir = str(tmp_path)
+        argv = ["compute", "pawn", "--order", "4", "--cache-dir", cdir]
+        _, out, _ = run_cli(argv, capsys)
+        entries = json.loads(out)["entries"]
+        decoded = []
+
+        class Counting(json.JSONDecoder):
+            def raw_decode(self, s, idx=0):
+                obj, end = super().raw_decode(s, idx)
+                decoded.append(obj)
+                return obj, end
+
+        monkeypatch.setattr(C, "_DECODER", Counting())
+        for fmt in ("csv", "tex"):
+            decoded.clear()
+            code, out, _ = run_cli([*argv, "--format", fmt], capsys)
+            assert code == 0 and out
+            # the key, each entry, then the three header fields: once each
+            assert decoded[1:-3] == entries and len(decoded) == len(entries) + 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "tex"])
+    def test_unreadable_last_value_with_a_valid_hash(self, tmp_path, capsys, monkeypatch, fmt):
+        cdir = str(tmp_path)
+        key = C.make_key("pawn", {}, 3)
+        _, out, _ = run_cli(["compute", "pawn", "--order", "3"], capsys)
+        payload = json.loads(out)
+        payload["entries"][-1][1][0][1]["num"] = [[0, "1/0"]]
+        path = C.store(cdir, key, [C.canonical_json(payload)])
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("an entry file was parsed whole")
+
+        monkeypatch.setattr(json, "load", no_parse)
+        code, out, err = run_cli(["compute", "pawn", "--order", "3", "--format", fmt,
+                                  "--cache-dir", cdir], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: unreadable cached value (ZeroDivisionError(")
+        assert len(err.splitlines()) == 1
 
     def test_a_stored_entry_is_never_held_whole(self, tmp_path, capsys, monkeypatch):
         # a cold compute encodes the payload an entry at a time, and a hit or
@@ -616,11 +752,34 @@ class TestCache:
         assert err.startswith("error: ") and str(target) in err and len(err.splitlines()) == 1
         assert target.read_text() == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "tex"])
+    def test_pawn_cache_dir_that_is_a_file(self, tmp_path, capsys, fmt):
+        # the entry is written as the trees are solved: a store that fails
+        # prints nothing, whatever the format
+        target = tmp_path / "file"
+        target.write_text("")
+        code, out, err = run_cli(["compute", "pawn", "--order", "4", "--format", fmt,
+                                  "--cache-dir", str(target)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write the cache entry: ") and str(target) in err
+        assert len(err.splitlines()) == 1 and target.read_text() == ""
+
+    def test_store_that_fails_midway_leaves_no_file(self, tmp_path):
+        # the payload arrives as it is solved: a solver that raises leaves
+        # neither an entry nor a temp file behind
+        def pieces():
+            yield '{"entries":['
+            raise ArithmeticError("solver failed")
+
+        with pytest.raises(ArithmeticError):
+            C.store(str(tmp_path), C.make_key("E", {}, 2), pieces())
+        assert os.listdir(tmp_path) == []
+
     def test_store_ignores_a_stale_shared_temp_path(self, tmp_path):
         key = C.make_key("E", {}, 2)
         payload = {"series": "E", "params": {}, "order": 2, "entries": []}
         os.makedirs(C.entry_path(str(tmp_path), key) + ".tmp")
-        path = C.store(str(tmp_path), key, C.canonical_json(payload))
+        path = C.store(str(tmp_path), key, [C.canonical_json(payload)])
         entry = C.load(str(tmp_path), key)
         assert (entry.key, entry.text) == (key, C.canonical_json(payload))
         assert sorted(os.listdir(tmp_path)) == sorted(
@@ -629,7 +788,7 @@ class TestCache:
     def test_gc_removes_old_temp_files(self, tmp_path, capsys):
         cdir = str(tmp_path)
         path = C.store(cdir, C.make_key("E", {}, 2),
-                       C.canonical_json({"series": "E", "params": {}, "order": 2, "entries": []}))
+                       [C.canonical_json({"series": "E", "params": {}, "order": 2, "entries": []})])
         old, fresh = path + ".111.tmp", path + ".222.tmp"
         for tmp in (old, fresh):
             with open(tmp, "w") as fh:

@@ -11,7 +11,6 @@ import pytest
 
 from arborq import trees as T
 from arborq.algebra import QPoly, QRAT_ONE, QRat
-from arborq.serialize import series_from_obj, series_to_obj
 from arborq.series import (
     TreeSeries,
     diamond_crls,
@@ -21,6 +20,7 @@ from arborq.series import (
     unit_vertex,
     zero_series,
 )
+from tests.serialize_reference import series_from_obj, series_to_obj
 from tests.test_trees import brute_decompositions
 
 

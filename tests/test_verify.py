@@ -178,7 +178,8 @@ def corrupt(monkeypatch, t: int, terms: dict) -> None:
         monkeypatch.setattr(engine, name, getattr(engine, name))
     engine.memo[t] = algebra.zxpoly_pack(bad, engine.bits, engine.width)
     assert S.pawn_numerator(t) == bad
-    monkeypatch.setitem(S._PAWN, t, XPoly([algebra.qrat_over_q_factorial(c, T.size(t)) for c in bad]))
+    monkeypatch.setitem(S._PAWN_COEFF, t,
+                        XPoly([algebra.qrat_over_q_factorial(c, T.size(t)) for c in bad]))
 
 
 class TestZqIdentities:
