@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from arborq import serialize
 from arborq import trees as tr
 from arborq.algebra import QPoly, QRat, QSeries, XPoly
 from arborq.cache import canonical_json
@@ -114,5 +113,3 @@ def entry_text(ring: str, t: int, v) -> str:
     """The reference text of one entry, for the pins of serialize.entries_json."""
     return canonical_json([tr.encoding(t), value_to_obj(ring, v)])
 
-
-assert set(serialize._WRITERS) <= set(_CODECS)

@@ -692,12 +692,16 @@ class TestCache:
             assert decoded[1:-3] == entries and len(decoded) == len(entries) + 4
 
     @pytest.mark.parametrize("fmt", ["csv", "tex"])
-    def test_unreadable_last_value_with_a_valid_hash(self, tmp_path, capsys, monkeypatch, fmt):
+    @pytest.mark.parametrize("coeff, error", [("1/0", "ZeroDivisionError"), (5, "TypeError")])
+    def test_unreadable_last_value_with_a_valid_hash(self, tmp_path, capsys, monkeypatch, fmt,
+                                                     coeff, error):
+        # laid out as store writes it, so read an entry at a time; a
+        # coefficient that is not a string is unreadable too, not a traceback
         cdir = str(tmp_path)
         key = C.make_key("pawn", {}, 3)
         _, out, _ = run_cli(["compute", "pawn", "--order", "3"], capsys)
         payload = json.loads(out)
-        payload["entries"][-1][1][0][1]["num"] = [[0, "1/0"]]
+        payload["entries"][-1][1][0][1]["num"] = [[0, coeff]]
         path = C.store(cdir, key, [C.canonical_json(payload)])
 
         def no_parse(*args, **kwargs):
@@ -707,7 +711,7 @@ class TestCache:
         code, out, err = run_cli(["compute", "pawn", "--order", "3", "--format", fmt,
                                   "--cache-dir", cdir], capsys)
         assert code == 1 and out == ""
-        assert err.startswith(f"error: {path}: unreadable cached value (ZeroDivisionError(")
+        assert err.startswith(f"error: {path}: unreadable cached value ({error}(")
         assert len(err.splitlines()) == 1
 
     def test_a_stored_entry_is_never_held_whole(self, tmp_path, capsys, monkeypatch):
