@@ -13,8 +13,8 @@ This module provides the coefficient rings everything else is built on:
 plus cyclotomic polynomials, q-integers, cyclotomic trial-division
 factoring and the substitutions q -> 1/q, q -> value, q -> power series.
 The factorization of a product of cyclotomics is memoized per polynomial;
-it certifies a value over such a denominator reduced without a gcd and
-gives the lcm of such denominators as a product of highest powers.
+it reduces a value over such a denominator without a gcd and gives the lcm
+of such denominators as a product of highest powers.
 The four coefficient types share one base class for the operators they
 derive alike (-, **, exact_div, repr) from their own coercion and ring
 operations.
@@ -25,8 +25,9 @@ by x - r and by 1 + qx, the quotients of q-factorials the recursions scale
 by, and the cyclotomic reduction of num / [n]_q! (to a canonical QRat, or for
 a zxpoly to a numerator over a monic denominator, all in ints).  Its packed form holds
 a zpoly or zxpoly as one Python int, the Kronecker substitution q = 2^bits,
-x = 2^(bits*width): the per-tree engine solves on packed ints, the cyclotomic
-reduction and the residue filters of cyclotomic trial division divide them.
+x = 2^(bits*width): the per-tree engine solves on packed ints, and the one
+trial division by Phi_d (_divide_cyclotomics) divides them for the reduction
+over [n]_q!, the reading of a stored value and factor_cyclotomic alike.
 The per-tree recursions run on this layer directly; QPoly runs on it too,
 through its ints: a QPoly is ints / den with ints a zpoly and den a positive
 int coprime to the content of ints (zero is ((), 1)), so Q(q) arithmetic runs
@@ -514,27 +515,22 @@ def factor_cyclotomic(p: QPoly):
     Returns (unit, factors, remainder) with p = unit * prod Phi_d^m * remainder
     and the remainder monic with no cyclotomic factor: every Phi_d of degree
     phi(d) <= deg(remainder) is tried, and phi(d) >= sqrt(d / 2) bounds d.
+    Each trial is one _divide_cyclotomics call, capped at deg // phi(d).
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     factors: dict[int, int] = {}
     # Phi_d is monic over Z, so it splits off p = ints / den through ints
     rem = p.ints
-    value = zpoly_pack(rem, _RESIDUE_BITS)
     d = 0
     while len(rem) > 1 and d < 2 * (len(rem) - 1) ** 2:
         d += 1
-        # the residue rules Phi_d out; the division stays the authority on each split
-        while _totient(d) < len(rem):
-            phi = _cyclotomic_at(d, _RESIDUE_BITS)[0]
-            if value % phi:
-                break
-            quot, r = zpoly_divmod(rem, zcyclotomic(d))
-            if r:
-                break
-            rem = quot
-            value //= phi
-            factors[d] = factors.get(d, 0) + 1
+        cap = (len(rem) - 1) // _totient(d)
+        if cap:
+            (rem,), left = _divide_cyclotomics([rem], ((d, cap),))
+            m = cap - dict(left).get(d, 0)
+            if m:
+                factors[d] = m
     rest = QPoly.from_ints(rem, p.den)
     return rest.leading, factors, rest.monic()
 
@@ -972,10 +968,6 @@ def zcyclotomic(d: int) -> tuple[int, ...]:
 
 _STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
 
-# The digit size of the residue filters: Phi_d divides a zpoly a only if
-# Phi_d(2^bits) divides a(2^bits), whatever bits is.
-_RESIDUE_BITS = 64
-
 
 @lru_cache(maxsize=256)
 def _digit_unit(bits: int, slots: int) -> int:
@@ -1116,12 +1108,6 @@ def q_factorial_quotient(n: int, parts: tuple[int, ...]) -> tuple[int, ...]:
     return quot.num.ints
 
 
-def _divisible_by_cyclotomic(a: Sequence[int], d: int) -> bool:
-    # Phi_d divides q^d - 1, so a mod Phi_d is (a folded mod q^d - 1) mod Phi_d
-    folded = [sum(a[i::d]) for i in range(d)]
-    return not zpoly_divmod(folded, zcyclotomic(d))[1]
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> QPoly:
     out: tuple[int, ...] = (1,)
@@ -1139,16 +1125,13 @@ def _cyclotomic_at(d: int, bits: int) -> tuple[int, int]:
     return zpoly_pack(phi, bits), bits - 2 - sum(map(abs, phi)).bit_length()
 
 
-def _split_q_factorial(rows: Sequence[Sequence[int]], n: int,
-                       q_minus_1_power: int = 0) -> tuple[list, tuple]:
-    """Divide the integer polynomials in rows by each Phi_d of the denominator
-    (q - 1)^b [n]_q! (b = q_minus_1_power) that divides all of them, at most as
-    often as it divides the denominator.  Returns the quotient rows and the
-    (d, e) pairs of the Phi_d^e left in the denominator.
-
-    [n]_q! = prod_{d=2..n} Phi_d^floor(n/d) and q - 1 = Phi_1.  The Phi_d are
-    monic and irreducible, so no Phi_d left in the denominator divides every
-    row: the rows over the product of what is left are in lowest terms.
+def _divide_cyclotomics(rows: Sequence[Sequence[int]],
+                        caps: Iterable[tuple[int, int]]) -> tuple[Sequence, tuple]:
+    """Divide the integer polynomials in rows by Phi_d, for each (d, e) of
+    caps in turn, at most e times and while Phi_d divides all of them.
+    Returns the quotient rows (rows itself when nothing divides; the rows
+    are trimmed zpolys) and the (d, e') pairs, e' > 0, of the Phi_d^e' of
+    caps left undivided.  This is the only trial division by Phi_d.
 
     The rows are packed at q = 2^bits.  Phi_d divides a row only if
     Phi_d(2^bits) divides its packing, so a nonzero residue rules Phi_d out.
@@ -1162,9 +1145,9 @@ def _split_q_factorial(rows: Sequence[Sequence[int]], n: int,
     """
     top = max((max(map(abs, r)) for r in rows if r), default=0)
     bits = slot_bits(top.bit_length() + 8)
-    packed = [zpoly_pack(r, bits) for r in rows]
+    packed = start = [zpoly_pack(r, bits) for r in rows]
     left = []
-    for d, e in itertools.chain(((1, q_minus_1_power),), ((d, n // d) for d in range(2, n + 1))):
+    for d, e in caps:
         while e:
             phi, h = _cyclotomic_at(d, bits)
             quots = []
@@ -1184,7 +1167,12 @@ def _split_q_factorial(rows: Sequence[Sequence[int]], n: int,
             break
         if e:
             left.append((d, e))
-    return [zpoly_unpack(v, bits) for v in packed], tuple(left)
+    return rows if packed is start else [zpoly_unpack(v, bits) for v in packed], tuple(left)
+
+
+def _q_factorial_caps(n: int, q_minus_1_power: int = 0):
+    # (q - 1)^b [n]_q! = Phi_1^b prod_{d=2..n} Phi_d^floor(n/d)
+    return itertools.chain(((1, q_minus_1_power),), ((d, n // d) for d in range(2, n + 1)))
 
 
 def qrat_over_q_factorial(num: Sequence[int], n: int, q_power: int = 0,
@@ -1192,15 +1180,16 @@ def qrat_over_q_factorial(num: Sequence[int], n: int, q_power: int = 0,
     """The canonical QRat equal to num / (q^a (q - 1)^b [n]_q!), for an
     integer polynomial num, a = q_power and b = q_minus_1_power.
 
-    The cyclotomic factors are split off num by _split_q_factorial, and q^a
-    against the low zeros of num.  The Phi_d are prime to q, so what is left is
-    already reduced with a monic denominator and no gcd is needed.
+    The Phi_d of (q - 1)^b [n]_q! are divided out of num by
+    _divide_cyclotomics, and q^a against the low zeros of num.  The Phi_d are
+    monic, irreducible and prime to q, so what is left is already reduced with
+    a monic denominator and no gcd is needed.
     """
     num = zpoly_trim(num)
     if not num:
         return QRAT_ZERO
     low = next((i for i, v in enumerate(num[:q_power]) if v), q_power)
-    (num,), left = _split_q_factorial([num[low:]], n, q_minus_1_power)
+    (num,), left = _divide_cyclotomics([num[low:]], _q_factorial_caps(n, q_minus_1_power))
     den = _cyclotomic_product(left)
     return QRat._raw(QPoly._raw(num), den.shift(q_power - low) if low < q_power else den)
 
@@ -1209,35 +1198,25 @@ def zxpoly_over_q_factorial(num: Sequence[Sequence[int]], n: int) -> tuple[tuple
     """num / [n]_q! for a zxpoly num, as (num / G, [n]_q! / G): G is the
     largest product of the Phi_d of [n]_q! that divides every x-coefficient,
     so the denominator is monic and no Phi_d of it divides them all."""
-    rows, left = _split_q_factorial(num, n)
+    rows, left = _divide_cyclotomics(num, _q_factorial_caps(n))
     return tuple(rows), _cyclotomic_product(left)
 
 
-# The digit size of the certificate's residues: small, so that they are cheap,
-# and Phi_d(2^16) >= 2^16 - 1, so that a zero residue, which runs the exact
-# fold test, is rare when Phi_d does not divide.
-_CERTIFY_BITS = 16
-
-
 def qrat_certified(num: QPoly, den: QPoly) -> QRat:
-    """The canonical QRat equal to num / den, without a gcd when den certifies
-    that num / den is already reduced.
+    """The canonical QRat equal to num / den, without a gcd when den is a
+    product of cyclotomic polynomials (cyclotomic_exponents).
 
-    When den is a product of cyclotomic polynomials (cyclotomic_exponents),
-    num / den is reduced exactly when no Phi_d of den divides num, since the
-    Phi_d are irreducible.  Phi_d divides num only if Phi_d(2^bits) divides
-    num(2^bits), for any bits, so one nonzero residue rules Phi_d out; only a
-    zero residue runs the exact fold test.  Any other input (a den that is not
-    such a product, or a num sharing a Phi_d with it) goes through
-    QRat(num, den).
+    Then every Phi_d of den that divides num is divided out of both by
+    _divide_cyclotomics; the Phi_d are irreducible, so what is left is
+    reduced.  Dividing the ints of num by a monic Phi_d keeps their content,
+    so the quotient over num.den is canonical too.  Any other den goes
+    through QRat(num, den).
     """
     exps = cyclotomic_exponents(den) if num else None
-    if exps is not None:
-        v = zpoly_pack(num.ints, _CERTIFY_BITS)
-        if all(v % _cyclotomic_at(d, _CERTIFY_BITS)[0] or not _divisible_by_cyclotomic(num.ints, d)
-               for d, _ in exps):
-            return QRat._raw(num, den)
-    return QRat(num, den)
+    if exps is None:
+        return QRat(num, den)
+    (ints,), left = _divide_cyclotomics([num.ints], exps)
+    return QRat._raw(QPoly._raw(ints, num.den), den if left == exps else _cyclotomic_product(left))
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ Reading a value back needs no polynomial gcd.  Each "p/r" string is parsed
 once (the parser is memoized; a series repeats few distinct strings): the
 canonical "k/1" of an integer by int, any other string by Fraction.  A
 q-polynomial is built as one integer polynomial over the lcm of its
-denominators.  A stored value was written reduced over a product of
-cyclotomic polynomials, so algebra.qrat_certified checks that no Phi_d of
-the denominator divides the numerator instead of taking a gcd; any other
-input is reduced exactly by QRat, so a value read is the canonical QRat
-whatever the file holds.  A denominator is parsed once per distinct pair
-list.
+denominators; its exponents, and those of an x-polynomial, must be distinct
+nonnegative ints, or the value is unreadable (ValueError).  A stored value
+was written over a product of cyclotomic polynomials, so
+algebra.qrat_certified divides any Phi_d of the denominator that also
+divides the numerator out of both, by the trial division the engine reduces
+with, instead of taking a gcd; a denominator that is no such product is
+reduced by QRat, so a value read is the canonical QRat whatever the file
+holds.  A denominator is parsed once per distinct pair list.
 """
 
 from __future__ import annotations
@@ -113,6 +115,14 @@ def _canonical_ints(strings: list) -> list[int] | None:
     return values if list(map(str, values)) == ks else None
 
 
+def _slots(exps: list) -> int:
+    """The length of a dense list indexed by exps, which must be distinct
+    nonnegative ints (a JSON true is a bool, not an int), else ValueError."""
+    if not all(type(e) is int and e >= 0 for e in exps) or len(set(exps)) != len(exps):
+        raise ValueError(f"exponents are not distinct nonnegative ints: {exps}")
+    return max(exps) + 1
+
+
 def qpoly_from_pairs(pairs) -> QPoly:
     if not pairs:
         return QPOLY_ZERO
@@ -126,7 +136,7 @@ def qpoly_from_pairs(pairs) -> QPoly:
         coeffs = list(map(_coeff_from_str, strings))
         den = math.lcm(*(c.denominator for c in coeffs))
         coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
-    ints = [0] * (max(exps) + 1)
+    ints = [0] * _slots(exps)
     for e, c in zip(exps, coeffs):
         ints[e] = c
     return QPoly.from_ints(ints, den)
@@ -147,8 +157,7 @@ def qrat_from_obj(obj) -> QRat:
 def xpoly_from_obj(obj) -> XPoly:
     if not obj:
         return XPoly()
-    top = max(j for j, _ in obj)
-    coeffs: list = [0] * (top + 1)
+    coeffs: list = [0] * _slots([j for j, _ in obj])
     for j, o in obj:
         coeffs[j] = qrat_from_obj(o)
     return XPoly(coeffs)

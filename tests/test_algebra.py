@@ -395,9 +395,9 @@ COFACTOR = st.sampled_from([QPOLY_ONE, QPoly((2, 0, 1)), QPoly((1, 2)), QPoly((F
 
 
 class TestCertifiedLoad:
-    """Reading a value back skips the gcd only when den's cyclotomic
-    factorization proves num / den reduced; deliberately unreduced inputs
-    must still come out as the canonical QRat."""
+    """Reading a value back takes no gcd when den is a product of cyclotomics:
+    a Phi_d shared with num is divided out of both.  Deliberately unreduced
+    inputs must still come out as the canonical QRat."""
 
     @PROPERTY
     @given(COEFFS, SHARED, COFACTOR)
@@ -420,6 +420,25 @@ class TestCertifiedLoad:
             want = qpoly_lcm(want, c.den)
         assert xpoly_denominator(f) == want
 
+    def test_shared_factor_loads_without_a_gcd(self, monkeypatch):
+        cases = [(cyclotomic(12) * QPoly((2, 0, 1)) * F(3, 2), cyclotomic(12) ** 2 * (Q + 1)),
+                 ((Q - 1) ** 3 * cyclotomic(105) * -7, (Q - 1) ** 2 * cyclotomic(105)),
+                 (cyclotomic(6) * QPoly((F(1, 2), 0, 5)) * 2 ** 70, cyclotomic(6) * cyclotomic(3))]
+        want = [QRat(num, den) for num, den in cases]
+        calls = []
+        gcd = algebra.qpoly_gcd_cofactors
+
+        def counting(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(algebra, "qpoly_gcd_cofactors", counting)
+        for (num, den), w in zip(cases, want):
+            got = qrat_from_obj({"num": qpoly_to_pairs(num), "den": qpoly_to_pairs(den)})
+            assert got == w and got.den != den
+            assert_canonical(got.num)
+        assert calls == []
+
     def test_edge_cases(self):
         for num, den in [(QPOLY_ONE - 1, Q + 1), (QPoly((3, 1)), QPoly.const(4)),
                          (QPoly((3, 1)), QPOLY_ONE), (Q + 1, cyclotomic(12)),
@@ -428,6 +447,20 @@ class TestCertifiedLoad:
             assert got == QRat(num, den)
         with pytest.raises(ZeroDivisionError):
             qrat_from_obj({"num": [[0, "1/1"]], "den": []})
+
+
+def divmod_trial_division(p: QPoly) -> dict[int, int]:
+    """The exponent of each Phi_d in p by plain zpoly_divmod, d ascending
+    until what is left is a constant; phi(d) >= sqrt(d / 2) bounds d."""
+    rem, factors, d = p.ints, {}, 0
+    while len(rem) > 1 and d < 2 * p.degree ** 2:
+        d += 1
+        quot, r = zpoly_divmod(rem, zcyclotomic(d))
+        while not r:
+            rem = quot
+            factors[d] = factors.get(d, 0) + 1
+            quot, r = zpoly_divmod(rem, zcyclotomic(d))
+    return factors
 
 
 class TestCyclotomic:
@@ -470,13 +503,18 @@ class TestCyclotomic:
 
     def test_factor_roundtrip_randomized(self):
         rng = random.Random(7)
-        for _ in range(20):
-            ds = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
-            unit0 = F(rng.choice([1, 2, -3]), rng.choice([1, 2]))
+        # units past 64 bits, and Phi_105 and Phi_385 with large L1 norms: at
+        # unit 85, Phi_385 fills the digits so that its quotient redoes the
+        # division with digits twice as wide
+        inputs = [([rng.choice([*range(1, 13), 105]) for _ in range(rng.randint(1, 4))],
+                   F(rng.choice([1, 2, -3, 3 * 2 ** 70]), rng.choice([1, 2])))
+                  for _ in range(30)] + [([385], F(85)), ([2, 385], F(-85)), ([105], F(3 * 2 ** 70))]
+        for ds, unit0 in inputs:
             p = QPoly.const(unit0)
             for d in ds:
                 p = p * cyclotomic(d)
             unit, factors, rem = factor_cyclotomic(p)
+            assert factors == divmod_trial_division(p)
             rebuilt = QPoly.const(unit)
             for d, m in factors.items():
                 rebuilt = rebuilt * cyclotomic(d) ** m

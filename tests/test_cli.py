@@ -426,8 +426,8 @@ class TestCache:
 
     def test_hit_sharing_a_cyclotomic_factor_reads_canonical(self, tmp_path, capsys):
         # a stored value whose numerator shares Phi_2 and Phi_3 with its
-        # denominator: their residues are zero, the fold test confirms them,
-        # and the value read is the canonical QRat(num, den)
+        # denominator: they are divided out of both, and the value read is
+        # the canonical QRat(num, den)
         cdir = str(tmp_path)
         num = algebra.QPoly((5, 0, 1)) * algebra.cyclotomic(2) * algebra.cyclotomic(3)
         den = algebra.cyclotomic(2) ** 2 * algebra.cyclotomic(3) * algebra.cyclotomic(4)
@@ -713,6 +713,30 @@ class TestCache:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: unreadable cached value ({error}(")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "tex"])
+    @pytest.mark.parametrize("series, exponents", [
+        ("omega", [-1, 0]),  # a negative exponent once indexed from the top
+        ("omega", [0, 0]),  # a repeated exponent once kept the last term
+        ("omega", [True]),  # a JSON true is a bool, not an exponent
+        ("pawn", [-1, 0]),  # an x-exponent of a pawn value
+    ])
+    def test_bad_exponent_with_a_valid_hash(self, tmp_path, capsys, fmt, series, exponents):
+        # stored through store, so the hash holds and only the reading can
+        # reject the value: no output, exit 1
+        cdir = str(tmp_path)
+        _, out, _ = run_cli(["compute", series, "--order", "1"], capsys)
+        payload = json.loads(out)
+        value = payload["entries"][0][1]
+        if series == "pawn":
+            value[:] = [[j, value[0][1]] for j in exponents]
+        else:
+            value["num"] = [[e, f"{k + 3}/1"] for k, e in enumerate(exponents)]
+        path = C.store(cdir, C.make_key(series, {}, 1), [C.canonical_json(payload)])
+        code, out, err = run_cli(["compute", series, "--order", "1", "--format", fmt,
+                                  "--cache-dir", cdir], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: unreadable cached value (ValueError(")
 
     def test_a_stored_entry_is_never_held_whole(self, tmp_path, capsys, monkeypatch):
         # a cold compute encodes the payload an entry at a time, and a hit or
