@@ -26,7 +26,7 @@ by, and the cyclotomic reduction of num / [n]_q! (to a canonical QRat, or for
 a zxpoly to a numerator over a monic denominator, all in ints).  Its packed form holds
 a zpoly or zxpoly as one Python int, the Kronecker substitution q = 2^bits,
 x = 2^(bits*width): the per-tree engine solves on packed ints, and the one
-trial division by Phi_d (_divide_cyclotomics) divides them for the reduction
+trial division by Phi_d (_divide_packed) divides them for the reduction
 over [n]_q!, the reading of a stored value and factor_cyclotomic alike.
 The per-tree recursions run on this layer directly; QPoly runs on it too,
 through its ints: a QPoly is ints / den with ints a zpoly and den a positive
@@ -515,23 +515,25 @@ def factor_cyclotomic(p: QPoly):
     Returns (unit, factors, remainder) with p = unit * prod Phi_d^m * remainder
     and the remainder monic with no cyclotomic factor: every Phi_d of degree
     phi(d) <= deg(remainder) is tried, and phi(d) >= sqrt(d / 2) bounds d.
-    Each trial is one _divide_cyclotomics call, capped at deg // phi(d).
+    The ints are packed once, and each trial is capped at deg // phi(d).
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     factors: dict[int, int] = {}
     # Phi_d is monic over Z, so it splits off p = ints / den through ints
-    rem = p.ints
+    packed, bits = _pack_rows([p.ints])
+    deg = p.degree
     d = 0
-    while len(rem) > 1 and d < 2 * (len(rem) - 1) ** 2:
+    while deg and d < 2 * deg ** 2:
         d += 1
-        cap = (len(rem) - 1) // _totient(d)
+        cap = deg // _totient(d)
         if cap:
-            (rem,), left = _divide_cyclotomics([rem], ((d, cap),))
-            m = cap - dict(left).get(d, 0)
+            packed, bits, left = _divide_packed(packed, bits, ((d, cap),))
+            m = cap - sum(e for _, e in left)
             if m:
                 factors[d] = m
-    rest = QPoly.from_ints(rem, p.den)
+                deg -= m * _totient(d)
+    rest = QPoly.from_ints(zpoly_unpack(packed[0], bits), p.den)
     return rest.leading, factors, rest.monic()
 
 
@@ -1125,27 +1127,32 @@ def _cyclotomic_at(d: int, bits: int) -> tuple[int, int]:
     return zpoly_pack(phi, bits), bits - 2 - sum(map(abs, phi)).bit_length()
 
 
-def _divide_cyclotomics(rows: Sequence[Sequence[int]],
-                        caps: Iterable[tuple[int, int]]) -> tuple[Sequence, tuple]:
-    """Divide the integer polynomials in rows by Phi_d, for each (d, e) of
-    caps in turn, at most e times and while Phi_d divides all of them.
-    Returns the quotient rows (rows itself when nothing divides; the rows
-    are trimmed zpolys) and the (d, e') pairs, e' > 0, of the Phi_d^e' of
-    caps left undivided.  This is the only trial division by Phi_d.
-
-    The rows are packed at q = 2^bits.  Phi_d divides a row only if
-    Phi_d(2^bits) divides its packing, so a nonzero residue rules Phi_d out.
-    A zero residue leaves an integer quotient; when its digits lie in
-    [-2^h, 2^h) (see _cyclotomic_at) it packs a polynomial whose product with
-    Phi_d has coefficients below 2^(bits-1) and packs to the row, so by
-    injectivity that product is the row and the division is exact.  A
-    quotient that fails this digit bound redoes the step with digits twice as
-    wide; for wide enough digits the residue of a row Phi_d does not divide is
-    nonzero, and the quotient of one it divides passes.
-    """
+def _pack_rows(rows: Sequence[Sequence[int]]) -> tuple[list, int]:
+    """The integer polynomial rows packed for _divide_packed, and the digit
+    size they are packed at."""
     top = max((max(map(abs, r)) for r in rows if r), default=0)
     bits = slot_bits(top.bit_length() + 8)
-    packed = start = [zpoly_pack(r, bits) for r in rows]
+    return [zpoly_pack(r, bits) for r in rows], bits
+
+
+def _divide_packed(packed: list, bits: int,
+                   caps: Iterable[tuple[int, int]]) -> tuple[list, int, tuple]:
+    """Divide the rows packed at q = 2^bits by Phi_d, for each (d, e) of caps
+    in turn, at most e times and while Phi_d divides all of them.  Returns
+    the quotients (packed itself when nothing divides), the digit size they
+    are packed at, and the (d, e') pairs, e' > 0, of the Phi_d^e' of caps
+    left undivided.  This is the only trial division by Phi_d.
+
+    Phi_d divides a row only if Phi_d(2^bits) divides its packing, so a
+    nonzero residue rules Phi_d out.  A zero residue leaves an integer
+    quotient; when its digits lie in [-2^h, 2^h) (see _cyclotomic_at) it packs
+    a polynomial whose product with Phi_d has coefficients below 2^(bits-1)
+    and packs to the row, so by injectivity that product is the row and the
+    division is exact.  A quotient that fails this digit bound redoes the step
+    with digits twice as wide; for wide enough digits the residue of a row
+    Phi_d does not divide is nonzero, and the quotient of one it divides
+    passes.
+    """
     left = []
     for d, e in caps:
         while e:
@@ -1167,7 +1174,17 @@ def _divide_cyclotomics(rows: Sequence[Sequence[int]],
             break
         if e:
             left.append((d, e))
-    return rows if packed is start else [zpoly_unpack(v, bits) for v in packed], tuple(left)
+    return packed, bits, tuple(left)
+
+
+def _divide_cyclotomics(rows: Sequence[Sequence[int]],
+                        caps: Iterable[tuple[int, int]]) -> tuple[Sequence, tuple]:
+    """_divide_packed on the integer polynomials in rows (trimmed zpolys):
+    the quotient rows (rows itself when nothing divides) and the (d, e')
+    pairs of caps left undivided."""
+    start, bits = _pack_rows(rows)
+    packed, bits, left = _divide_packed(start, bits, caps)
+    return rows if packed is start else [zpoly_unpack(v, bits) for v in packed], left
 
 
 def _q_factorial_caps(n: int, q_minus_1_power: int = 0):

@@ -6,26 +6,43 @@ hand-edited entry is reported instead of silently used.  Entries carry the
 serialization format version; gc removes entries from other versions and
 temp files left by writers that died before renaming them into place.
 
-The payload is never held whole as Python objects.  store takes it as
-pieces of canonical text and writes them to a temp file as they come, with
-an incremental hash; copy_payload then copies it back out of the entry in
-chunks.  A file laid out exactly as store writes it is read as bytes: the
-payload hash is taken over the bytes where the layout puts the payload, and
-the payload's entries are decoded from its text one at a time, checked to be
-canonical and handed to the caller's each.  A file with any other layout
-(spacing, another key order, a non-canonical entry, or no JSON at all) is
-parsed whole, and the checks that follow are the same for both readings, so
-every corrupt entry is reported as it would be on a whole parse.
+The payload is never held whole.  store takes it as pieces of canonical text
+and writes them to a temp file as they come, with an incremental hash;
+copy_payload then copies it back out of the entry in chunks.  A file laid
+out exactly as store writes it is read in one pass over the open file: the
+stored hash from its fixed-length tail, the key from its head, then the
+payload a chunk at a time, each chunk hashed and decoded as UTF-8, and each
+of the payload's entries decoded as soon as it is complete, checked to be
+canonical and handed to the caller's each.  A loaded entry keeps that file
+open, so a json hit copies out the very bytes the load checked.  A file with
+any other layout (spacing, another key order, a non-canonical entry, or no
+JSON at all) is parsed whole, and the checks that follow are the same for
+both readings, so every corrupt entry is reported as it would be on a whole
+parse.
 
 The module needs only the standard library, so a cache command loads none of
-the math layers, and OpenSSL (behind hashlib) loads only when a command hashes.
+the math layers.  It hashes with the interpreter's built-in SHA-256 (_sha2,
+or _sha256 before Python 3.12), so no command loads OpenSSL, which hashlib
+would: that costs a process 3.3-3.6 MB of memory and a few ms to start.  The
+built-in hash is slower, 4.5 against 0.8 ms per MB (2 vCPU, CPython 3.11-3.13),
+which adds about 3 ms to each hash of an order-8 pawn entry and about 35 ms
+to one of order 10.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import time
+
+try:  # the interpreter's own SHA-256: Python 3.12 on, then before
+    from _sha2 import sha256 as _new_hash
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_hash
+    except ImportError:  # a build without either module
+        from hashlib import sha256 as _new_hash
 
 FORMAT_VERSION = 1
 # a writer renames its temp file within moments; one older than this is left
@@ -42,20 +59,45 @@ class CacheError(Exception):
 class CacheEntry:
     """An entry file as read: its key, the payload's header (its order, params
     and series; None when the payload is not an object with a list of
-    entries), the payload's canonical text, the stored payload hash and the
-    hash of the payload as read.  The entries stay in the text; items lists
-    what the load's each returned for each of them."""
+    entries), the stored payload hash and the hash of the payload as read.
+    The entries are not kept; items lists what the load's each returned for
+    each of them.
 
-    __slots__ = ("key", "header", "text", "sha256", "digest", "items")
+    The payload itself is either text, the canonical text of a payload that
+    was parsed whole, or the bytes at span of file, the entry file the load
+    read in store's layout and left open; write_payload writes it either way.
+    An entry from load is closed by close or by leaving a with block."""
 
-    def __init__(self, key, header: dict | None, text: str, sha256: str, digest: str,
-                 items: list):
+    __slots__ = ("key", "header", "sha256", "digest", "items", "text", "file", "span")
+
+    def __init__(self, key, header: dict | None, sha256: str, digest: str, items: list,
+                 text: str | None = None, file=None, span: tuple[int, int] = (0, 0)):
         self.key = key
         self.header = header
-        self.text = text
         self.sha256 = sha256
         self.digest = digest
         self.items = items
+        self.text = text
+        self.file = file
+        self.span = span
+
+    def write_payload(self, out) -> None:
+        """Write the payload's text, as the load checked it, to the text
+        stream out."""
+        if self.file is None:
+            out.write(self.text)
+        else:
+            _copy(self.file, *self.span, out)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+    def __enter__(self) -> CacheEntry:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # the layout store writes: _KEY_OPEN key _PAYLOAD_OPEN payload _SHA_OPEN hash
@@ -68,6 +110,9 @@ _SHA_LEN = 64
 _TAIL = len(_SHA_OPEN) + _SHA_LEN + len(_CLOSE)
 _DECODER = json.JSONDecoder()
 _CHUNK = 1 << 16
+# the characters that may go on a number that ends where the text read so far
+# does: it is complete only once a character not among them follows
+_NUMBER_GOES_ON = frozenset("0123456789.eE+-")
 
 
 # json.dumps(obj, sort_keys=True, separators=(",", ":")) without the cycle
@@ -80,15 +125,9 @@ def canonical_json(obj) -> str:
     return _ENCODER.encode(obj)
 
 
-def _sha256(data) -> str:
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
 def payload_hash(text: str) -> str:
     """The hash stored beside a payload, taken over its canonical text."""
-    return _sha256(text.encode())
+    return _new_hash(text.encode()).hexdigest()
 
 
 def payload_pieces(series: str, params: dict, order: int, entries):
@@ -114,7 +153,7 @@ def make_key(series: str, params: dict, order: int) -> dict:
 
 
 def key_hash(key: dict) -> str:
-    return _sha256(canonical_json(key).encode())
+    return _new_hash(canonical_json(key).encode()).hexdigest()
 
 
 def entry_path(directory: str, key: dict) -> str:
@@ -126,14 +165,12 @@ def store(directory: str, key: dict, pieces) -> str:
     (an iterable of str, such as [text]), each written and hashed as it comes,
     so the payload is never held whole.  A temp file left by a failure is
     removed."""
-    import hashlib
-
     os.makedirs(directory, exist_ok=True)
     path = entry_path(directory, key)
     # a per-process name (not ending in .json) so concurrent writers never
     # share a temp file; os.replace makes the entry appear whole
     tmp = f"{path}.{os.getpid()}.tmp"
-    digest = hashlib.sha256()
+    digest = _new_hash()
     try:
         # laid out as canonical_json({"key", "payload", "sha256"}) + "\n"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -155,44 +192,70 @@ def copy_payload(path: str, key: dict, out) -> None:
     stream out, a chunk at a time."""
     start = len(_KEY_OPEN) + len(canonical_json(key)) + len(_PAYLOAD_OPEN)
     with open(path, "rb") as fh:
-        left = os.fstat(fh.fileno()).st_size - _TAIL - start
-        fh.seek(start)
-        while left > 0:
-            chunk = fh.read(min(_CHUNK, left))
-            if not chunk:
-                raise OSError(f"{path}: the entry ended early")
-            out.write(chunk.decode())
-            left -= len(chunk)
+        _copy(fh, start, os.fstat(fh.fileno()).st_size - _TAIL, out)
+
+
+def _copy(fh, start: int, end: int, out) -> None:
+    """Write bytes start to end of the binary file fh, decoded, to out."""
+    fh.seek(start)
+    for text in _decoded(fh, end - start):
+        out.write(text)
+
+
+def _decoded(fh, size: int, digest=None):
+    """Yield the text of the next size bytes of fh, read and decoded as UTF-8
+    a _CHUNK at a time; digest, if given, is updated with each chunk."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    while size > 0:
+        chunk = fh.read(min(_CHUNK, size))
+        if not chunk:
+            raise OSError(f"{fh.name}: the entry ended early")
+        size -= len(chunk)
+        if digest is not None:
+            digest.update(chunk)
+        yield decode(chunk, not size)
 
 
 def load(directory: str, key: dict, each=None) -> CacheEntry | None:
     """Return the checked entry of the key, or None if absent; raise on
     corruption.  each, if given, is called on every entry of the payload as
     it is read, before the last checks, and entry.items lists what it
-    returned."""
+    returned.  The entry may hold its file open: close it, or use it in a
+    with block."""
     path = entry_path(directory, key)
     if not os.path.exists(path):
         return None
     entry = _read_entry(path, each)
     if entry.key != key:
+        entry.close()
         raise CacheError(f"{path}: stored key does not match the request")
     return entry
 
 
 def _read_entry(path: str, each=None) -> CacheEntry:
+    """The checked entry of the file at path, holding the file open when it
+    was read in store's layout; raise CacheError on any corruption."""
+    fh = None
     try:
-        entry = _read_stored(path, each) or _read_whole(path, each)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CacheError(f"{path}: unreadable cache entry ({exc})") from exc
-    if not isinstance(entry.key, dict):
-        raise CacheError(f"{path}: key is not a JSON object")
-    if entry.digest != entry.sha256:
-        raise CacheError(f"{path}: payload hash mismatch")
-    header = entry.header
-    if header is None or not all(f in header and header[f] == entry.key.get(f)
-                                 for f in _HEADER):
-        raise CacheError(f"{path}: payload does not match its key")
-    return entry
+        try:
+            fh = open(path, "rb")
+            entry = _read_stored(fh, each) or _read_whole(path, each)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CacheError(f"{path}: unreadable cache entry ({exc})") from exc
+        if not isinstance(entry.key, dict):
+            raise CacheError(f"{path}: key is not a JSON object")
+        if entry.digest != entry.sha256:
+            raise CacheError(f"{path}: payload hash mismatch")
+        header = entry.header
+        if header is None or not all(f in header and header[f] == entry.key.get(f)
+                                     for f in _HEADER):
+            raise CacheError(f"{path}: payload does not match its key")
+        if entry.file is not None:
+            fh = None  # the entry holds it
+        return entry
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def _read_whole(path: str, each) -> CacheEntry:
@@ -208,98 +271,161 @@ def _read_whole(path: str, each) -> CacheEntry:
         header = {f: payload[f] for f in _HEADER if f in payload}
         if each is not None:
             items = [each(entry) for entry in payload["entries"]]
-    return CacheEntry(key, header, text, obj["sha256"], payload_hash(text), items)
+    return CacheEntry(key, header, obj["sha256"], payload_hash(text), items, text=text)
 
 
-def _read_stored(path: str, each) -> CacheEntry | None:
-    """The entry of a file laid out exactly as store writes it, read as bytes:
-    its payload hashed where the layout puts it, then decoded and read one
-    entry at a time.  None on any departure from that layout."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    opening = _KEY_OPEN.encode()
+def _read_stored(fh, each) -> CacheEntry | None:
+    """The entry of the binary file fh laid out exactly as store writes it,
+    in one pass: the stored hash from the tail, the key from the head, then
+    the payload hashed and read one entry at a time as its chunks come.  None
+    on any departure from that layout."""
+    end = os.fstat(fh.fileno()).st_size - _TAIL
     try:
-        if not data.startswith(opening):
+        head = _read_head(fh)
+        if head is None or len(head) > end:
             return None
-        i = data.find(_PAYLOAD_OPEN.encode(), len(opening))
-        start = i + len(_PAYLOAD_OPEN)
-        end = len(data) - _TAIL
-        if not (0 <= i and start <= end and data.startswith(_SHA_OPEN.encode(), end)
-                and data.endswith(_CLOSE.encode())):
+        fh.seek(end)
+        tail = fh.read(_TAIL)
+        if not (tail.startswith(_SHA_OPEN.encode()) and tail.endswith(_CLOSE.encode())):
             return None
-        key_text = data[len(opening):i].decode()
+        sha256 = tail[len(_SHA_OPEN):-len(_CLOSE)].decode()
+        key_text = head[len(_KEY_OPEN):-len(_PAYLOAD_OPEN)].decode()
         key, k = _DECODER.raw_decode(key_text)
         if k != len(key_text):
             return None
-        sha256 = data[end + len(_SHA_OPEN):-len(_CLOSE)].decode()
-        with memoryview(data)[start:end] as payload:
-            digest = _sha256(payload)
-            text = str(payload, "utf-8")
-        del data  # the bytes go before the entries are read
-        read = _read_payload(text, each)
-    except (ValueError, IndexError):  # not JSON where the layout puts it
+        fh.seek(len(head))
+        digest = _new_hash()
+        read = _read_payload(_Text(_decoded(fh, end - len(head), digest)), each)
+    except ValueError:  # not UTF-8, or not JSON, where the layout puts it
         return None
     if read is None:
         return None
     header, items = read
-    return CacheEntry(key, header, text, sha256, digest, items)
+    return CacheEntry(key, header, sha256, digest.hexdigest(), items, file=fh,
+                      span=(len(head), end))
 
 
-def _read_payload(text: str, each) -> tuple[dict, list] | None:
+def _read_head(fh) -> bytes | None:
+    """The bytes of fh up to and including the first _PAYLOAD_OPEN after
+    _KEY_OPEN, read a _CHUNK at a time; None if fh does not start with
+    _KEY_OPEN or has no _PAYLOAD_OPEN."""
+    opening, closing = _KEY_OPEN.encode(), _PAYLOAD_OPEN.encode()
+    head = b""
+    while True:
+        chunk = fh.read(_CHUNK)
+        if not chunk:
+            return None
+        start = max(len(opening), len(head) - len(closing) + 1)
+        head += chunk
+        if not head.startswith(opening[:len(head)]):
+            return None
+        i = head.find(closing, start)
+        if i >= 0:
+            return head[:i + len(closing)]
+
+
+class _Text:
+    """Text that arrives in pieces from an iterator of str: the part not yet
+    read is text[at:], and more is taken from the pieces as it is needed."""
+
+    __slots__ = ("pieces", "text", "at")
+
+    def __init__(self, pieces):
+        self.pieces = pieces
+        self.text = ""
+        self.at = 0
+
+    def _more(self, n: int) -> bool:
+        """Take pieces until n characters are unread, and at least one
+        nonempty piece in any case; return whether any text came."""
+        grown = False
+        while not grown or len(self.text) - self.at < n:
+            piece = next(self.pieces, None)
+            if piece is None:
+                return grown
+            self.text = self.text[self.at:] + piece
+            self.at = 0
+            grown = grown or bool(piece)
+        return True
+
+    def take(self, prefix: str) -> bool:
+        """Read prefix if the unread text starts with it."""
+        if len(self.text) - self.at < len(prefix):
+            self._more(len(prefix))
+        if self.text.startswith(prefix, self.at):
+            self.at += len(prefix)
+            return True
+        return False
+
+    def at_end(self) -> bool:
+        return self.at == len(self.text) and not self._more(1)
+
+    def value(self) -> tuple[object, str]:
+        """Read one JSON value; return it and its text.  Text that is not
+        JSON once the pieces end raises ValueError."""
+        while True:
+            try:
+                obj, end = _DECODER.raw_decode(self.text, self.at)
+            except ValueError:
+                # the value may go on past the text read so far: read as
+                # much again, so a long value is decoded a bounded number
+                # of times
+                if self._more(2 * (len(self.text) - self.at)):
+                    continue
+                raise
+            if (type(obj) in (int, float) and (end == len(self.text)
+                                               or self.text[end] in _NUMBER_GOES_ON)
+                    and self._more(2 * (len(self.text) - self.at))):
+                continue
+            raw = self.text[self.at:end]
+            self.at = end
+            return obj, raw
+
+
+def _read_payload(text: _Text, each) -> tuple[dict, list] | None:
     """The header of a payload text laid out as payload_pieces writes it, and
     each on its entries, after decoding each entry in turn and checking that
     it is canonical; None on any departure.  A value that is not JSON raises
     ValueError."""
-    if not text.startswith(_ENTRIES_OPEN):
+    if not text.take(_ENTRIES_OPEN):
         return None
     items = []
-    i = len(_ENTRIES_OPEN)
-    for entry, start, i in _scan_entries(text):
-        if canonical_json(entry) != text[start:i]:
+    if not text.take("]"):
+        while True:
+            entry, raw = text.value()
+            if canonical_json(entry) != raw:
+                return None
+            if each is not None:
+                items.append(each(entry))
+            if not text.take(","):
+                break
+        if not text.take("]"):
             return None
-        if each is not None:
-            items.append(each(entry))
-    if text[i] != "]":
-        return None
-    i += 1
     header = {}
     for name in _HEADER:
-        field = f',"{name}":'
-        if not text.startswith(field, i):
+        if not text.take(f',"{name}":'):
             return None
-        i += len(field)
-        header[name], end = _DECODER.raw_decode(text, i)
-        if canonical_json(header[name]) != text[i:end]:
+        header[name], raw = text.value()
+        if canonical_json(header[name]) != raw:
             return None
-        i = end
-    return (header, items) if text[i:] == "}" else None
-
-
-def _scan_entries(text: str):
-    """Yield (entry, start, end) for each entry of the list that _ENTRIES_OPEN
-    opens, decoded one at a time; the list closes at the end of the last."""
-    i = len(_ENTRIES_OPEN)
-    if text[i] == "]":
-        return
-    while True:
-        entry, end = _DECODER.raw_decode(text, i)
-        yield entry, i, end
-        if text[end] != ",":
-            return
-        i = end + 1
+    return (header, items) if text.take("}") and text.at_end() else None
 
 
 def scan(directory: str):
     """Yield (file name, CacheEntry or CacheError) for each *.json file of the
-    directory, sorted by name; one entry is held at a time."""
+    directory, sorted by name; one entry is read at a time, and its file is
+    closed."""
     if not os.path.isdir(directory):
         return
     for name in sorted(os.listdir(directory)):
         if name.endswith(".json"):
             try:
-                yield name, _read_entry(os.path.join(directory, name))
+                entry = _read_entry(os.path.join(directory, name))
             except CacheError as exc:
                 yield name, exc
+            else:
+                entry.close()
+                yield name, entry
 
 
 def gc(directory: str) -> int:

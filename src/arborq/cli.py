@@ -280,8 +280,9 @@ def cmd_compute(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         if hit is not None:
-            if text is None:
-                return _emit(args, _json(lambda out: out.write(hit.text)))
+            with hit:  # a json hit copies the payload out of the file it checked
+                if text is None:
+                    return _emit(args, _json(hit.write_payload))
             try:
                 rows = _hit_rows(hit.items)
             except _UNREADABLE as exc:

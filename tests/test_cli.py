@@ -185,7 +185,8 @@ def modules_after(argv) -> tuple[int | None, set[str]]:
 class TestModuleLoading:
     """Each process loads only what its command runs: importing the CLI, the
     cache commands and a json cache hit load no math layer and no checks, and
-    a command that hashes nothing loads no OpenSSL."""
+    no command loads OpenSSL: the cache hashes with the interpreter's own
+    SHA-256."""
 
     HEAVY = {"arborq.algebra", "arborq.solvers", "arborq.verify", "arborq.serialize"}
 
@@ -198,6 +199,7 @@ class TestModuleLoading:
             code, modules = modules_after(argv)
             assert code in (None, 0), argv
             assert "arborq.cache" in modules and not modules & self.HEAVY, argv
+            assert "_hashlib" not in modules, argv
 
     @pytest.mark.parametrize("argv", [
         ["compute", "omega", "--order", "3"],
@@ -213,6 +215,16 @@ class TestModuleLoading:
         code, modules = modules_after(["compute", "omega", "--order", "3"])
         assert code == 0 and "arborq.solvers" in modules
         assert "_hashlib" not in modules
+
+    def test_storing_and_rendering_load_no_openssl(self, tmp_path):
+        # the cache commands and a json hit are checked above
+        cdir = str(tmp_path)
+        compute = ["compute", "pawn", "--order", "3", "--cache-dir", cdir, "--format"]
+        for argv in ([*compute, "json"], [*compute, "csv"], [*compute, "tex"],
+                     ["cache", "gc", "--dir", cdir]):
+            code, modules = modules_after(argv)
+            assert code == 0 and "_hashlib" not in modules, argv
+        assert len(os.listdir(cdir)) == 1
 
     def test_package_names_are_the_algebra_names(self):
         import arborq
@@ -269,6 +281,9 @@ def entry_corpus(cdir: str, capsys) -> list[str]:
     params, entries = {"n": "\u00e9\"\\"}, [["\n", "1/1"]]
     C.store(cdir, C.make_key("\u00e9", params, 3), [C.canonical_json(
         {"series": "\u00e9", "params": params, "order": 3, "entries": entries})])
+    # a two-digit order, which a chunk may split between its digits
+    C.store(cdir, C.make_key("E", {}, 12), [C.canonical_json(
+        {"series": "E", "params": {}, "order": 12, "entries": []})])
     stored = sorted(os.listdir(cdir))
     # stored too, but with no order or params: not a payload payload_pieces makes
     C.store(cdir, C.make_key("\u00e9", {"n": 1}, 3),
@@ -292,6 +307,8 @@ def entry_corpus(cdir: str, capsys) -> list[str]:
         "c-renamed-hash": text.replace('"sha256":', '"sha257":'),
         "c-renamed-payload": text.replace('"payload":', '"paylaod":'),
         "d-truncated": text[:len(text) // 2],
+        "d-truncated-in-the-hash": text[:-3],
+        "b-stray-byte": text + "x",
         "e-empty": "",
         "f-list": "[]\n",
         "g-spaced-entry": laid_out(good).replace('["()","x"]', '["()", "x"]'),
@@ -301,6 +318,9 @@ def entry_corpus(cdir: str, capsys) -> list[str]:
         "g-brace-for-bracket": laid_out(good).replace('["()","x"]]', '["()","x"]}'),
         "h-extra-field": laid_out(dict(good, ring="qrat")),
         "h-field-before-entries": laid_out(dict(good, a=1)),
+        # UTF-8 for an escape: a non-canonical entry, which a chunk may split
+        "i-raw-utf8": laid_out(dict(good, entries=[["\u00e9", "x"]])).replace(
+            "\\u00e9", "\u00e9"),
     }
     for i, (k, payload) in enumerate([(key, []), (key, {"order": 3}), (key, good),
                                       ([1], {"entries": []})]):
@@ -308,9 +328,17 @@ def entry_corpus(cdir: str, capsys) -> list[str]:
             {"key": k, "payload": payload, "sha256": C.payload_hash(C.canonical_json(payload))})
         files[f"k{i}-stored"] = laid_out(payload, k)
     for name, body in files.items():
-        with open(os.path.join(cdir, f"{name}.json"), "w") as fh:
+        with open(os.path.join(cdir, f"{name}.json"), "w", encoding="utf-8") as fh:
             fh.write(body)
     return stored
+
+
+def payload_of(path: str) -> tuple[dict, str]:
+    """The key and the payload text of the checked entry file at path."""
+    out = io.StringIO()
+    with C._read_entry(path) as entry:
+        entry.write_payload(out)
+    return entry.key, out.getvalue()
 
 
 def lean_render(path: str, fmt: str):
@@ -319,10 +347,12 @@ def lean_render(path: str, fmt: str):
     import arborq.cli as cli
 
     try:
-        key = C._read_entry(path).key
+        with C._read_entry(path) as entry:
+            key = entry.key
         ring = cli.SERIES.get(key["series"], ("qrat",))[0]
         text = cli._coefficient_text(fmt, ring)
-        rows = cli._hit_rows(C._read_entry(path, cli._hit_reader(ring, key["order"], text)).items)
+        with C._read_entry(path, cli._hit_reader(ring, key["order"], text)) as entry:
+            rows = cli._hit_rows(entry.items)
     except Exception as exc:
         return type(exc)
     out = io.StringIO()
@@ -336,11 +366,10 @@ def object_render(path: str, fmt: str):
     import arborq.cli as cli
 
     try:
-        entry = C._read_entry(path)
-        key = entry.key
+        key, text = payload_of(path)
         series = SR.series_from_obj({"order": key["order"],
                                      "ring": cli.SERIES.get(key["series"], ("qrat",))[0],
-                                     "entries": json.loads(entry.text)["entries"]})
+                                     "entries": json.loads(text)["entries"]})
     except Exception as exc:
         return type(exc)
     return SR.render_table(series, fmt, key["series"])
@@ -448,7 +477,8 @@ class TestCache:
         run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
         (name,) = os.listdir(cdir)
         path = os.path.join(cdir, name)
-        entry = json.loads(open(path).read())
+        with open(path) as fh:
+            entry = json.load(fh)
         entry["payload"]["entries"][0][1]["num"] = [[0, "2/1"]]
         with open(path, "w") as fh:
             json.dump(entry, fh)
@@ -613,33 +643,114 @@ class TestCache:
             "74e798a2d0ea2376cf018c012d8080226f3e9665c2e74ce143f9867b3b8592ba"
         assert name == "pawn-cf03c8978cd16241.json"
         assert digest == "a7f1c6339c168d7b3a514812ddeed759b17c27908b8df016091bad9bc0ef63f6"
+        # the cache's own SHA-256 is hashlib's: the stored hash, the hash the
+        # load takes and the key hash in the file name
+        with C.load(str(tmp_path), C.make_key("pawn", {}, 8)) as entry:
+            assert entry.sha256 == entry.digest == hashlib.sha256(out[:-1].encode()).hexdigest()
+        assert C.key_hash(entry.key) == hashlib.sha256(
+            C.canonical_json(entry.key).encode()).hexdigest()
 
-    def test_streamed_reader_agrees_with_the_whole_parse(self, tmp_path, capsys, monkeypatch):
+    def test_digests_are_hashlib_digests(self, tmp_path, capsys):
+        # every entry of the corpus that reads, streamed or parsed whole
+        cdir = str(tmp_path)
+        entry_corpus(cdir, capsys)
+        checked = 0
+        for name, entry in C.scan(cdir):
+            if isinstance(entry, C.CacheError):
+                continue
+            key, text = payload_of(os.path.join(cdir, name))
+            assert entry.digest == entry.sha256 == hashlib.sha256(text.encode()).hexdigest()
+            assert C.payload_hash(text) == entry.digest
+            assert C.key_hash(key) == hashlib.sha256(C.canonical_json(key).encode()).hexdigest()
+            checked += 1
+        assert checked > 8
+
+    def test_a_load_holds_no_copy_of_the_payload(self, tmp_path):
+        # about 5 MB of entries: the load's peak is a chunk and an entry or
+        # two, not the payload's bytes or its text
+        import tracemalloc
+
+        entries = (C.canonical_json([f"({i})", [[0, f"{i}/7"], [3, "-1/1"]] * 5])
+                   for i in range(40_000))
+        key = C.make_key("E", {}, 3)
+        path = C.store(str(tmp_path), key, C.payload_pieces("E", {}, 3, entries))
+        size = os.path.getsize(path)
+        assert size > 4_000_000
+        tracemalloc.start()
+        try:
+            entry = C.load(str(tmp_path), key)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4
+        with entry:
+            assert entry.file is not None and entry.digest == entry.sha256
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    def test_a_json_hit_prints_the_bytes_it_checked(self, tmp_path, capsys, monkeypatch,
+                                                   chunk):
+        # the entry is replaced on disk once the load has checked it: the hit
+        # copies the checked payload out of the file it opened, not the new one
+        cdir = str(tmp_path)
+        argv = ["compute", "pawn", "--order", "4", "--cache-dir", cdir]
+        _, want, _ = run_cli(argv, capsys)
+        path = C.entry_path(cdir, C.make_key("pawn", {}, 4))
+        with open(path, "rb") as fh:
+            checked = fh.read()
+        other = os.path.join(cdir, "other")
+        with open(other, "w") as fh:
+            fh.write(checked.decode().replace('"1/1"', '"2/1"'))
+        monkeypatch.setattr(C, "_CHUNK", chunk)
+        load = C.load
+
+        def replaced_after_the_check(*args):
+            entry = load(*args)
+            os.replace(other, path)
+            return entry
+
+        monkeypatch.setattr(C, "load", replaced_after_the_check)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == want
+        # the file now at path fails its hash, and a hit on it prints nothing
+        monkeypatch.setattr(C, "load", load)
+        with open(path, "rb") as fh:
+            assert fh.read() != checked
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "") and err == f"error: {path}: payload hash mismatch\n"
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_streamed_reader_agrees_with_the_whole_parse(self, tmp_path, capsys, monkeypatch,
+                                                         chunk):
         # the entry files of this class, stored or hand-written, corrupt or
         # not: each reads to the same entry or the same error whether a file
-        # in store's layout is read an entry at a time or parsed whole
+        # in store's layout is read an entry at a time or parsed whole; read
+        # a byte or 7 bytes at a time, the key head, the entries, the header
+        # and the tail each lie across chunks
         cdir = str(tmp_path)
         stored = entry_corpus(cdir, capsys)
+        monkeypatch.setattr(C, "_CHUNK", chunk)
 
         def fields(scanned):
             name, entry = scanned
             if isinstance(entry, C.CacheError):
                 return name, str(entry)
-            items = C._read_entry(os.path.join(cdir, name), lambda e: e).items
-            return name, (entry.key, entry.header, entry.text, entry.sha256, entry.digest,
-                          list(items))
+            out = io.StringIO()
+            with C._read_entry(os.path.join(cdir, name), lambda e: e) as read:
+                read.write_payload(out)
+            return name, (entry.key, entry.header, entry.sha256, entry.digest, read.items,
+                          out.getvalue())
 
         streamed, read_stored = [], C._read_stored
 
-        def spy(path, each):
-            entry = read_stored(path, each)
+        def spy(fh, each):
+            entry = read_stored(fh, each)
             if each is None:
                 streamed.append(entry is not None)
             return entry
 
         monkeypatch.setattr(C, "_read_stored", spy)
         by_stream = [fields(scanned) for scanned in C.scan(cdir)]
-        monkeypatch.setattr(C, "_read_stored", lambda path, each: None)
+        monkeypatch.setattr(C, "_read_stored", lambda fh, each: None)
         assert by_stream == [fields(scanned) for scanned in C.scan(cdir)]
         # the streamed reading took every file store wrote of a whole payload,
         # and of the others those in its exact layout: one whose hash then
@@ -666,9 +777,10 @@ class TestCache:
                     lean = lean_render(path, fmt)
                     assert lean == object_render(path, fmt), (name, fmt, whole)
                     tables += isinstance(lean, str)
-        # pawn, omega, pawn_at and E at two orders, as store wrote them, and
-        # two hand-made copies of the order-2 E entry; the rest are errors
-        assert tables == 2 * 2 * 7
+        # pawn, omega, pawn_at and E at orders 2, 3 and 12, as store wrote
+        # them, and two hand-made copies of the order-2 E entry; the rest are
+        # errors
+        assert tables == 2 * 2 * 8
 
     def test_a_hit_decodes_each_entry_once(self, tmp_path, capsys, monkeypatch):
         cdir = str(tmp_path)
@@ -808,8 +920,10 @@ class TestCache:
         payload = {"series": "E", "params": {}, "order": 2, "entries": []}
         os.makedirs(C.entry_path(str(tmp_path), key) + ".tmp")
         path = C.store(str(tmp_path), key, [C.canonical_json(payload)])
-        entry = C.load(str(tmp_path), key)
-        assert (entry.key, entry.text) == (key, C.canonical_json(payload))
+        out = io.StringIO()
+        with C.load(str(tmp_path), key) as entry:
+            entry.write_payload(out)
+        assert (entry.key, out.getvalue()) == (key, C.canonical_json(payload))
         assert sorted(os.listdir(tmp_path)) == sorted(
             [os.path.basename(path), os.path.basename(path) + ".tmp"])
 
