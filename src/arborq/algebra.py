@@ -12,9 +12,9 @@ This module provides the coefficient rings everything else is built on:
 
 plus cyclotomic polynomials, q-integers, cyclotomic trial-division
 factoring and the substitutions q -> 1/q, q -> value, q -> power series.
-The factorization of a product of cyclotomics is memoized per polynomial;
-it reduces a value over such a denominator without a gcd and gives the lcm
-of such denominators as a product of highest powers.
+Every value of the paper's series has a denominator q^a prod Phi_d^e, and
+the edge that reads, renders and checks values works on its exponents alone
+(cyclotomic_exponents), with no gcd and no polynomial division.
 The four coefficient types share one base class for the operators they
 derive alike (-, **, exact_div, repr) from their own coercion and ring
 operations.
@@ -50,7 +50,7 @@ import itertools
 import math
 import struct
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -475,12 +475,6 @@ def qpoly_gcd_cofactors(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
             QPoly._raw(tuple(c * (b.ints[-1] // pb[-1]) for c in cb), b.den))
 
 
-def qpoly_lcm(a: QPoly, b: QPoly) -> QPoly:
-    if a.is_zero() or b.is_zero():
-        return QPoly()
-    return (a * qpoly_gcd_cofactors(a, b)[2]).monic()
-
-
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials and q-integers
 
@@ -538,17 +532,19 @@ def factor_cyclotomic(p: QPoly):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_exponents(p: QPoly) -> tuple[tuple[int, int], ...] | None:
-    """The pairs (d, m), d ascending, with p == prod Phi_d^m, or None.
+def cyclotomic_exponents(p: QPoly) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, e) with p == q^a prod Phi_d^e: (0, a) first when a > 0,
+    then the Phi_d, d ascending.  Any other p raises ValueError.
 
-    Only a monic integer polynomial that factor_cyclotomic splits completely
-    has such pairs.  Memoized per polynomial: the values of a series share
-    few distinct denominators.
+    The part prime to q must be one that factor_cyclotomic splits completely,
+    with unit 1.  Memoized per polynomial: the values of a series share few
+    distinct denominators.
     """
-    if p.den != 1 or not p.ints or p.ints[-1] != 1:
-        return None
-    _, factors, rem = factor_cyclotomic(p)
-    return tuple(factors.items()) if rem.degree == 0 else None
+    a = next((i for i, c in enumerate(p.ints) if c), 0)
+    unit, factors, rem = factor_cyclotomic(QPoly._raw(p.ints[a:], p.den) if a else p)
+    if unit != 1 or rem.degree:
+        raise ValueError(f"{p} is not q^a prod Phi_d^e")
+    return (((0, a),) if a else ()) + tuple(factors.items())
 
 
 # ---------------------------------------------------------------------------
@@ -1111,9 +1107,14 @@ def q_factorial_quotient(n: int, parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> QPoly:
+def cyclotomic_product(exponents: tuple[tuple[int, int], ...]) -> QPoly:
+    """q^a prod Phi_d^e for the pairs (d, e) of cyclotomic_exponents, d = 0
+    standing for q."""
     out: tuple[int, ...] = (1,)
     for d, e in exponents:
+        if not d:
+            out = (0,) * e + out
+            continue
         for _ in range(e):
             out = zpoly_mul(out, zcyclotomic(d))
     return QPoly._raw(out)
@@ -1192,23 +1193,32 @@ def _q_factorial_caps(n: int, q_minus_1_power: int = 0):
     return itertools.chain(((1, q_minus_1_power),), ((d, n // d) for d in range(2, n + 1)))
 
 
+def _cancel_cyclotomics(ints: tuple[int, ...], den: int, q_power: int, caps):
+    """ints / (den q^a prod Phi_d^e) in lowest terms, for a nonzero trimmed
+    zpoly ints with content prime to den, a = q_power and the pairs caps,
+    d >= 1: its numerator, and the pairs of its denominator.
+
+    q^a cancels against the low zeros of ints and _divide_cyclotomics divides
+    out each Phi_d of caps that divides them.  The Phi_d are monic,
+    irreducible and prime to q, so no gcd is needed and the quotient keeps
+    the content of ints.
+    """
+    low = next((i for i, v in enumerate(ints[:q_power]) if v), q_power)
+    (ints,), left = _divide_cyclotomics([ints[low:]], caps)
+    if low < q_power:
+        left = ((0, q_power - low),) + left
+    return QPoly._raw(ints, den), left
+
+
 def qrat_over_q_factorial(num: Sequence[int], n: int, q_power: int = 0,
                           q_minus_1_power: int = 0) -> QRat:
     """The canonical QRat equal to num / (q^a (q - 1)^b [n]_q!), for an
-    integer polynomial num, a = q_power and b = q_minus_1_power.
-
-    The Phi_d of (q - 1)^b [n]_q! are divided out of num by
-    _divide_cyclotomics, and q^a against the low zeros of num.  The Phi_d are
-    monic, irreducible and prime to q, so what is left is already reduced with
-    a monic denominator and no gcd is needed.
-    """
+    integer polynomial num, a = q_power and b = q_minus_1_power."""
     num = zpoly_trim(num)
     if not num:
         return QRAT_ZERO
-    low = next((i for i, v in enumerate(num[:q_power]) if v), q_power)
-    (num,), left = _divide_cyclotomics([num[low:]], _q_factorial_caps(n, q_minus_1_power))
-    den = _cyclotomic_product(left)
-    return QRat._raw(QPoly._raw(num), den.shift(q_power - low) if low < q_power else den)
+    num, left = _cancel_cyclotomics(num, 1, q_power, _q_factorial_caps(n, q_minus_1_power))
+    return QRat._raw(num, cyclotomic_product(left))
 
 
 def zxpoly_over_q_factorial(num: Sequence[Sequence[int]], n: int) -> tuple[tuple, QPoly]:
@@ -1216,24 +1226,20 @@ def zxpoly_over_q_factorial(num: Sequence[Sequence[int]], n: int) -> tuple[tuple
     largest product of the Phi_d of [n]_q! that divides every x-coefficient,
     so the denominator is monic and no Phi_d of it divides them all."""
     rows, left = _divide_cyclotomics(num, _q_factorial_caps(n))
-    return tuple(rows), _cyclotomic_product(left)
+    return tuple(rows), cyclotomic_product(left)
 
 
 def qrat_certified(num: QPoly, den: QPoly) -> QRat:
-    """The canonical QRat equal to num / den, without a gcd when den is a
-    product of cyclotomic polynomials (cyclotomic_exponents).
-
-    Then every Phi_d of den that divides num is divided out of both by
-    _divide_cyclotomics; the Phi_d are irreducible, so what is left is
-    reduced.  Dividing the ints of num by a monic Phi_d keeps their content,
-    so the quotient over num.den is canonical too.  Any other den goes
-    through QRat(num, den).
-    """
-    exps = cyclotomic_exponents(den) if num else None
-    if exps is None:
-        return QRat(num, den)
-    (ints,), left = _divide_cyclotomics([num.ints], exps)
-    return QRat._raw(QPoly._raw(ints, num.den), den if left == exps else _cyclotomic_product(left))
+    """The canonical QRat equal to num / den, for a den of the form
+    q^a prod Phi_d^e (cyclotomic_exponents), with no gcd: _cancel_cyclotomics
+    divides the factors num shares with den out of both.  Any other den
+    raises ValueError."""
+    exps = cyclotomic_exponents(den)
+    if not num:
+        return QRAT_ZERO
+    caps = dict(exps)
+    num, left = _cancel_cyclotomics(num.ints, num.den, caps.pop(0, 0), caps.items())
+    return QRat._raw(num, den if left == exps else cyclotomic_product(left))
 
 
 # ---------------------------------------------------------------------------
@@ -1491,22 +1497,15 @@ def one_plus_qx() -> XPoly:
 # Common denominators and Newton polygons
 
 
-def xpoly_denominator(f: XPoly) -> QPoly:
-    """The monic lcm of the coefficient denominators of f.
-
-    When every denominator is a product of cyclotomic polynomials, the lcm is
-    the product of each Phi_d to its highest exponent, with no gcd; otherwise
-    the denominators are folded through qpoly_lcm.
-    """
-    dens = [c.den for c in f.coeffs if c]
+def xpoly_denominator(f: XPoly) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, e) of the lcm q^a prod Phi_d^e of the coefficient
+    denominators of f, in the form of cyclotomic_exponents: each factor to
+    its highest exponent.  A denominator of another form raises ValueError."""
     top: dict[int, int] = {}
-    for den in dens:
-        exps = cyclotomic_exponents(den)
-        if exps is None:
-            return reduce(qpoly_lcm, dens, QPOLY_ONE)
-        for d, m in exps:
-            top[d] = max(top.get(d, 0), m)
-    return _cyclotomic_product(tuple(sorted(top.items())))
+    for c in f.coeffs:
+        for d, e in cyclotomic_exponents(c.den):
+            top[d] = max(top.get(d, 0), e)
+    return tuple(sorted(top.items()))
 
 
 def zxpoly_support(a: Sequence[Sequence[int]]) -> list[tuple[int, int]]:

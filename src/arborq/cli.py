@@ -19,13 +19,13 @@ A compute writes its output one tree at a time.  A cold compute solves,
 reduces and writes each tree in turn: the json text goes to the output, or
 into the cache entry and then from it to the output, and a csv or tex row is
 rendered from the same value.  A csv or tex cache hit renders each entry as
-the load decodes and checks it, with no series of values built.
+the load decodes and checks it, with no series of values built.  A tex value
+is written over the exponents of its denominator q^a prod Phi_d^e alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -100,54 +100,44 @@ def _qpoly_tex(p: QPoly) -> str:
     return " ".join(parts)
 
 
-def _cyclo_tex(den: QPoly) -> str:
-    from .algebra import QPOLY_ONE, cyclotomic_exponents, factor_cyclotomic
-
-    if den.degree == 0:
-        return ""
-    exps = cyclotomic_exponents(den)
-    if exps is None:
-        unit, factors, remainder = factor_cyclotomic(den)
-    else:
-        unit, factors, remainder = 1, dict(exps), QPOLY_ONE
-    bits = []
-    if unit != 1:
-        bits.append(str(unit))
-    for d in sorted(factors):
-        m = factors[d]
-        bits.append(f"\\Phi_{{{d}}}" + (f"^{{{m}}}" if m > 1 else ""))
-    if remainder.degree > 0:
-        bits.append(f"({_qpoly_tex(remainder)})")
-    return "".join(bits)
+def _over_tex(num: str, exps) -> str:
+    """The tex num over the denominator q^a prod Phi_d^e with the pairs (d, e)
+    exps, as cyclotomic_exponents gives them: the Phi_d, then (q^{a})."""
+    if not exps:
+        return num
+    den = "".join(f"\\Phi_{{{d}}}" + (f"^{{{e}}}" if e > 1 else "") for d, e in exps if d)
+    if exps[0][0] == 0:
+        den += "(q)" if exps[0][1] == 1 else f"(q^{{{exps[0][1]}}})"
+    return f"\\frac{{{num}}}{{{den}}}"
 
 
 def _qrat_tex(r: QRat) -> str:
-    num = _qpoly_tex(r.num)
-    if r.den.degree == 0:
-        return num
-    return f"\\frac{{{num}}}{{{_cyclo_tex(r.den)}}}"
+    from .algebra import cyclotomic_exponents
+
+    return _over_tex(_qpoly_tex(r.num), cyclotomic_exponents(r.den))
 
 
-def _xpoly_tex(f: XPoly, cofactor) -> str:
-    """cofactor(den, part) is den / part, divided exactly."""
-    from .algebra import xpoly_denominator
+def _xpoly_tex(f: XPoly) -> str:
+    """The tex of f over the lcm of its coefficient denominators: each
+    numerator times the product of the lcm's exponents less its own."""
+    from .algebra import cyclotomic_exponents, cyclotomic_product, xpoly_denominator
 
-    den = xpoly_denominator(f)
+    top = xpoly_denominator(f)
     rows = []
     for j in range(f.degree, -1, -1):
         c = f.coeffs[j]
         if c.is_zero():
             continue
-        body = _qpoly_tex(c.num * cofactor(den, c.den))
+        own = dict(cyclotomic_exponents(c.den))
+        cofactor = cyclotomic_product(tuple((d, e - own.get(d, 0)) for d, e in top
+                                            if e > own.get(d, 0)))
+        body = _qpoly_tex(c.num * cofactor)
         if j == 0:
             rows.append(body)
         else:
             mono = "x" if j == 1 else f"x^{{{j}}}"
             rows.append(f"({body}){mono}" if " " in body else f"{body}{mono}")
-    numerator = " + ".join(rows) if rows else "0"
-    if den.degree == 0:
-        return numerator
-    return f"\\frac{{{numerator}}}{{{_cyclo_tex(den)}}}"
+    return _over_tex(" + ".join(rows) if rows else "0", top)
 
 
 def _coefficient_text(fmt: str, ring: str):
@@ -155,14 +145,9 @@ def _coefficient_text(fmt: str, ring: str):
     tex, in parentheses when it is a sum that is not a fraction."""
     if fmt == "csv":
         return str
-    from .algebra import QPoly
-
-    # the coefficients of a series share few (common denominator,
-    # denominator) pairs: 278 at pawn order 8, against 1 646 coefficients
-    cofactor = functools.cache(QPoly.exact_div)
 
     def tex(v) -> str:
-        coeff = _xpoly_tex(v, cofactor) if ring == "xpoly" else _qrat_tex(v)
+        coeff = _xpoly_tex(v) if ring == "xpoly" else _qrat_tex(v)
         if not coeff.startswith("\\frac") and " " in coeff:
             coeff = f"\\left({coeff}\\right)"
         return coeff
@@ -520,8 +505,16 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away: exit 1 quietly, with stdout on
+        # devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

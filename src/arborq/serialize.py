@@ -15,18 +15,15 @@ time: every number is a decimal int and every string is a "p/r" of digits,
 order.  The text of each distinct denominator is made once; the values of a
 series share few of them (1 011 among 12 415 values at pawn order 10).
 
-Reading a value back needs no polynomial gcd.  Each "p/r" string is parsed
-once (the parser is memoized; a series repeats few distinct strings): the
-canonical "k/1" of an integer by int, any other string by Fraction.  A
-q-polynomial is built as one integer polynomial over the lcm of its
-denominators; its exponents, and those of an x-polynomial, must be distinct
-nonnegative ints, or the value is unreadable (ValueError).  A stored value
-was written over a product of cyclotomic polynomials, so
-algebra.qrat_certified divides any Phi_d of the denominator that also
-divides the numerator out of both, by the trial division the engine reduces
-with, instead of taking a gcd; a denominator that is no such product is
-reduced by QRat, so a value read is the canonical QRat whatever the file
-holds.  A denominator is parsed once per distinct pair list.
+Reading a value back needs no polynomial gcd.  A pair list of canonical
+"k/1" strings, which is every list arborq writes, is read by int in one
+pass, any other by Fraction (memoized) over the lcm of its denominators.
+Exponents, those of an x-polynomial too, must be distinct nonnegative ints.
+A denominator must be q^a prod Phi_d^e, the form arborq writes, and
+algebra.qrat_certified cancels any power of q or Phi_d the numerator shares
+with it by the engine's trial division, so a value read is the canonical
+QRat.  Any other exponent or denominator makes the value unreadable
+(ValueError).  A denominator is parsed once per distinct pair list.
 """
 
 from __future__ import annotations
@@ -87,22 +84,6 @@ def frac_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-@lru_cache(maxsize=None)
-def _coeff_from_str(s: str) -> int | Fraction:
-    """The value of a "p/r" string: an int for the canonical "k/1" of an
-    integer k, else frac_from_str(s)."""
-    if s.endswith("/1"):
-        k = s[:-2]
-        try:
-            value = int(k)
-        except ValueError:
-            pass
-        else:
-            if str(value) == k:
-                return value
-    return frac_from_str(s)
-
-
 def _canonical_ints(strings: list) -> list[int] | None:
     """The ints k of strings that are all the canonical "k/1", else None."""
     ks = [s[:-2] for s in strings if s[-2:] == "/1"]
@@ -129,11 +110,11 @@ def qpoly_from_pairs(pairs) -> QPoly:
     exps = [e for e, _ in pairs]
     strings = [s for _, s in pairs]
     # a stored polynomial has int coefficients, read in one pass; any other
-    # string is read by _coeff_from_str
+    # string is read by Fraction
     coeffs = _canonical_ints(strings)
     den = 1
     if coeffs is None:
-        coeffs = list(map(_coeff_from_str, strings))
+        coeffs = list(map(frac_from_str, strings))
         den = math.lcm(*(c.denominator for c in coeffs))
         coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
     ints = [0] * _slots(exps)

@@ -3,7 +3,8 @@
 These are the earlier Q(q) implementations of the x-checks, of pawn_at and
 of the specializations at x = -1/q and x = 1/(1 - q): every value is a
 reduced QRat and every step a gcd-reduced QRat operation.  The tests compare
-the integer identities of verify and solvers against them.
+the integer identities of verify and solvers against them, and the exponent
+lcm of algebra.xpoly_denominator against the gcd lcm (qpoly_lcm).
 """
 
 from __future__ import annotations
@@ -21,9 +22,17 @@ from arborq.algebra import (
     one_plus_qx,
     q_int_poly,
     q_integer,
+    qpoly_gcd_cofactors,
     qrat_sum,
 )
 from arborq.series import TreeSeries, series_equal_reports
+
+
+def qpoly_lcm(a: QPoly, b: QPoly) -> QPoly:
+    """The monic lcm of a and b, through their gcd."""
+    if a.is_zero() or b.is_zero():
+        return QPoly()
+    return (a * qpoly_gcd_cofactors(a, b)[2]).monic()
 
 
 def eval_pawn_at_qint(series: TreeSeries, n: int) -> TreeSeries:

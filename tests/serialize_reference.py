@@ -80,7 +80,6 @@ def render_table(series: TreeSeries, fmt: str, name: str) -> str:
     """The csv or tex table of a whole series, each value rendered by the
     CLI's formatters: the object path of a csv or tex hit."""
     import csv
-    import functools
     import io
 
     from arborq import cli
@@ -92,10 +91,9 @@ def render_table(series: TreeSeries, fmt: str, name: str) -> str:
         for t, v in series.items():
             writer.writerow([tr.size(t), tr.encoding(t), str(v)])
         return buf.getvalue()
-    cofactor = functools.cache(QPoly.exact_div)
     lines = [f"% series {name}, order {series.order}", "\\begin{align*}"]
     for t, v in series.items():
-        coeff = cli._xpoly_tex(v, cofactor) if series.ring == "xpoly" else cli._qrat_tex(v)
+        coeff = cli._xpoly_tex(v) if series.ring == "xpoly" else cli._qrat_tex(v)
         if not coeff.startswith("\\frac") and " " in coeff:
             coeff = f"\\left({coeff}\\right)"
         aut = tr.aut_order(t)

@@ -120,7 +120,7 @@ def test_criterion_05_theorem_sweeps():
         ("action_delta", 6, {}),
         ("facteurs_connus", 8, {}),
         ("x_infinity", 8, {}),
-        ("prop_gen", 6, {"seeds": (11, 22, 33)}),
+        ("prop_gen", 6, {}),
         ("fbar_vs_cover", 9, {}),
     ]
     for name, order, kwargs in sweeps:

@@ -30,6 +30,7 @@ from arborq.algebra import (
     convex_hull_chains,
     cyclotomic,
     cyclotomic_exponents,
+    cyclotomic_product,
     factor_cyclotomic,
     newton_polygon,
     one_plus_qx,
@@ -37,7 +38,6 @@ from arborq.algebra import (
     q_integer,
     qpoly_gcd,
     qpoly_gcd_cofactors,
-    qpoly_lcm,
     qrat_over_q_factorial,
     qrat_sum,
     subst_q,
@@ -60,6 +60,7 @@ from arborq.algebra import (
     zxpoly_unpack,
 )
 from arborq.serialize import qpoly_from_pairs, qrat_from_obj, xpoly_from_obj
+from tests.qrat_reference import qpoly_lcm
 from tests.serialize_reference import (
     qpoly_to_pairs,
     qrat_to_obj,
@@ -383,69 +384,98 @@ class TestGcd:
 
 
 def cyclotomic_power_product(exps) -> QPoly:
-    return math.prod((cyclotomic(d) ** m for d, m in exps), start=QPOLY_ONE)
+    """q^a prod Phi_d^m for the pairs (d, m), d = 0 standing for q."""
+    return math.prod(((cyclotomic(d) if d else Q) ** m for d, m in exps), start=QPOLY_ONE)
 
 
-# (d, exponent in den, exponent in num): num and den share Phi_d when both > 0
-SHARED = st.lists(st.tuples(st.integers(1, 12), st.integers(0, 2), st.integers(0, 2)),
+# (d, exponent in den, exponent in num), d = 0 standing for q: num and den
+# share Phi_d (or q) when both exponents are > 0
+SHARED = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 2), st.integers(0, 2)),
                   max_size=4)
-# a cofactor of den that is no product of cyclotomics, non-monic, or rational
-COFACTOR = st.sampled_from([QPOLY_ONE, QPoly((2, 0, 1)), QPoly((1, 2)), QPoly((F(1, 2), 1)),
-                            QPoly.const(3), QPoly.const(F(-2, 5)), QPoly((1, 1, F(1, 3)))])
+# a cofactor of den: 1, or one that makes den no q^a prod Phi_d^e (a factor
+# that is no Phi_d, a lead that is not 1, rational coefficients)
+COFACTOR = st.one_of(st.just(QPOLY_ONE),
+                     st.sampled_from([QPoly((2, 0, 1)), QPoly((1, 2)), QPoly((F(1, 2), 1)),
+                                      QPoly.const(3), QPoly.const(F(-2, 5)),
+                                      QPoly((1, 1, F(1, 3)))]))
+
+
+def stored(num: QPoly, den: QPoly) -> dict:
+    return {"num": qpoly_to_pairs(num), "den": qpoly_to_pairs(den)}
 
 
 class TestCertifiedLoad:
-    """Reading a value back takes no gcd when den is a product of cyclotomics:
-    a Phi_d shared with num is divided out of both.  Deliberately unreduced
-    inputs must still come out as the canonical QRat."""
+    """Reading a value back takes no gcd: its denominator must be
+    q^a prod Phi_d^e, and a power of q or a Phi_d shared with num is divided
+    out of both.  Deliberately unreduced inputs must still come out as the
+    canonical QRat; any other denominator is unreadable (ValueError)."""
 
     @PROPERTY
     @given(COEFFS, SHARED, COFACTOR)
     def test_load_equals_gcd_reduction(self, cs, shared, cofactor):
         num = QPoly(cs) * cyclotomic_power_product((d, m) for d, _, m in shared)
         den = cyclotomic_power_product((d, m) for d, m, _ in shared) * cofactor
-        obj = {"num": qpoly_to_pairs(num), "den": qpoly_to_pairs(den)}
-        got = qrat_from_obj(obj)
+        if cofactor != QPOLY_ONE:
+            with pytest.raises(ValueError):
+                qrat_from_obj(stored(num, den))
+            return
+        got = qrat_from_obj(stored(num, den))
         assert got == QRat(num, den)
         assert_canonical(got.num)
         assert_canonical(got.den)
 
     @PROPERTY
-    @given(st.lists(st.tuples(COEFFS, SHARED, COFACTOR), min_size=1, max_size=3))
+    @given(st.lists(st.tuples(COEFFS, SHARED), min_size=1, max_size=3))
     def test_xpoly_denominator_equals_gcd_lcm(self, coeffs):
-        f = XPoly(QRat(QPoly(cs) or 1, cyclotomic_power_product((d, m) for d, m, _ in shared)
-                       * cofactor) for cs, shared, cofactor in coeffs)
+        f = XPoly(QRat(QPoly(cs) or 1, cyclotomic_power_product((d, m) for d, m, _ in shared))
+                  for cs, shared in coeffs)
         want = QPOLY_ONE
         for c in f.coeffs:
             want = qpoly_lcm(want, c.den)
-        assert xpoly_denominator(f) == want
+        assert cyclotomic_product(xpoly_denominator(f)) == want
+
+    def test_xpoly_denominator_of_another_form_raises(self):
+        with pytest.raises(ValueError):
+            xpoly_denominator(XPoly((QRat(1, Q + 1), QRat(1, QPoly((2, 0, 1))))))
 
     def test_shared_factor_loads_without_a_gcd(self, monkeypatch):
         cases = [(cyclotomic(12) * QPoly((2, 0, 1)) * F(3, 2), cyclotomic(12) ** 2 * (Q + 1)),
                  ((Q - 1) ** 3 * cyclotomic(105) * -7, (Q - 1) ** 2 * cyclotomic(105)),
-                 (cyclotomic(6) * QPoly((F(1, 2), 0, 5)) * 2 ** 70, cyclotomic(6) * cyclotomic(3))]
+                 (cyclotomic(6) * QPoly((F(1, 2), 0, 5)) * 2 ** 70, cyclotomic(6) * cyclotomic(3)),
+                 (Q ** 3 * cyclotomic(4) * 5, Q ** 2 * cyclotomic(4) ** 2)]
         want = [QRat(num, den) for num, den in cases]
         calls = []
         gcd = algebra.qpoly_gcd_cofactors
+        divmod_ = QPoly.__divmod__
 
         def counting(a, b):
             calls.append((a, b))
             return gcd(a, b)
 
+        def counting_divmod(a, b):
+            calls.append((a, b))
+            return divmod_(a, b)
+
         monkeypatch.setattr(algebra, "qpoly_gcd_cofactors", counting)
+        monkeypatch.setattr(QPoly, "__divmod__", counting_divmod)
         for (num, den), w in zip(cases, want):
-            got = qrat_from_obj({"num": qpoly_to_pairs(num), "den": qpoly_to_pairs(den)})
+            got = qrat_from_obj(stored(num, den))
             assert got == w and got.den != den
             assert_canonical(got.num)
         assert calls == []
 
     def test_edge_cases(self):
-        for num, den in [(QPOLY_ONE - 1, Q + 1), (QPoly((3, 1)), QPoly.const(4)),
-                         (QPoly((3, 1)), QPOLY_ONE), (Q + 1, cyclotomic(12)),
-                         (cyclotomic(12), cyclotomic(12) * (Q - 1))]:
-            got = qrat_from_obj({"num": qpoly_to_pairs(num), "den": qpoly_to_pairs(den)})
+        for num, den in [(QPOLY_ONE - 1, Q + 1), (QPoly((3, 1)), QPOLY_ONE),
+                         (Q + 1, cyclotomic(12)), (cyclotomic(12), cyclotomic(12) * (Q - 1)),
+                         (QPOLY_ONE - 1, Q ** 2), (Q ** 2 * 5, Q), (Q ** 2, Q ** 3 * (Q + 1)),
+                         (QPoly((0, 2, 0, F(1, 3))), Q ** 2 * cyclotomic(3))]:
+            got = qrat_from_obj(stored(num, den))
             assert got == QRat(num, den)
-        with pytest.raises(ZeroDivisionError):
+        for num, den in [(QPoly((3, 1)), QPoly.const(4)), (QPOLY_ONE - 1, QPoly((2, 0, 1))),
+                         (Q, QPoly((0, 0, 2))), (Q, QPoly((0, 0, F(1, 2))))]:
+            with pytest.raises(ValueError):
+                qrat_from_obj(stored(num, den))
+        with pytest.raises(ValueError):
             qrat_from_obj({"num": [[0, "1/1"]], "den": []})
 
 
@@ -500,6 +530,15 @@ class TestCyclotomic:
             assert QPoly.const(unit) * rem * cyclotomic_power_product(want.items()) == p
         assert cyclotomic_exponents(cyclotomic(12)) == ((12, 1),)
         assert cyclotomic_exponents(cyclotomic(30) * (Q + 1)) == ((2, 1), (30, 1))
+        assert cyclotomic_exponents(Q ** 3 * (Q + 1)) == ((0, 3), (2, 1))
+        assert cyclotomic_exponents(Q) == ((0, 1),)
+        assert cyclotomic_exponents(QPOLY_ONE) == ()
+        for p in [QPoly((2, 0, 1)), Q * QPoly((2, 0, 1)), QPoly.const(2), QPoly((F(1, 2), 1)),
+                  QPoly()]:
+            with pytest.raises(ValueError):
+                cyclotomic_exponents(p)
+        for exps in [(), ((0, 2),), ((0, 1), (2, 2), (12, 1)), ((3, 1), (5, 2))]:
+            assert cyclotomic_exponents(cyclotomic_product(exps)) == exps
 
     def test_factor_roundtrip_randomized(self):
         rng = random.Random(7)
@@ -652,7 +691,8 @@ class TestQRat:
         for _ in range(25):
             r = QRat(
                 QPoly([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]),
-                QPoly([rng.randint(-3, 3) for _ in range(3)] + [1]),
+                cyclotomic_power_product((rng.randint(0, 12), rng.randint(0, 2))
+                                         for _ in range(3)),
             )
             assert qrat_from_obj(qrat_to_obj(r)) == r
 
@@ -723,7 +763,8 @@ class TestNewton:
     def test_fraction_reduced(self):
         # numerator/denominator from an x-polynomial share no q-factor
         f = XPoly((QRat(1, Q + 1), QRat(Q, (Q + 1) * QPoly((1, 1, 1)))))
-        den = xpoly_denominator(f)
+        assert xpoly_denominator(f) == ((2, 1), (3, 1))
+        den = cyclotomic_product(xpoly_denominator(f))
         assert den == ((Q + 1) * QPoly((1, 1, 1))).monic()
         rows = [c.num * den.exact_div(c.den) for c in f.coeffs]
         g = qpoly_gcd(rows[0], rows[1])

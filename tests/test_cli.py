@@ -14,6 +14,7 @@ import time
 import pytest
 
 from arborq import algebra, cache as C, serialize, solvers as S, trees as T, verify as vf
+from arborq.algebra import QPoly, QRat, XPoly
 from arborq.cli import COSTLY_ORDER, main
 from tests import serialize_reference as SR
 from tests.test_verify import CORRUPT_TREE, corrupt
@@ -64,6 +65,21 @@ class TestCompute:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.stdout == "False\n"
+
+    def test_closed_pipe_exits_quietly(self):
+        # the 689 KB pawn order-8 json fills the pipe before the reader goes
+        # away: the next write fails, and the command exits 1 with no traceback
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arborq", "compute", "pawn", "--order", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.stdout.read(600).startswith(b'{"entries":')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert b"Traceback" not in err and err == b""
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -402,8 +418,8 @@ class TestCache:
 
     def test_tex_denominator_that_is_not_a_cyclotomic_product(self, tmp_path, capsys):
         # at x = [-2]_q the one-vertex coefficient 1 + qx is -1/q: its
-        # denominator is no product of Phi_d, so cli._cyclo_tex factors it
-        # with factor_cyclotomic
+        # denominator q has the exponent pair (0, 1), which cli._over_tex
+        # prints as (q), both cold and from a hit
         args = ["compute", "pawn_at", "--n", "-2", "--order", "3", "--format", "tex",
                 "--cache-dir", str(tmp_path)]
         _, fresh, _ = run_cli(args, capsys)
@@ -438,20 +454,40 @@ class TestCache:
             main([*args, "--format", "csv"])
 
     @pytest.mark.parametrize("series,order,fmt", [
-        ("pawn", 6, "csv"), ("pawn", 6, "tex"), ("omega", 7, "csv")])
+        ("pawn", 6, "csv"), ("pawn", 6, "tex"), ("omega", 7, "csv"), ("omega", 7, "tex"),
+        ("pawn_at", 6, "csv"), ("pawn_at", 6, "tex")])
     def test_csv_and_tex_hits_run_no_gcd(self, tmp_path, capsys, monkeypatch, series, order, fmt):
-        # a stored value is reduced over a product of cyclotomics: reading and
-        # rendering it back needs no polynomial gcd
+        # a stored value is reduced over q^a prod Phi_d^e: reading and
+        # rendering it back needs no polynomial gcd and no polynomial division
+        # (pawn_at at [-3]_q has powers of q in its denominators)
         cdir = str(tmp_path / "cache")
         args = ["compute", series, "--order", str(order), "--format", fmt]
+        if series == "pawn_at":
+            args += ["--n", "-3"]
         _, fresh, _ = run_cli(args, capsys)
         run_cli([*args, "--cache-dir", cdir], capsys)
         calls = []
-        gcd = algebra.qpoly_gcd
-        monkeypatch.setattr(algebra, "qpoly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        for name in ("qpoly_gcd", "qpoly_gcd_cofactors"):
+            monkeypatch.setattr(algebra, name, lambda a, b, gcd=getattr(algebra, name):
+                                calls.append("gcd") or gcd(a, b))
+        divmod_ = QPoly.__divmod__
+        monkeypatch.setattr(QPoly, "__divmod__", lambda a, b: calls.append("div") or divmod_(a, b))
         code, cached, _ = run_cli([*args, "--cache-dir", cdir], capsys)
         assert code == 0 and cached == fresh
         assert not calls
+
+    def test_cold_tex_render_divides_no_polynomial(self, capsys, monkeypatch):
+        # each x-coefficient's cofactor over the common denominator is built
+        # from exponents; a first run fills the table of q-factorial
+        # quotients (through QRat), so the second counts the reduction and
+        # the rendering of every value
+        args = ["compute", "pawn", "--order", "7", "--format", "tex"]
+        _, want, _ = run_cli(args, capsys)
+        calls = []
+        divmod_ = QPoly.__divmod__
+        monkeypatch.setattr(QPoly, "__divmod__", lambda a, b: calls.append(1) or divmod_(a, b))
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and out == want and not calls
 
     def test_hit_sharing_a_cyclotomic_factor_reads_canonical(self, tmp_path, capsys):
         # a stored value whose numerator shares Phi_2 and Phi_3 with its
@@ -850,6 +886,27 @@ class TestCache:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: unreadable cached value (ValueError(")
 
+    @pytest.mark.parametrize("fmt", ["csv", "tex"])
+    @pytest.mark.parametrize("den", [[[0, "2/1"], [2, "1/1"]], [[0, "4/1"]]])
+    def test_denominator_of_another_form_with_a_valid_hash(self, tmp_path, capsys, fmt, den):
+        # arborq writes every denominator as q^a prod Phi_d^e; a stored q^2 + 2
+        # or 4 is unreadable for a csv or tex hit: no output, exit 1
+        cdir = str(tmp_path)
+        _, out, _ = run_cli(["compute", "omega", "--order", "1"], capsys)
+        payload = json.loads(out)
+        payload["entries"][0][1]["den"] = den
+        path = C.store(cdir, C.make_key("omega", {}, 1), [C.canonical_json(payload)])
+        code, out, err = run_cli(["compute", "omega", "--order", "1", "--format", fmt,
+                                  "--cache-dir", cdir], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: unreadable cached value (ValueError(")
+        assert len(err.splitlines()) == 1
+        # a json hit and verify-hashes check the hash and the layout only, so
+        # they still accept the entry
+        code, out, _ = run_cli(["compute", "omega", "--order", "1", "--cache-dir", cdir], capsys)
+        assert code == 0 and json.loads(out) == payload
+        assert run_cli(["cache", "verify-hashes", "--dir", cdir], capsys)[0] == 0
+
     def test_a_stored_entry_is_never_held_whole(self, tmp_path, capsys, monkeypatch):
         # a cold compute encodes the payload an entry at a time, and a hit or
         # a cache command reads a stored entry with no whole-file parse
@@ -1005,8 +1062,17 @@ class TestConjectureCommand:
         assert code == 1
         status, witness = out.splitlines()
         assert status.startswith("FAIL  corolla_denominator ")
-        assert witness == ('      witness: {"denominator":"q + 1","factors":"{2: 1}",'
-                           '"n":"2","remainder":"1"}')
+        assert witness == '      witness: {"denominator":"q + 1","factors":"{2: 1}","n":"2"}'
+
+    def test_corolla_denominator_of_another_form_fails(self, capsys, monkeypatch):
+        # a denominator that is not q^a prod Phi_d^e is a FAIL with a witness
+        monkeypatch.setitem(S._COROLLA, 1, XPoly((QRat(1, QPoly((2, 0, 1))),)))
+        code, out, _ = run_cli(["conjecture", "corolla-denominator", "--max-n", "3"], capsys)
+        assert code == 1
+        status, witness = out.splitlines()
+        assert status.startswith("FAIL  corolla_denominator ")
+        assert witness == ('      witness: {"denominator":"q^2 + 2 is not q^a prod Phi_d^e",'
+                           '"n":"1"}')
 
     def test_newton(self, capsys):
         code, out, _ = run_cli(["conjecture", "newton", "--max-size", "5"], capsys)

@@ -122,6 +122,16 @@ class TestCheckReports:
         with pytest.raises(ValueError):
             V.check_theorem(name, max_order, **kwargs)
 
+    @pytest.mark.parametrize("name, kwargs", [
+        ("associativity", {"seeds": ()}),
+        ("suspension_formula", {"seeds": ()}),
+        ("valeur_speciale", {"bling": 5}),
+    ])
+    def test_unknown_keywords_raise(self, name, kwargs):
+        # these used to reach checks that swallowed them, and pass
+        with pytest.raises(TypeError):
+            V.check_theorem(name, 4, **kwargs)
+
     def test_edge_parameters_still_run(self):
         assert V.theorem_param_error("valeur_n_positif", 1, (0, 0), 1) is None
         assert V.check_theorem("valeur_n_positif", 1, n_range=(0, 0)).ok()
