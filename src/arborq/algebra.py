@@ -16,8 +16,9 @@ Every value of the paper's series has a denominator q^a prod Phi_d^e, and
 the edge that reads, renders and checks values works on its exponents alone
 (cyclotomic_exponents), with no gcd and no polynomial division.
 The four coefficient types share one base class for the operators they
-derive alike (-, **, exact_div, repr) from their own coercion and ring
-operations.
+derive alike (-, **, repr) from their own coercion and ring operations.
+QPoly alone has division with remainder; an XPoly is only ever divided by a
+scalar.
 
 The fraction-free layer works on plain int tuples: zpolys in Z[q] and
 zxpolys in Z[q][x], with products, integer (pseudo-)division, exact division
@@ -100,12 +101,6 @@ class _Ring:
             base = base * base
             n >>= 1
         return result
-
-    def exact_div(self, other):
-        quot, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ExactDivisionError(f"{self} is not divisible by {other}")
-        return quot
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -277,6 +272,12 @@ class QPoly(_Ring):
         db = other.den
         return (QPoly.from_ints(tuple(c * db for c in quot), den),
                 QPoly.from_ints(rem, den))
+
+    def exact_div(self, other):
+        quot, rem = divmod(self, other)
+        if not rem.is_zero():
+            raise ExactDivisionError(f"{self} is not divisible by {other}")
+        return quot
 
     def monic(self) -> QPoly:
         if self.is_zero():
@@ -1420,39 +1421,11 @@ class XPoly(_Ring):
             return self.scale(as_qrat(other).inverse())
         return NotImplemented
 
-    def __divmod__(self, other: XPoly):
-        if not isinstance(other, XPoly):
-            other = XPoly((other,))
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.coeffs
-        dd = len(d) - 1
-        lead_inv = d[-1].inverse()
-        quot = [QRAT_ZERO] * max(0, len(r) - dd)
-        while r and len(r) - 1 >= dd:
-            c = r[-1] * lead_inv
-            shift = len(r) - 1 - dd
-            quot[shift] = c
-            for i, dc in enumerate(d):
-                r[shift + i] = r[shift + i] - c * dc
-            while r and r[-1].is_zero():
-                r.pop()
-        return XPoly(quot), XPoly(r)
-
     def evaluate(self, v) -> QRat:
         v = as_qrat(v)
         acc = QRAT_ZERO
         for c in reversed(self.coeffs):
             acc = acc * v + c
-        return acc
-
-    def subst_x_linear(self, a, b) -> XPoly:
-        """Substitute x -> a + b*x."""
-        lin = XPoly((a, b))
-        acc = XPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + XPoly((c,))
         return acc
 
     def derivative(self) -> XPoly:

@@ -333,6 +333,14 @@ _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
 
+def _odd_at_least_3(text: str) -> int:
+    # the range the partition conjecture states (check_partition_conjecture)
+    value = _int_at_least(3)(text)
+    if value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"must be odd, got {value}")
+    return value
+
+
 def _suite(text: str) -> list[str]:
     from . import verify as vf
 
@@ -412,6 +420,9 @@ def cmd_cache(args) -> int:
     if not directory:
         print(f"error: give --dir or set {CACHE_DIR_ENV}", file=sys.stderr)
         return 2
+    if not os.path.isdir(directory):
+        print(f"error: cache directory {directory!r} is not a directory", file=sys.stderr)
+        return 2
     if args.action == "gc":
         try:
             removed = cache_mod.gc(directory)
@@ -482,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sweeps.add_parser("partition")
     p.add_argument("--lam", type=_partition, default=(),
                    help="partition, comma separated (e.g. 2,1)")
-    p.add_argument("--k", type=_positive, default=3)
+    p.add_argument("--k", type=_odd_at_least_3, default=3)
     p.add_argument("--order-cap", type=_positive, default=12)
     p.set_defaults(sweep=_partition_sweep)
 

@@ -3,9 +3,9 @@
 A TreeSeries stores, up to a truncation order, one coefficient per tree
 class in the convention  A = sum_T A_T * T / aut(T); the stored value for T
 is A_T and absent keys mean zero.  Coefficients live in one of the
-registered rings ("rational", "qrat", "xpoly", "qseries") and the ring plus
-the truncation order must match before any binary operation; re-truncation
-is always explicit.
+registered rings ("rational", "qrat", "xpoly") and the ring plus the
+truncation order must match before any binary operation; no operation
+changes the order of a series.
 
 The insertion product with outer corollas is computed from root-subtree
 decompositions: the coefficient of T collects, over every root-containing
@@ -26,14 +26,12 @@ RING_ZERO: dict[str, Any] = {
     "rational": Fraction(0),
     "qrat": QRAT_ZERO,
     "xpoly": XPOLY_ZERO,
-    "qseries": 0,
 }
 
 RING_ONE: dict[str, Any] = {
     "rational": Fraction(1),
     "qrat": QRAT_ONE,
     "xpoly": XPOLY_ONE,
-    "qseries": 1,
 }
 
 
@@ -103,14 +101,6 @@ class TreeSeries:
             self.order, ring or self.ring, {t: fn(t, v) for t, v in self.coeffs.items()}
         )
 
-    def truncate(self, order: int) -> TreeSeries:
-        """Explicit re-truncation; only downward is meaningful."""
-        if order > self.order:
-            raise ValueError("cannot extend a series beyond the data it holds")
-        return TreeSeries(
-            order, self.ring, {t: v for t, v in self.coeffs.items() if tr.size(t) <= order}
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TreeSeries):
             return NotImplemented
@@ -119,10 +109,6 @@ class TreeSeries:
             and self.ring == other.ring
             and self.coeffs == other.coeffs
         )
-
-
-def zero_series(order: int, ring: str) -> TreeSeries:
-    return TreeSeries(order, ring, {})
 
 
 def unit_vertex(c, order: int, ring: str) -> TreeSeries:
@@ -164,18 +150,6 @@ def diamond_crls(a: TreeSeries, b: TreeSeries) -> TreeSeries:
         if not is_zero_coeff(acc):
             out[t] = acc
     return TreeSeries(order, ring, out)
-
-
-def graft_root_single(a: TreeSeries) -> TreeSeries:
-    """Graft each tree of a onto a fresh root vertex: the coefficient of
-    B+(T') is a_{T'}, and trees whose root has more than one child get zero.
-    No solver calls it: the tests use it to state the solvers' recursions
-    as series identities."""
-    out: dict[int, Any] = {}
-    for t, v in a.coeffs.items():
-        if tr.size(t) + 1 <= a.order:
-            out[tr.b_plus([t])] = v
-    return TreeSeries(a.order, a.ring, out)
 
 
 def sharp(a: TreeSeries, b: TreeSeries) -> TreeSeries:

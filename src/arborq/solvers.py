@@ -1,4 +1,4 @@
-"""Solvers and closed forms for the named tree series.
+"""Solvers, specializations and coloring polynomials for the named tree series.
 
 Everything here is driven by per-tree recursions obtained by extracting the
 degree-n homogeneous component of the defining functional equations: the
@@ -16,8 +16,10 @@ exact division by q - 1 and no gcd.  Each N_T is held as one Python int, its
 Kronecker packing, and read back as a zxpoly at the edge.  Values become
 canonical reduced QRat only at the output edge, by trial division of N_T
 with the cyclotomic factors of [n]_q!; pawn_fraction cancels them against
-N_T as a whole, with no QRat at all.  pawn_at and the x = 1/(1-q) specialization are read off
-N_T at the node in the same way, with no QRat arithmetic on the way.
+N_T as a whole, with no QRat at all.  pawn_at is read off N_T at the node
+in the same way, with no QRat arithmetic on the way.  Only what a command
+or a check runs lives here: the closed form of the linear trees and the older
+Q(q) routes the tests compare the engine against are in tests/qrat_reference.py.
 
 The per-tree solvers are demand-driven and memoized: asking for one
 coefficient only computes the trees reachable from it by leaf pruning and
@@ -33,20 +35,16 @@ from typing import Sequence
 
 from .algebra import (
     PoleError,
-    Q,
     QPOLY_ONE,
     QPoly,
     QRAT_ONE,
-    QRAT_Q,
     QRAT_ZERO,
     QRat,
-    QSeries,
     XPOLY_ONE,
     XPOLY_ZERO,
     XPoly,
     one_plus_qx,
     q_factorial_quotient,
-    q_int_poly,
     qrat_over_q_factorial,
     qrat_sum,
     slot_bits,
@@ -326,17 +324,7 @@ def fbar_type(t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for linear trees and corollas
-
-def pawn_linear(n: int) -> XPoly:
-    """(1+qx) * prod_{i=2..n} ([i]_q + q^i x)/[i]_q."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = one_plus_qx()
-    for i in range(2, n + 1):
-        out = out * XPoly((q_int_poly(i), QPoly.q_power(i))).scale(QRat(1, q_int_poly(i)))
-    return out
-
+# The corolla recursion
 
 @tr.memoized({})
 def _one_plus_qx_power(n: int) -> XPoly:
@@ -408,62 +396,12 @@ def omega_bar_numerator(t: int) -> tuple:
     return _OMEGA_BAR_ENGINE.numerator(t)
 
 
-def omega_bar_via_transform(t: int) -> QRat:
-    """Same coefficient through the other route: substitute q -> 1/q in the
-    base series and apply the suspension by -1/q."""
-    m = tr.size(t)
-    return omega_coeff(t).reciprocal_q() * QRat(QPoly.const(-1), Q) ** (m - 1)
-
-
 def solve_omega(order: int) -> TreeSeries:
     return _series(order, "qrat", omega_coeff)
 
 
 def solve_omega_bar(order: int) -> TreeSeries:
     return _series(order, "qrat", omega_bar_coeff)
-
-
-MINUS_ONE_OVER_Q = QRat(QPoly.const(-1), Q)
-
-
-def pawn_x_infinity(order: int) -> TreeSeries:
-    """Keep only the top x-degree term of each coefficient (degree = #T);
-    the values are the inverse q-factorials of the trees."""
-    pawn = solve_pawn(order)
-    return pawn.map_coeffs(lambda t, f: f.coeff(tr.size(t)), ring="qrat")
-
-
-def pawn_one_minus_q_inverse(k: int, series_order: int) -> QSeries:
-    """Corolla coefficient at x = 1/(1-q), expanded as a power series in q.
-    Equals the truncation of sum_{j>=1} q^(j-1) [j]_q^k."""
-    x0 = QRat(QPOLY_ONE, QPoly((1, -1)))
-    return pawn_corolla(k).evaluate(x0).series(series_order)
-
-
-def colorings_sum_series(k: int, series_order: int) -> QSeries:
-    """Independent truncation of sum_{j>=1} q^(j-1) [j]_q^k."""
-    total = [Fraction(0)] * (series_order + 1)
-    for j in range(1, series_order + 2):
-        term = (q_int_poly(j) ** k).shift(j - 1)
-        for e, c in enumerate(term.coeffs[: series_order + 1]):
-            total[e] += c
-    return QSeries(total, series_order)
-
-
-def colorings_limit_series(order: int, series_order: int) -> TreeSeries:
-    """The whole series at x = 1/(1-q), with each coefficient expanded as a
-    truncated q-series; the coefficient of a tree is the generating series of
-    all its weakly decreasing colorings."""
-    def at_limit(t: int):
-        # (1 - q)^d N_T(1 / (1 - q)) over (1 - q)^d [#T]_q!, d the x-degree
-        num = pawn_numerator(t)
-        d = len(num) - 1
-        top = zxpoly_eval(num, (1,), (1, -1))
-        if d % 2:
-            top = tuple(-c for c in top)
-        return qrat_over_q_factorial(top, tr.size(t), q_minus_1_power=d).series(series_order)
-
-    return _series(order, "qseries", at_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -489,35 +427,6 @@ def bernoulli_carlitz(n: int) -> QRat:
 def psi_umbral(p: XPoly) -> QRat:
     """Linear form sending x^n to the n-th Bernoulli-Carlitz number."""
     return qrat_sum(c * bernoulli_carlitz(j) for j, c in enumerate(p.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# The divided-difference operator and its inverse
-
-_DELTA_DEN = XPoly((1, QPoly((-1, 1))))  # 1 + (q-1) x
-
-
-def hahn_delta(f: XPoly) -> XPoly:
-    """(f(1+qx) - f(x)) / (1+qx-x); drops the degree by one and is linear."""
-    num = f.subst_x_linear(QRAT_ONE, QRAT_Q) - f
-    return num.exact_div(_DELTA_DEN)
-
-
-def hahn_inverse(g: XPoly) -> XPoly:
-    """The unique f divisible by (1+qx) with hahn_delta(f) = g.
-
-    The operator maps degree j to degree j-1 with leading factor [j]_q, so a
-    triangular solve from the top determines f up to a constant; the constant
-    is fixed by forcing the root at x = -1/q.
-    """
-    f = XPoly()
-    residual = g
-    for j in range(g.degree + 1, 0, -1):
-        cj = residual.coeff(j - 1) / QRat(q_int_poly(j))
-        if not cj.is_zero():
-            f = f + XPoly((QRAT_ZERO,) * j + (cj,))
-            residual = g - hahn_delta(f)
-    return f - XPoly.const(f.evaluate(MINUS_ONE_OVER_Q))
 
 
 # ---------------------------------------------------------------------------

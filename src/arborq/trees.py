@@ -10,7 +10,9 @@ encodings are equal.  Heights count vertices: a single vertex has height 1.
 Besides enumeration, automorphism counts and statistics, this module holds
 the pruning combinatorics the insertion product and the solvers run on:
 leaf-subset pruning and root-subtree decompositions, both one fold over the
-children of the root.  Every per-tree table is kept by memoized.
+children of the root.  Every per-tree table is kept by memoized.  The module
+imports no other layer of the package: the tree combinatorics needs no
+arithmetic beyond Python ints.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 import operator
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
-
-from .algebra import QPoly, QRat, q_int_poly
 
 _MISSING = object()
 
@@ -259,16 +259,6 @@ def tree_stats(tid: int) -> TreeStats:
         height_histogram=hist,
         subtree_sizes=tuple(sorted(sub)),
     )
-
-
-def q_factorial(tid: int) -> QRat:
-    """The q-analog of the tree factorial, with the q^(-sum of subtree sizes)
-    normalization; at q=1 it reduces to the product of subtree sizes."""
-    sizes = tree_stats(tid).subtree_sizes
-    num = QPoly((1,))
-    for s in sizes:
-        num = num * q_int_poly(s)
-    return QRat(num, QPoly.q_power(sum(sizes)))
 
 
 # ---------------------------------------------------------------------------

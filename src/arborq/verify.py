@@ -312,8 +312,8 @@ def _check_facteurs_connus(report, max_order, **_):
 
 
 def _check_x_infinity(report, max_order, **_):
-    # P_T has x-degree #T with top coefficient 1 / q_factorial(T) =
-    # q^(sum s_v) / prod_v [s_v]_q, s_v the subtree sizes
+    # P_T has x-degree #T with top coefficient q^(sum s_v) / prod_v [s_v]_q,
+    # s_v the subtree sizes: the inverse of the tree's q-factorial
     for t, size, num in _pawn_numerators(max_order):
         if len(num) - 1 != size:
             return _fail(report, tree=tr.encoding(t), degree=len(num) - 1, size=size)
@@ -588,9 +588,9 @@ def check_newton_sweep(max_size: int, progress=None) -> CheckReport:
 def check_partition_conjecture(lam, k: int, order_cap: int = 12) -> CheckReport:
     """For odd k >= 3, the base-series coefficient of k copies of the
     partition-shaped tree grafted on a root should have a numerator divisible
-    by Phi_{1 + max part}."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    by Phi_{1 + max part}.  Any other k is outside the statement and raises."""
+    if k < 3 or k % 2 == 0:
+        raise ValueError(f"k must be odd and >= 3, got {k}")
     if order_cap < 1:
         raise ValueError(f"order_cap must be >= 1, got {order_cap}")
     t0 = time.perf_counter()

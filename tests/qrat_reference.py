@@ -1,31 +1,170 @@
-"""QRat references for the paths that now run on the engine numerators N_T.
+"""QRat references: the Q(q) routes the tests compare the engine against.
 
 These are the earlier Q(q) implementations of the x-checks, of pawn_at and
-of the specializations at x = -1/q and x = 1/(1 - q): every value is a
-reduced QRat and every step a gcd-reduced QRat operation.  The tests compare
-the integer identities of verify and solvers against them, and the exponent
-lcm of algebra.xpoly_denominator against the gcd lcm (qpoly_lcm).
+of the specializations at x = -1/q and x = 1/(1 - q), the closed form of the
+linear trees, the other construction of omega_bar, and the XPoly operations
+they need (the substitution x -> 1 + qx, long division and the divided
+difference Delta).  Every value is a reduced QRat and every step a
+gcd-reduced QRat operation.  The tests compare the integer identities of
+verify and solvers against them, and the exponent lcm of
+algebra.xpoly_denominator against the gcd lcm (qpoly_lcm).  No command or
+check runs any of it.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from arborq import solvers as sv
 from arborq import trees as tr
 from arborq import verify as V
 from arborq.algebra import (
+    ExactDivisionError,
+    Q,
+    QPOLY_ONE,
     QPoly,
     QRAT_ONE,
     QRAT_Q,
+    QRAT_ZERO,
     QRat,
+    QSeries,
     XPOLY_ONE,
     XPoly,
     one_plus_qx,
     q_int_poly,
     q_integer,
     qpoly_gcd_cofactors,
+    qrat_over_q_factorial,
     qrat_sum,
+    zxpoly_eval,
 )
 from arborq.series import TreeSeries, series_equal_reports
+
+MINUS_ONE_OVER_Q = QRat(QPoly.const(-1), Q)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials in x over Q(q)
+
+
+def subst_one_plus_qx(f: XPoly) -> XPoly:
+    """f(1 + qx)."""
+    acc = XPoly()
+    for c in reversed(f.coeffs):
+        acc = acc * one_plus_qx() + XPoly((c,))
+    return acc
+
+
+def xpoly_divmod(a: XPoly, b: XPoly) -> tuple[XPoly, XPoly]:
+    """Long division in Q(q)[x]: (quot, rem) with a = quot * b + rem and
+    deg rem < deg b."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a.coeffs)
+    d = b.coeffs
+    dd = len(d) - 1
+    lead_inv = d[-1].inverse()
+    quot = [QRAT_ZERO] * max(0, len(r) - dd)
+    while r and len(r) - 1 >= dd:
+        c = r[-1] * lead_inv
+        shift = len(r) - 1 - dd
+        quot[shift] = c
+        for i, dc in enumerate(d):
+            r[shift + i] = r[shift + i] - c * dc
+        while r and r[-1].is_zero():
+            r.pop()
+    return XPoly(quot), XPoly(r)
+
+
+def xpoly_exact_div(a: XPoly, b: XPoly) -> XPoly:
+    quot, rem = xpoly_divmod(a, b)
+    if not rem.is_zero():
+        raise ExactDivisionError(f"{a} is not divisible by {b}")
+    return quot
+
+
+def hahn_delta(f: XPoly) -> XPoly:
+    """(f(1+qx) - f(x)) / (1+qx-x); drops the degree by one and is linear."""
+    return xpoly_exact_div(subst_one_plus_qx(f) - f, XPoly((1, QPoly((-1, 1)))))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms and the other routes to the solvers' values
+
+
+def pawn_linear(n: int) -> XPoly:
+    """(1+qx) * prod_{i=2..n} ([i]_q + q^i x)/[i]_q, the coefficient of the
+    linear tree on n vertices."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = one_plus_qx()
+    for i in range(2, n + 1):
+        out = out * XPoly((q_int_poly(i), QPoly.q_power(i))).scale(QRat(1, q_int_poly(i)))
+    return out
+
+
+def inverse_q_factorial(t: int) -> QRat:
+    """q^(sum s_v) / prod_v [s_v]_q, s_v the subtree sizes of t: the inverse of
+    the tree's q-factorial, which is the top x-coefficient of P_T."""
+    sizes = tr.tree_stats(t).subtree_sizes
+    den = QPOLY_ONE
+    for s in sizes:
+        den = den * q_int_poly(s)
+    return QRat(QPoly.q_power(sum(sizes)), den)
+
+
+def omega_bar_via_transform(t: int) -> QRat:
+    """omega_bar_T through the other route: substitute q -> 1/q in the base
+    series and apply the suspension by -1/q."""
+    return sv.omega_coeff(t).reciprocal_q() * MINUS_ONE_OVER_Q ** (tr.size(t) - 1)
+
+
+def graft_root_single(a: TreeSeries) -> TreeSeries:
+    """Graft each tree of a onto a fresh root vertex: the coefficient of
+    B+(T') is a_{T'}, and trees whose root has more than one child get zero.
+    It states the solvers' recursions as series identities."""
+    out = {}
+    for t, v in a.coeffs.items():
+        if tr.size(t) + 1 <= a.order:
+            out[tr.b_plus([t])] = v
+    return TreeSeries(a.order, a.ring, out)
+
+
+def pawn_one_minus_q_inverse(k: int, series_order: int) -> QSeries:
+    """Corolla coefficient at x = 1/(1-q), expanded as a power series in q.
+    Equals the truncation of sum_{j>=1} q^(j-1) [j]_q^k."""
+    x0 = QRat(QPOLY_ONE, QPoly((1, -1)))
+    return sv.pawn_corolla(k).evaluate(x0).series(series_order)
+
+
+def colorings_sum_series(k: int, series_order: int) -> QSeries:
+    """Independent truncation of sum_{j>=1} q^(j-1) [j]_q^k."""
+    total = [Fraction(0)] * (series_order + 1)
+    for j in range(1, series_order + 2):
+        term = (q_int_poly(j) ** k).shift(j - 1)
+        for e, c in enumerate(term.coeffs[: series_order + 1]):
+            total[e] += c
+    return QSeries(total, series_order)
+
+
+def colorings_limit_series(order: int, series_order: int) -> dict[int, QSeries]:
+    """Every coefficient of the pawn series at x = 1/(1-q), read off N_T and
+    expanded as a truncated q-series, by tree up to the order; the value of a
+    tree is the generating series of all its weakly decreasing colorings."""
+    def at_limit(t: int) -> QSeries:
+        # (1 - q)^d N_T(1 / (1 - q)) over (1 - q)^d [#T]_q!, d the x-degree
+        num = sv.pawn_numerator(t)
+        d = len(num) - 1
+        top = zxpoly_eval(num, (1,), (1, -1))
+        if d % 2:
+            top = tuple(-c for c in top)
+        return qrat_over_q_factorial(top, tr.size(t), q_minus_1_power=d).series(series_order)
+
+    return {t: at_limit(t) for t in tr.trees_upto(order)}
+
+
+# ---------------------------------------------------------------------------
+# The gcd lcm and the specializations in Q(q)
 
 
 def qpoly_lcm(a: QPoly, b: QPoly) -> QPoly:
@@ -44,7 +183,7 @@ def eval_pawn_at_qint(series: TreeSeries, n: int) -> TreeSeries:
 def limit_minus_one_over_q(series: TreeSeries) -> TreeSeries:
     """Divide every coefficient by (1+qx) exactly, then evaluate at x = -1/q."""
     def lim(_t, f: XPoly) -> QRat:
-        return f.exact_div(one_plus_qx()).evaluate(sv.MINUS_ONE_OVER_Q)
+        return xpoly_exact_div(f, one_plus_qx()).evaluate(MINUS_ONE_OVER_Q)
 
     return series.map_coeffs(lim, ring="qrat")
 
@@ -129,8 +268,8 @@ def check_action_delta(report, max_order):
         prod = XPOLY_ONE
         for c in tr.children(t):
             prod = prod * sv.pawn_coeff(c)
-        want = prod.subst_x_linear(QRAT_ONE, QRAT_Q).scale(QRAT_Q)
-        got = sv.hahn_delta(sv.pawn_coeff(t))
+        want = subst_one_plus_qx(prod).scale(QRAT_Q)
+        got = hahn_delta(sv.pawn_coeff(t))
         if got != want:
             return V._fail(report, tree=tr.encoding(t), got=got, want=want)
     return report
@@ -141,7 +280,7 @@ def check_facteurs_connus(report, max_order):
         prod = XPOLY_ONE
         for i in range(1, tr.height(t) + 1):
             prod = prod * XPoly((q_int_poly(i), QPoly.q_power(i)))
-        _, rem = divmod(sv.pawn_coeff(t), prod)
+        _, rem = xpoly_divmod(sv.pawn_coeff(t), prod)
         if not rem.is_zero():
             return V._fail(report, tree=tr.encoding(t), remainder=rem)
     return report
@@ -153,9 +292,9 @@ def check_x_infinity(report, max_order):
         n = tr.size(t)
         if f.degree != n:
             return V._fail(report, tree=tr.encoding(t), degree=f.degree, size=n)
-        if f.coeff(n) != tr.q_factorial(t).inverse():
+        if f.coeff(n) != inverse_q_factorial(t):
             return V._fail(report, tree=tr.encoding(t), leading=f.coeff(n),
-                           inverse_q_factorial=tr.q_factorial(t).inverse())
+                           inverse_q_factorial=inverse_q_factorial(t))
     return report
 
 

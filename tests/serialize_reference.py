@@ -4,8 +4,8 @@ Each value becomes a JSON object (value_to_obj) and cache.canonical_json
 encodes it; series_from_obj reads a whole series back into a TreeSeries.
 The CLI writes the same text straight from the values' ints
 (serialize.entries_json) and reads a cache hit one entry at a time, so the
-tests pin both against this path.  It also covers the "rational" and
-"qseries" rings, which no command prints.
+tests pin both against this path.  It also covers the "rational" ring,
+which no command prints.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from arborq import trees as tr
-from arborq.algebra import QPoly, QRat, QSeries, XPoly
+from arborq.algebra import QPoly, QRat, XPoly
 from arborq.cache import canonical_json
 from arborq.serialize import frac_from_str, qrat_from_obj, xpoly_from_obj
 from arborq.series import TreeSeries
@@ -35,20 +35,11 @@ def xpoly_to_obj(f: XPoly) -> list:
     return [[j, qrat_to_obj(c)] for j, c in enumerate(f.coeffs) if not c.is_zero()]
 
 
-def qseries_to_obj(s: QSeries) -> dict:
-    return {"order": s.order, "coeffs": [frac_to_str(c) for c in s.coeffs]}
-
-
-def qseries_from_obj(obj) -> QSeries:
-    return QSeries([frac_from_str(c) for c in obj["coeffs"]], obj["order"])
-
-
 # ring -> (writer, reader) of one coefficient
 _CODECS = {
     "rational": (frac_to_str, frac_from_str),
     "qrat": (qrat_to_obj, qrat_from_obj),
     "xpoly": (xpoly_to_obj, xpoly_from_obj),
-    "qseries": (qseries_to_obj, qseries_from_obj),
 }
 
 

@@ -242,6 +242,16 @@ class TestModuleLoading:
             assert code == 0 and "_hashlib" not in modules, argv
         assert len(os.listdir(cdir)) == 1
 
+    def test_trees_load_no_other_layer(self):
+        # the tree combinatorics runs on Python ints and imports no arithmetic
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, sys, arborq.trees; print(json.dumps("
+             "sorted(m for m in sys.modules if m.startswith('arborq'))))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert json.loads(proc.stdout) == ["arborq", "arborq.trees"]
+
     def test_package_names_are_the_algebra_names(self):
         import arborq
         from arborq import algebra as al
@@ -1015,6 +1025,18 @@ class TestCache:
         code, _, err = run_cli(["cache", "list"], capsys)
         assert code == 2 and "ARBORQ_CACHE_DIR" in err
 
+    @pytest.mark.parametrize("action", ["list", "gc", "verify-hashes"])
+    def test_cache_cmd_rejects_a_dir_that_does_not_exist(self, action, tmp_path, capsys,
+                                                         monkeypatch):
+        # a typo in the path must not read as an empty, verified cache
+        missing = str(tmp_path / "missing")
+        code, out, err = run_cli(["cache", action, "--dir", missing], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and missing in err
+        monkeypatch.setenv("ARBORQ_CACHE_DIR", missing)
+        assert run_cli(["cache", action], capsys)[0] == 2
+        assert not os.path.exists(missing)
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
@@ -1137,6 +1159,10 @@ class TestUsageErrors:
             (["conjecture", "newton", "--max-n", "5", "--max-size", "3"], "--max-n"),
             (["conjecture", "corolla-denominator", "--max-size", "3", "--lam", "1",
               "--max-n", "3"], "--max-size"),
+            # the partition conjecture is stated for odd k >= 3 only
+            (["conjecture", "partition", "--lam", "1", "--k", "1"], "--k"),
+            (["conjecture", "partition", "--lam", "1", "--k", "2"], "--k"),
+            (["conjecture", "partition", "--lam", "1", "--k", "4"], "--k"),
         ],
     )
     def test_exit_code_2(self, argv, flag, capsys):

@@ -11,15 +11,8 @@ import pytest
 
 from arborq import trees as T
 from arborq.algebra import QPoly, QRAT_ONE, QRat
-from arborq.series import (
-    TreeSeries,
-    diamond_crls,
-    graft_root_single,
-    sharp,
-    suspension,
-    unit_vertex,
-    zero_series,
-)
+from arborq.series import TreeSeries, diamond_crls, sharp, suspension, unit_vertex
+from tests.qrat_reference import graft_root_single
 from tests.serialize_reference import series_from_obj, series_to_obj
 from tests.test_trees import brute_decompositions
 
@@ -80,12 +73,6 @@ class TestBasics:
         c = TreeSeries(3, "qrat", {T.leaf(): QRAT_ONE})
         with pytest.raises(ValueError):
             diamond_crls(a, c)
-
-    def test_explicit_truncation(self):
-        a = ones_series(5)
-        assert a.truncate(3) == ones_series(3)
-        with pytest.raises(ValueError):
-            a.truncate(6)
 
     def test_serialization_roundtrip(self):
         for ring, series in [
@@ -151,7 +138,7 @@ class TestDiamond:
 
     def test_diamond_with_zero(self):
         a = random_series(4, 9)
-        z = zero_series(4, "rational")
+        z = TreeSeries(4, "rational", {})
         assert diamond_crls(a, z) == a      # no components allowed
         assert diamond_crls(z, a) == z      # linear in the first argument
 
@@ -229,7 +216,7 @@ class TestGraft:
 class TestSharp:
     def test_zero_is_unit(self):
         a = random_series(5, 51)
-        z = zero_series(5, "rational")
+        z = TreeSeries(5, "rational", {})
         assert sharp(a, z) == a
         assert sharp(z, a) == a
 

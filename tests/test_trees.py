@@ -9,6 +9,7 @@ import pytest
 
 from arborq import trees as T
 from arborq.algebra import QPoly, QRat, q_int_poly
+from tests import qrat_reference as R
 
 EX5 = T.b_plus([T.leaf(), T.b_plus([T.leaf(), T.leaf()])])
 
@@ -224,15 +225,18 @@ class TestStats:
 
 
 class TestQFactorial:
+    """The inverse tree q-factorial of the tests' reference, the top
+    x-coefficient that verify's x_infinity states on N_T."""
+
     def test_fig2_value(self):
-        want = QRat(q_int_poly(3) * q_int_poly(5), QPoly.q_power(11))
-        assert T.q_factorial(EX5) == want
+        want = QRat(QPoly.q_power(11), q_int_poly(3) * q_int_poly(5))
+        assert R.inverse_q_factorial(EX5) == want
 
     def test_single_vertex(self):
-        assert T.q_factorial(T.leaf()) == QRat(1, QPoly.q_power(1))
+        assert R.inverse_q_factorial(T.leaf()) == QRat(QPoly.q_power(1))
 
     def test_lnr2(self):
-        assert T.q_factorial(T.lnr(2)) == QRat(q_int_poly(2), QPoly.q_power(3))
+        assert R.inverse_q_factorial(T.lnr(2)) == QRat(QPoly.q_power(3), q_int_poly(2))
 
     def test_q1_gives_classical_factorial(self):
         import math
@@ -240,7 +244,7 @@ class TestQFactorial:
         for n in range(1, 9):
             for t in T.enumerate_trees(n):
                 classical = math.prod(T.tree_stats(t).subtree_sizes)
-                assert T.q_factorial(t).evaluate(1) == classical
+                assert R.inverse_q_factorial(t).evaluate(1) * classical == 1
 
 
 class TestPruning:

@@ -247,7 +247,7 @@ class TestZqIdentities:
                 assert V.check_theorem(name, 6).ok()
             S.eval_pawn_at_qint(6, -3)
             S.eval_pawn_at_qint(6, 4)
-            S.colorings_limit_series(6, 8)
+            R.colorings_limit_series(6, 8)
 
         run()
         calls = []
@@ -315,14 +315,16 @@ class TestConjectures:
             V.check_partition_conjecture((3, 2), 5, order_cap=12)
 
     def test_partition_even_k_not_asserted(self):
-        # k=2 is outside the conjecture; the checker still runs and reports
-        report = V.check_partition_conjecture((1,), 2, order_cap=12)
-        assert report.status in ("pass", "fail")
+        # the conjecture is stated for odd k >= 3 only; any other k raises
+        # instead of reporting a FAIL outside the statement
+        for k in (1, 2, 4):
+            with pytest.raises(ValueError, match="k must be odd and >= 3"):
+                V.check_partition_conjecture((1,), k, order_cap=12)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_partition_rejects_k_below_one(self, k):
         # k < 1 grafts no copy and would test the single vertex
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match="k must be odd and >= 3"):
             V.check_partition_conjecture((1,), k)
 
     @pytest.mark.parametrize(
