@@ -23,12 +23,14 @@ scalar.
 The fraction-free layer works on plain int tuples: zpolys in Z[q] and
 zxpolys in Z[q][x], with products, integer (pseudo-)division, exact division
 by x - r and by 1 + qx, the quotients of q-factorials the recursions scale
-by, and the cyclotomic reduction of num / [n]_q! (to a canonical QRat, or for
-a zxpoly to a numerator over a monic denominator, all in ints).  Its packed form holds
-a zpoly or zxpoly as one Python int, the Kronecker substitution q = 2^bits,
-x = 2^(bits*width): the per-tree engine solves on packed ints, and the one
-trial division by Phi_d (_divide_packed) divides them for the reduction
-over [n]_q!, the reading of a stored value and factor_cyclotomic alike.
+by, and the one cyclotomic reduction: divide_cyclotomics cancels from rows of
+ints the powers of q and Phi_d they share with a denominator q^a prod Phi_d^e
+given by its exponents, and qrat_over makes one row a canonical QRat.  Every
+value over [n]_q! (q_factorial_exponents) and every stored value read back
+is reduced by it.  Its packed form holds a zpoly or zxpoly as one Python int,
+the Kronecker substitution q = 2^bits, x = 2^(bits*width): the per-tree
+engine solves on packed ints, and the one trial division by Phi_d
+(_divide_packed) divides them for the reduction and factor_cyclotomic alike.
 The per-tree recursions run on this layer directly; QPoly runs on it too,
 through its ints: a QPoly is ints / den with ints a zpoly and den a positive
 int coprime to the content of ints (zero is ((), 1)), so Q(q) arithmetic runs
@@ -783,8 +785,8 @@ def subst_q(f: QRat, target) -> "QRat | Fraction | QSeries":
 # A zpoly is a tuple of Python ints, lowest degree first, with no trailing
 # zeros; the zero polynomial is ().  A zxpoly is a polynomial in x over Z[q]:
 # a tuple of zpolys indexed by x-degree.  The per-tree recursions run on these
-# and meet QRat only through qrat_over_q_factorial; QPoly keeps its integer
-# numerator as a zpoly, so these are also the kernels of all Q(q) arithmetic.
+# and meet QRat only through qrat_over; QPoly keeps its integer numerator as a
+# zpoly, so these are also the kernels of all Q(q) arithmetic.
 
 
 def zpoly_trim(a: Sequence[int]) -> tuple[int, ...]:
@@ -1179,68 +1181,48 @@ def _divide_packed(packed: list, bits: int,
     return packed, bits, tuple(left)
 
 
-def _divide_cyclotomics(rows: Sequence[Sequence[int]],
-                        caps: Iterable[tuple[int, int]]) -> tuple[Sequence, tuple]:
-    """_divide_packed on the integer polynomials in rows (trimmed zpolys):
-    the quotient rows (rows itself when nothing divides) and the (d, e')
-    pairs of caps left undivided."""
-    start, bits = _pack_rows(rows)
-    packed, bits, left = _divide_packed(start, bits, caps)
-    return rows if packed is start else [zpoly_unpack(v, bits) for v in packed], left
+@lru_cache(maxsize=None)
+def q_factorial_exponents(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, e) of [n]_q! = prod_{d=2..n} Phi_d^floor(n/d)."""
+    return tuple((d, n // d) for d in range(2, n + 1))
 
 
-def _q_factorial_caps(n: int, q_minus_1_power: int = 0):
-    # (q - 1)^b [n]_q! = Phi_1^b prod_{d=2..n} Phi_d^floor(n/d)
-    return itertools.chain(((1, q_minus_1_power),), ((d, n // d) for d in range(2, n + 1)))
+def divide_cyclotomics(rows: Sequence[Sequence[int]],
+                       exps: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """rows / (q^a prod Phi_d^e) with what all rows share cancelled, for
+    trimmed zpolys rows and the pairs exps of cyclotomic_exponents (d = 0
+    standing for q, first; d = 1 for q - 1): the quotient rows, and the pairs
+    (d, e') left in the denominator.
 
-
-def _cancel_cyclotomics(ints: tuple[int, ...], den: int, q_power: int, caps):
-    """ints / (den q^a prod Phi_d^e) in lowest terms, for a nonzero trimmed
-    zpoly ints with content prime to den, a = q_power and the pairs caps,
-    d >= 1: its numerator, and the pairs of its denominator.
-
-    q^a cancels against the low zeros of ints and _divide_cyclotomics divides
-    out each Phi_d of caps that divides them.  The Phi_d are monic,
-    irreducible and prime to q, so no gcd is needed and the quotient keeps
-    the content of ints.
+    q^a cancels against the low zeros all rows share and _divide_packed
+    divides out each Phi_d that divides them all.  The Phi_d are monic,
+    irreducible and prime to q, so no gcd is needed and the quotients keep
+    the content of the rows.
     """
-    low = next((i for i, v in enumerate(ints[:q_power]) if v), q_power)
-    (ints,), left = _divide_cyclotomics([ints[low:]], caps)
-    if low < q_power:
-        left = ((0, q_power - low),) + left
-    return QPoly._raw(ints, den), left
+    a = low = 0
+    if exps and not exps[0][0]:
+        a, exps = exps[0][1], exps[1:]
+        low = min((next((i for i, v in enumerate(r[:a]) if v), a) for r in rows if r),
+                  default=a)
+    rows = tuple(r[low:] for r in rows) if low else tuple(rows)
+    start, bits = _pack_rows(rows)
+    packed, bits, left = _divide_packed(start, bits, exps)
+    if packed is not start:
+        rows = tuple(zpoly_unpack(v, bits) for v in packed)
+    if a > low:
+        left = ((0, a - low),) + left
+    return rows, left
 
 
-def qrat_over_q_factorial(num: Sequence[int], n: int, q_power: int = 0,
-                          q_minus_1_power: int = 0) -> QRat:
-    """The canonical QRat equal to num / (q^a (q - 1)^b [n]_q!), for an
-    integer polynomial num, a = q_power and b = q_minus_1_power."""
-    num = zpoly_trim(num)
-    if not num:
+def qrat_over(ints: Sequence[int], exps: Sequence[tuple[int, int]], den: int = 1) -> QRat:
+    """The canonical QRat equal to ints / (den q^a prod Phi_d^e), for an
+    integer polynomial ints with content prime to den and the pairs exps of
+    divide_cyclotomics."""
+    ints = zpoly_trim(ints)
+    if not ints:
         return QRAT_ZERO
-    num, left = _cancel_cyclotomics(num, 1, q_power, _q_factorial_caps(n, q_minus_1_power))
-    return QRat._raw(num, cyclotomic_product(left))
-
-
-def zxpoly_over_q_factorial(num: Sequence[Sequence[int]], n: int) -> tuple[tuple, QPoly]:
-    """num / [n]_q! for a zxpoly num, as (num / G, [n]_q! / G): G is the
-    largest product of the Phi_d of [n]_q! that divides every x-coefficient,
-    so the denominator is monic and no Phi_d of it divides them all."""
-    rows, left = _divide_cyclotomics(num, _q_factorial_caps(n))
-    return tuple(rows), cyclotomic_product(left)
-
-
-def qrat_certified(num: QPoly, den: QPoly) -> QRat:
-    """The canonical QRat equal to num / den, for a den of the form
-    q^a prod Phi_d^e (cyclotomic_exponents), with no gcd: _cancel_cyclotomics
-    divides the factors num shares with den out of both.  Any other den
-    raises ValueError."""
-    exps = cyclotomic_exponents(den)
-    if not num:
-        return QRAT_ZERO
-    caps = dict(exps)
-    num, left = _cancel_cyclotomics(num.ints, num.den, caps.pop(0, 0), caps.items())
-    return QRat._raw(num, den if left == exps else cyclotomic_product(left))
+    (ints,), left = divide_cyclotomics((ints,), exps)
+    return QRat._raw(QPoly._raw(ints, den), cyclotomic_product(left))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ Reading a value back needs no polynomial gcd.  A pair list of canonical
 "k/1" strings, which is every list arborq writes, is read by int in one
 pass, any other by Fraction (memoized) over the lcm of its denominators.
 Exponents, those of an x-polynomial too, must be distinct nonnegative ints.
-A denominator must be q^a prod Phi_d^e, the form arborq writes, and
-algebra.qrat_certified cancels any power of q or Phi_d the numerator shares
-with it by the engine's trial division, so a value read is the canonical
-QRat.  Any other exponent or denominator makes the value unreadable
-(ValueError).  A denominator is parsed once per distinct pair list.
+A denominator must be q^a prod Phi_d^e, the form arborq writes: it is read
+as its exponents (algebra.cyclotomic_exponents), and algebra.qrat_over, the
+reduction the solvers use, cancels any power of q or Phi_d the numerator
+shares with it, so a value read is the canonical QRat.  Any other exponent
+or denominator makes the value unreadable (ValueError).  A denominator is
+parsed once per distinct pair list.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import QPOLY_ZERO, QPoly, QRat, XPoly, qrat_certified
+from .algebra import QPOLY_ZERO, QPoly, QRat, XPoly, cyclotomic_exponents, qrat_over
 from .cache import canonical_json  # noqa: F401  (re-exported)
 from . import trees as tr
 
@@ -124,15 +125,17 @@ def qpoly_from_pairs(pairs) -> QPoly:
 
 
 @lru_cache(maxsize=None)
-def _den_from_pairs(key: bytes) -> QPoly:
-    """The denominator whose decoded pair list marshals to key: marshal tells
-    1, 1.0 and True apart, so equal keys read to equal polynomials."""
-    return qpoly_from_pairs(marshal.loads(key))
+def _den_exponents(key: bytes) -> tuple[tuple[int, int], ...]:
+    """The exponents of the denominator whose decoded pair list marshals to
+    key: marshal tells 1, 1.0 and True apart, so equal keys read to equal
+    polynomials."""
+    return cyclotomic_exponents(qpoly_from_pairs(marshal.loads(key)))
 
 
 def qrat_from_obj(obj) -> QRat:
-    den = _den_from_pairs(marshal.dumps(obj["den"]))
-    return qrat_certified(qpoly_from_pairs(obj["num"]), den)
+    exps = _den_exponents(marshal.dumps(obj["den"]))
+    num = qpoly_from_pairs(obj["num"])
+    return qrat_over(num.ints, exps, num.den)
 
 
 def xpoly_from_obj(obj) -> XPoly:

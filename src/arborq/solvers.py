@@ -13,11 +13,13 @@ N_T = [n]_q! * value_T in Z[q][x], where [n]_q! clears every denominator of
 a size-n tree.  Multiplied by [n-1]_q!, each recursion has integer
 polynomials on the right and (q - 1) N_T on the left, so a tree costs one
 exact division by q - 1 and no gcd.  Each N_T is held as one Python int, its
-Kronecker packing, and read back as a zxpoly at the edge.  Values become
-canonical reduced QRat only at the output edge, by trial division of N_T
-with the cyclotomic factors of [n]_q!; pawn_fraction cancels them against
-N_T as a whole, with no QRat at all.  pawn_at is read off N_T at the node
-in the same way, with no QRat arithmetic on the way.  Only what a command
+Kronecker packing, and read back as a zxpoly at the edge.  Each engine's
+memo is the only store of its solved coefficients: pawn_coeff, omega_coeff
+and omega_bar_coeff reduce N_T on every call and keep nothing.  Values meet
+Q(q) only at that edge, through the one cyclotomic reduction,
+algebra.divide_cyclotomics: qrat_over cancels the Phi_d of [n]_q! from each
+x-coefficient of N_T, pawn_fraction from N_T as a whole, with no QRat at
+all, and pawn_at from N_T at the node over q^a [n]_q!.  Only what a command
 or a check runs lives here: the closed form of the linear trees and the older
 Q(q) routes the tests compare the engine against are in tests/qrat_reference.py.
 
@@ -43,15 +45,17 @@ from .algebra import (
     XPOLY_ONE,
     XPOLY_ZERO,
     XPoly,
+    cyclotomic_product,
+    divide_cyclotomics,
     one_plus_qx,
+    q_factorial_exponents,
     q_factorial_quotient,
-    qrat_over_q_factorial,
+    qrat_over,
     qrat_sum,
     slot_bits,
     zpoly_pack,
     zxpack_div_q_minus_1,
     zxpoly_eval,
-    zxpoly_over_q_factorial,
     zxpoly_pack,
     zxpoly_unpack,
 )
@@ -202,8 +206,8 @@ class FractionFreeRecursion:
 
     def reduced(self, t: int) -> tuple[QRat, ...]:
         """v_T as canonical QRat coefficients indexed by x-degree (at least one)."""
-        n = tr.size(t)
-        return tuple(qrat_over_q_factorial(c, n) for c in self.numerator(t)) or (QRAT_ZERO,)
+        exps = q_factorial_exponents(tr.size(t))
+        return tuple(qrat_over(c, exps) for c in self.numerator(t)) or (QRAT_ZERO,)
 
 
 def _alternating(n: int, removed: int) -> tuple[int, int]:
@@ -220,13 +224,10 @@ _PAWN_ENGINE = FractionFreeRecursion(
     branch_weight=lambda n, k: ((0,) * n + (1,), (0,) * n + (-1, 1)),
 )
 # the pawn coefficients solved: the engine's memo of packed N_T, which every
-# route to a coefficient fills; the reduced values are kept only for the
-# library's pawn_coeff
+# route to a coefficient fills, and the only store of them
 _PAWN = _PAWN_ENGINE.memo
-_PAWN_COEFF: dict[int, XPoly] = {}
 
 
-@tr.memoized(_PAWN_COEFF)
 def pawn_coeff(t: int) -> XPoly:
     """Coefficient of the tree t, a polynomial in x of degree #t over Q(q)."""
     return XPoly(_PAWN_ENGINE.reduced(t))
@@ -243,13 +244,14 @@ def pawn_values(order: int):
     not kept, so a caller that writes them out one at a time never holds the
     series; only the engine's memo grows."""
     for t in tr.trees_upto(order):
-        yield t, XPoly(_PAWN_ENGINE.reduced(t))
+        yield t, pawn_coeff(t)
 
 
 def pawn_fraction(t: int) -> tuple[tuple, QPoly]:
     """The coefficient of t as (zxpoly numerator, monic denominator in q): N_T
     and [#T]_q! with the cyclotomic factors they share cancelled, in ints."""
-    return zxpoly_over_q_factorial(pawn_numerator(t), tr.size(t))
+    rows, left = divide_cyclotomics(pawn_numerator(t), q_factorial_exponents(tr.size(t)))
+    return rows, cyclotomic_product(left)
 
 
 def pawn_numerator(t: int) -> tuple:
@@ -270,7 +272,8 @@ def eval_pawn_at_qint(order: int, n: int) -> TreeSeries:
     def at_node(t: int) -> QRat:
         num = pawn_numerator(t)
         q_power = m * (len(num) - 1) if n < 0 else 0
-        return qrat_over_q_factorial(zxpoly_eval(num, node, den), tr.size(t), q_power=q_power)
+        return qrat_over(zxpoly_eval(num, node, den),
+                         ((0, q_power),) + q_factorial_exponents(tr.size(t)))
 
     return _series(order, "qrat", at_node)
 
@@ -354,16 +357,14 @@ def pawn_corolla(n: int) -> XPoly:
 # ---------------------------------------------------------------------------
 # The inverse-flavored series and its variant
 
-_OMEGA: dict[int, QRat] = {}
-
 _OMEGA_ENGINE = FractionFreeRecursion(
     leaf=((1,),),
     prune_weight=lambda n, removed: (-1, n - removed),
     branch_weight=lambda n, k: ((1,),) if k == 1 else None,
 )
+_OMEGA = _OMEGA_ENGINE.memo
 
 
-@tr.memoized(_OMEGA)
 def omega_coeff(t: int) -> QRat:
     """Coefficient in the series whose corolla coefficients are the
     Bernoulli-Carlitz numbers; per-tree recursion
@@ -373,16 +374,14 @@ def omega_coeff(t: int) -> QRat:
     return _OMEGA_ENGINE.reduced(t)[0]
 
 
-_OMEGA_BAR: dict[int, QRat] = {}
-
 _OMEGA_BAR_ENGINE = FractionFreeRecursion(
     leaf=((1,),),
     prune_weight=_alternating,
     branch_weight=lambda n, k: ((0,) * (n - 1) + (1,),) if k == 1 else None,
 )
+_OMEGA_BAR = _OMEGA_BAR_ENGINE.memo
 
 
-@tr.memoized(_OMEGA_BAR)
 def omega_bar_coeff(t: int) -> QRat:
     """Variant obtained by q -> 1/q plus suspension by -1/q; solved directly by
       (q^n - 1) w_T = sum_{nonempty leaf subsets S} (-1)^|S| w_{T minus S}

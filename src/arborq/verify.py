@@ -21,8 +21,9 @@ from .algebra import (
     convex_hull_chains,
     cyclotomic,
     cyclotomic_product,
+    q_factorial_exponents,
     q_factorial_quotient,
-    qrat_over_q_factorial,
+    qrat_over,
     xpoly_denominator,
     zpoly_add_scaled,
     zpoly_mul,
@@ -136,8 +137,9 @@ def oracle_interpolate_pawn(t: int, bound: int = DEFAULT_INTERPOLATION_BOUND) ->
 
     in Z[q][x], with W = prod_j (x - [j]_q) built once and each quotient an
     exact synthetic division.  Each x-coefficient of N is reduced at the end
-    by qrat_over_q_factorial, which cancels its power of q against q^K and
-    splits off the cyclotomic factors of [n]_q!, so no gcd runs.
+    by algebra.qrat_over with the pairs (0, K) and those of [n]_q!, which
+    cancels its power of q and the Phi_d it shares with q^K [n]_q!, so no gcd
+    runs.
     """
     n = tr.size(t)
     if n > bound:
@@ -155,7 +157,8 @@ def oracle_interpolate_pawn(t: int, bound: int = DEFAULT_INTERPOLATION_BOUND) ->
         sign = -1 if (n - m) % 2 else 1
         for acc, c in zip(num, zxpoly_div_x_minus(w, r)):
             zpoly_add_scaled(acc, zpoly_mul(weight, c), sign, shift)
-    return XPoly([qrat_over_q_factorial(c, n, q_power=top) for c in num])
+    exps = ((0, top),) + q_factorial_exponents(n)
+    return XPoly([qrat_over(c, exps) for c in num])
 
 
 def random_series(order: int, seed: int, lo: int = -3, hi: int = 3) -> TreeSeries:

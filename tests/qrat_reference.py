@@ -31,10 +31,11 @@ from arborq.algebra import (
     XPOLY_ONE,
     XPoly,
     one_plus_qx,
+    q_factorial_exponents,
     q_int_poly,
     q_integer,
     qpoly_gcd_cofactors,
-    qrat_over_q_factorial,
+    qrat_over,
     qrat_sum,
     zxpoly_eval,
 )
@@ -158,7 +159,7 @@ def colorings_limit_series(order: int, series_order: int) -> dict[int, QSeries]:
         top = zxpoly_eval(num, (1,), (1, -1))
         if d % 2:
             top = tuple(-c for c in top)
-        return qrat_over_q_factorial(top, tr.size(t), q_minus_1_power=d).series(series_order)
+        return qrat_over(top, ((1, d),) + q_factorial_exponents(tr.size(t))).series(series_order)
 
     return {t: at_limit(t) for t in tr.trees_upto(order)}
 

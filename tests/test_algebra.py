@@ -31,14 +31,16 @@ from arborq.algebra import (
     cyclotomic,
     cyclotomic_exponents,
     cyclotomic_product,
+    divide_cyclotomics,
     factor_cyclotomic,
     newton_polygon,
     one_plus_qx,
+    q_factorial_exponents,
     q_factorial_quotient,
     q_integer,
     qpoly_gcd,
     qpoly_gcd_cofactors,
-    qrat_over_q_factorial,
+    qrat_over,
     qrat_sum,
     subst_q,
     xpoly_denominator,
@@ -406,9 +408,9 @@ def stored(num: QPoly, den: QPoly) -> dict:
 
 class TestCertifiedLoad:
     """Reading a value back takes no gcd: its denominator must be
-    q^a prod Phi_d^e, and a power of q or a Phi_d shared with num is divided
-    out of both.  Deliberately unreduced inputs must still come out as the
-    canonical QRat; any other denominator is unreadable (ValueError)."""
+    q^a prod Phi_d^e, and qrat_over divides a power of q or a Phi_d shared
+    with num out of both.  Deliberately unreduced inputs must still come out
+    as the canonical QRat; any other denominator is unreadable (ValueError)."""
 
     @PROPERTY
     @given(COEFFS, SHARED, COFACTOR)
@@ -869,13 +871,13 @@ class TestPacking:
         cases = [(zpoly_mul(q_factorial_quotient(4, ()), (3, -1, 4)), 4),
                  (zpoly_mul(zpoly_mul(zcyclotomic(2), zcyclotomic(3)), (40, 0, -33)), 3),
                  (zpoly_mul(zcyclotomic(5), (100, 0, -99)), 6), ((7, 0, 0, 2), 4)]
-        want = [qrat_over_q_factorial(num, n) for num, n in cases]
+        want = [qrat_over(num, q_factorial_exponents(n)) for num, n in cases]
         unpacked_at = []
         unpack = algebra.zpoly_unpack
         monkeypatch.setattr(algebra, "slot_bits", lambda need: 8)
         monkeypatch.setattr(algebra, "zpoly_unpack",
                             lambda v, bits: unpacked_at.append(bits) or unpack(v, bits))
-        assert [qrat_over_q_factorial(num, n) for num, n in cases] == want
+        assert [qrat_over(num, q_factorial_exponents(n)) for num, n in cases] == want
         assert max(unpacked_at) > 8
 
 
@@ -974,7 +976,7 @@ class TestFractionFree:
     )
     def test_cyclotomic_reduction_matches_gcd(self, num, n):
         want = QRat(QPoly(num), QPoly(q_factorial_quotient(n, ())))
-        got = qrat_over_q_factorial(num, n)
+        got = qrat_over(num, q_factorial_exponents(n))
         assert got.num == want.num and got.den == want.den
 
     @pytest.mark.parametrize(
@@ -990,7 +992,7 @@ class TestFractionFree:
     def test_reduction_with_q_and_q_minus_1_powers(self, num, n, a, b):
         den = QPoly.q_power(a) * QPoly((-1, 1)) ** b * QPoly(q_factorial_quotient(n, ()))
         want = QRat(QPoly(num), den)
-        got = qrat_over_q_factorial(num, n, q_power=a, q_minus_1_power=b)
+        got = qrat_over(num, ((0, a), (1, b)) + q_factorial_exponents(n))
         assert got.num == want.num and got.den == want.den
 
     def test_zxpoly_eval_matches_qrat(self):
@@ -1023,7 +1025,30 @@ class TestFractionFree:
             assert back == f
 
     def test_cyclotomic_reduction_shapes(self):
-        r = qrat_over_q_factorial(zpoly_mul(zcyclotomic(3), (5, 2)), 4)
+        r = qrat_over(zpoly_mul(zcyclotomic(3), (5, 2)), q_factorial_exponents(4))
         assert r.den == cyclotomic(2) ** 2 * cyclotomic(4)
-        r = qrat_over_q_factorial(zpoly_mul(q_factorial_quotient(5, ()), (-3, 0, 1)), 5)
+        r = qrat_over(zpoly_mul(q_factorial_quotient(5, ()), (-3, 0, 1)), q_factorial_exponents(5))
         assert r.is_polynomial() and r.num == QPoly((-3, 0, 1))
+
+    @PROPERTY
+    @given(st.lists(st.tuples(ZPOLY, st.integers(0, 3)), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2)), max_size=4),
+           st.dictionaries(st.integers(0, 8), st.integers(0, 3), max_size=5))
+    def test_divide_cyclotomics_property(self, rows, shared, caps):
+        # every row carries the shared q^s prod Phi_d^m, so some of the pairs
+        # exps (d = 0 for q, d = 1 for q - 1) divide them all, and a power of
+        # q of its own
+        common = cyclotomic_power_product(shared)
+        rows = [(QPoly(r).shift(k) * common).ints for r, k in rows]
+        exps = tuple(sorted(caps.items()))
+        quots, left = divide_cyclotomics(rows, exps)
+        rest = dict(left)
+        divided = cyclotomic_product(tuple((d, e - rest.get(d, 0)) for d, e in exps))
+        assert [QPoly(r) * divided for r in quots] == [QPoly(r) for r in rows]
+        for d, _ in left:
+            if d:
+                assert any(zpoly_divmod(r, zcyclotomic(d))[1] for r in quots)
+        if 0 in rest:
+            assert any(r and r[0] for r in quots)
+        got, want = qrat_over(rows[0], exps), QRat(QPoly(rows[0]), cyclotomic_product(exps))
+        assert got.num == want.num and got.den == want.den

@@ -362,16 +362,24 @@ class TestMemoized:
     def test_omega_fills_its_table_once_per_tree(self):
         from arborq import solvers as S
 
-        saved = dict(S._OMEGA)
-        S._OMEGA.clear()
+        engine = S._OMEGA_ENGINE
+        assert S._OMEGA is engine.memo
+        # the memo holds values packed at the engine's slots, which a solve
+        # may widen: the whole state is restored together
+        saved = dict(engine.memo), dict(engine.bounds), engine.bits, engine.width
+        engine.memo.clear()
         try:
-            for _ in range(2):
-                values = [S.omega_coeff(t) for t in T.trees_upto(4)]
-            assert list(S._OMEGA) == list(T.trees_upto(4))
-            assert list(S._OMEGA.values()) == values
+            values = [S.omega_coeff(t) for t in T.trees_upto(4)]
+            filled = dict(S._OMEGA)
+            assert sorted(filled) == sorted(T.trees_upto(4))
+            assert [S.omega_coeff(t) for t in T.trees_upto(4)] == values
+            assert S._OMEGA == filled
         finally:
-            S._OMEGA.clear()
-            S._OMEGA.update(saved)
+            engine.memo.clear()
+            engine.memo.update(saved[0])
+            engine.bounds.clear()
+            engine.bounds.update(saved[1])
+            engine.bits, engine.width = saved[2:]
 
 
 class TestVertexCovers:

@@ -169,8 +169,8 @@ WITNESS_PARAM = {"valeur_n_positif": "n", "valeur_n_negatif": "n", "facteurs_con
 
 
 def corrupt(monkeypatch, t: int, terms: dict) -> None:
-    """Replace N_t in the engine memo (packed at the engine's slots), and the
-    pawn coefficient the QRat references read, by the same corrupted value."""
+    """Replace N_t in the engine memo (packed at the engine's slots) by a
+    corrupted value."""
     for u in T.trees_upto(T.size(t) + 1):
         S.pawn_coeff(u)  # solve the neighbours from the true values first
     num = [list(c) for c in S.pawn_numerator(t)]
@@ -188,8 +188,6 @@ def corrupt(monkeypatch, t: int, terms: dict) -> None:
         monkeypatch.setattr(engine, name, getattr(engine, name))
     engine.memo[t] = algebra.zxpoly_pack(bad, engine.bits, engine.width)
     assert S.pawn_numerator(t) == bad
-    monkeypatch.setitem(S._PAWN_COEFF, t,
-                        XPoly([algebra.qrat_over_q_factorial(c, T.size(t)) for c in bad]))
 
 
 class TestZqIdentities:
