@@ -7,8 +7,10 @@ Subcommands:
   cache       maintain the on-disk coefficient cache (list, gc, verify-hashes)
 
 Output is deterministic: two identical invocations produce byte-identical
-output.  Every command runs on one thread; --workers is accepted and checked
-(>= 1) for compatibility, and has no effect.
+output, whatever their --workers.  verify --workers N runs the checks on up
+to N forked processes, at most one per CPU and one per check, and prints
+their reports in suite order (verify.run_checks).  compute accepts and
+checks --workers (>= 1) for compatibility, and runs on one thread.
 
 At module level this file imports only the standard library and the cache,
 which needs nothing else.  Each handler imports the layers it runs, so a json
@@ -38,7 +40,6 @@ if TYPE_CHECKING:
 
 CACHE_DIR_ENV = "ARBORQ_CACHE_DIR"
 COSTLY_ORDER = 11
-WORKERS_HELP = "accepted for compatibility (must be >= 1); has no effect"
 
 # name -> (ring, the usage of --n after "requires --n" or None if the series
 # takes none, values).  values is given the solvers module, n and the order,
@@ -389,9 +390,8 @@ def cmd_verify(args) -> int:
     from . import verify as vf
 
     names = args.suite
-    failures = sum(_print_report(vf.check_theorem(name, args.max_order, n_range=args.n_range,
-                                                  bound=args.coloring_bound))
-                   for name in names)
+    failures = sum(map(_print_report, vf.run_checks(names, args.workers, args.max_order,
+                                                    args.n_range, args.coloring_bound)))
     print(f"{len(names) - failures}/{len(names)} checks passed")
     return 1 if failures else 0
 
@@ -465,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_positive, default=6)
     p.add_argument("--format", choices=("json", "csv", "tex"), default="json")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--workers", type=_positive, default=1, help=WORKERS_HELP)
+    p.add_argument("--workers", type=_positive, default=1,
+                   help="accepted for compatibility (must be >= 1); has no effect")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(fn=cmd_compute)
 
@@ -477,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--n-range", type=_range, default=None, help="like 2..4")
     p.add_argument("--coloring-bound", type=int, default=None)
-    p.add_argument("--workers", type=_positive, default=1, help=WORKERS_HELP)
+    p.add_argument("--workers", type=_positive, default=1,
+                   help="run the checks on up to this many forked processes, at most one "
+                        "per CPU; the output is the same at any count")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("conjecture", help="run a conjecture sweep")

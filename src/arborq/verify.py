@@ -9,13 +9,15 @@ carries a serializable witness.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 from fractions import Fraction
+from typing import Iterator, NoReturn
 
 from .algebra import (
     QPoly,
-    QRAT_Q,
     XPOLY_ONE,
     XPoly,
     convex_hull_chains,
@@ -49,8 +51,6 @@ from .series import (
 
 DEFAULT_COLORING_BOUND = 9
 DEFAULT_INTERPOLATION_BOUND = 7
-
-Q_TIMES_QM1 = QPoly((0, -1, 1))  # q(q-1)
 
 
 class CheckReport:
@@ -353,16 +353,34 @@ def _check_fbar_vs_cover(report, max_order, **_):
 
 
 def _check_sharp_reformulation(report, max_order, **_):
-    pawn = sv.solve_pawn(max_order)
-    q_scalar = XPoly.const(QRAT_Q)
-    scal = XPoly((QPoly.q_power(1), Q_TIMES_QM1))
-    qsp = suspension(pawn, q_scalar).scale(q_scalar)
-    lhs = sharp(unit_vertex(XPoly((-1,)), max_order, "xpoly"), pawn)
-    rhs = sharp(qsp, unit_vertex(-scal, max_order, "xpoly"))
-    bad = series_equal_reports(lhs, rhs)
-    if bad:
-        return _fail(report, tree=tr.encoding(bad[0]),
-                     lhs=lhs.coeff(bad[0]), rhs=rhs.coeff(bad[0]))
+    # (-dot) # P = (q susp_q P) # (-(q + q(q-1)x) dot), times [n]_q!, n = #T:
+    # -[T = dot] + sum count (-1)^#cut ([n]_q!/[#kept]_q!) N_kept over the
+    # decompositions whose cut components are single vertices, against
+    # q^n N_T - q^n (1 + (q-1)x) [n]_q ([n-1]_q!/prod_c [#c]_q!) prod_c N_c
+    dot = tr.leaf()
+    for t, size, num in _pawn_numerators(max_order):
+        got = [[-1]] if t == dot else [[]]
+        for (kept, cut), count in tr.root_subtree_decompositions(t).items():
+            if any(c != dot for c in cut):
+                continue
+            scale = q_factorial_quotient(size, (tr.size(kept),))
+            sign = -count if len(cut) % 2 else count
+            kept_num = sv.pawn_numerator(kept)
+            got.extend([] for _ in range(len(kept_num) - len(got)))
+            for acc, c in zip(got, kept_num):
+                zpoly_add_scaled(acc, zpoly_mul(scale, c), sign)
+        kids = tr.children(t)
+        scale = zpoly_mul((1,) * size, q_factorial_quotient(size - 1, tuple(map(tr.size, kids))))
+        prod = ((1,), (-1, 1))
+        for c in kids:
+            prod = zxpoly_mul(prod, sv.pawn_numerator(c))
+        want = [list(_shift(c, size)) for c in num]
+        want.extend([] for _ in range(len(prod) - len(want)))
+        for acc, c in zip(want, prod):
+            zpoly_add_scaled(acc, zpoly_mul(scale, c), -1, size)
+        got, want = zxpoly_trim(got), zxpoly_trim(want)
+        if got != want:
+            return _fail(report, tree=tr.encoding(t), got=_as_xpoly(got), want=_as_xpoly(want))
     return report
 
 
@@ -492,6 +510,121 @@ def check_theorem(name: str, max_order: int | None = None, *,
     t0 = time.perf_counter()
     report = CheckReport(name=name, params={"max_order": max_order, **kwargs})
     return _finish(fn(report, max_order, **kwargs), t0)
+
+
+# one byte per check index on the pool's task pipe
+_MAX_FORKED_CHECKS = 256
+
+
+def run_checks(names, workers: int = 1, max_order: int | None = None,
+               n_range: tuple[int, int] | None = None,
+               bound: int | None = None) -> Iterator[CheckReport]:
+    """Yield the report of each named check, as check_theorem gives it, in
+    the order of names.
+
+    With k = min(workers, len(names), os.cpu_count() or 1) above 1, the
+    checks run on k processes forked from this one, which inherit its memos
+    and tables; this process runs none of them.  Each worker takes the next
+    check from a shared queue, so which worker runs which check varies from
+    run to run, and what a worker adds to its memos is dropped when it exits.
+    A check that raises in a worker is raised here as a RuntimeError that
+    names it and carries the worker's traceback, once every worker has
+    exited.  The checks run here one after another when k is 1, where
+    os.fork is missing, for more than _MAX_FORKED_CHECKS names, and while
+    another thread is running, which a fork could leave holding a lock.
+    """
+    kwargs = {"max_order": max_order, "n_range": n_range, "bound": bound}
+    k = min(workers, len(names), os.cpu_count() or 1)
+    threads = sys.modules.get("threading")
+    if (k < 2 or not hasattr(os, "fork") or len(names) > _MAX_FORKED_CHECKS
+            or (threads is not None and threads.active_count() > 1)):
+        for name in names:
+            yield check_theorem(name, **kwargs)
+        return
+    yield from _forked_reports(names, k, kwargs)
+
+
+def _forked_reports(names, k: int, kwargs: dict) -> list[CheckReport]:
+    """Fork k workers that read check indices from one pipe, one byte each,
+    until it is empty, and read back from each its own pipe: one pickle of
+    [(index, report, or the traceback text of what the check raised)]."""
+    import pickle
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(names))))
+    os.close(feed)
+    workers = []
+    try:
+        for _ in range(k):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(out)
+                os.close(into)
+                raise
+            if pid == 0:
+                _work(names, kwargs, tasks, into, (out, *(fd for _, fd in workers)))
+            os.close(into)
+            workers.append((pid, out))
+    finally:
+        os.close(tasks)
+        blobs = [_reap(pid, out) for pid, out in workers]
+    reports: list[CheckReport | None] = [None] * len(names)
+    raised = []
+    for blob in blobs:
+        for index, got in pickle.loads(blob) if blob is not None else ():
+            if isinstance(got, str):
+                raised.append(f"check {names[index]!r} raised in a worker process:\n{got}")
+            else:
+                reports[index] = got
+    if raised:
+        raise RuntimeError("\n".join(raised))
+    lost = [name for name, report in zip(names, reports) if report is None]
+    if lost:
+        raise RuntimeError(f"a worker process exited without the reports of {', '.join(lost)}")
+    return reports
+
+
+def _work(names, kwargs: dict, tasks: int, into: int, others: tuple[int, ...]) -> NoReturn:
+    """The body of a forked worker; it never returns, so that no caller's
+    cleanup runs twice, and it writes nothing to stdout or stderr.  It closes
+    the read ends of the result pipes, others, so that its write fails
+    rather than blocks if the parent is gone."""
+    code = 1
+    try:
+        import pickle
+
+        for fd in others:
+            os.close(fd)
+        done = []
+        while index := os.read(tasks, 1):
+            try:
+                done.append((index[0], check_theorem(names[index[0]], **kwargs)))
+            except Exception:
+                import traceback
+
+                done.append((index[0], traceback.format_exc()))
+                break
+        view = memoryview(pickle.dumps(done))
+        while view:
+            view = view[os.write(into, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, out: int) -> bytes | None:
+    """What worker pid wrote to out, read to the end, once the worker has
+    exited; None if it did not exit with status 0."""
+    try:
+        with open(out, "rb") as pipe:
+            blob = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return blob if os.waitstatus_to_exitcode(status) == 0 else None
 
 
 # ---------------------------------------------------------------------------

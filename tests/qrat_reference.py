@@ -1,14 +1,14 @@
 """QRat references: the Q(q) routes the tests compare the engine against.
 
-These are the earlier Q(q) implementations of the x-checks, of pawn_at and
-of the specializations at x = -1/q and x = 1/(1 - q), the closed form of the
-linear trees, the other construction of omega_bar, and the XPoly operations
-they need (the substitution x -> 1 + qx, long division and the divided
-difference Delta).  Every value is a reduced QRat and every step a
-gcd-reduced QRat operation.  The tests compare the integer identities of
-verify and solvers against them, and the exponent lcm of
-algebra.xpoly_denominator against the gcd lcm (qpoly_lcm).  No command or
-check runs any of it.
+These are the earlier Q(q) implementations of the x-checks, of the
+#-product reformulation, of pawn_at and of the specializations at x = -1/q
+and x = 1/(1 - q), the closed form of the linear trees, the other
+construction of omega_bar, and the XPoly operations they need (the
+substitution x -> 1 + qx, long division and the divided difference Delta).
+Every value is a reduced QRat and every step a gcd-reduced QRat operation.
+The tests compare the integer identities of verify and solvers against
+them, and the exponent lcm of algebra.xpoly_denominator against the gcd lcm
+(qpoly_lcm).  No command or check runs any of it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from arborq.algebra import (
     qrat_sum,
     zxpoly_eval,
 )
-from arborq.series import TreeSeries, series_equal_reports
+from arborq.series import TreeSeries, series_equal_reports, sharp, suspension, unit_vertex
 
 MINUS_ONE_OVER_Q = QRat(QPoly.const(-1), Q)
 
@@ -299,6 +299,20 @@ def check_x_infinity(report, max_order):
     return report
 
 
+def check_sharp_reformulation(report, max_order):
+    pawn = sv.solve_pawn(max_order)
+    q_scalar = XPoly.const(QRAT_Q)
+    scal = XPoly((QPoly.q_power(1), QPoly((0, -1, 1))))  # q + q(q-1)x
+    qsp = suspension(pawn, q_scalar).scale(q_scalar)
+    lhs = sharp(unit_vertex(XPoly((-1,)), max_order, "xpoly"), pawn)
+    rhs = sharp(qsp, unit_vertex(-scal, max_order, "xpoly"))
+    bad = series_equal_reports(lhs, rhs)
+    if bad:
+        return V._fail(report, tree=tr.encoding(bad[0]),
+                       got=lhs.coeff(bad[0]), want=rhs.coeff(bad[0]))
+    return report
+
+
 CHECKS = {
     "valeur_n_positif": check_valeur_n_positif,
     "valeur_n_negatif": check_valeur_n_negatif,
@@ -306,4 +320,5 @@ CHECKS = {
     "action_delta": check_action_delta,
     "facteurs_connus": check_facteurs_connus,
     "x_infinity": check_x_infinity,
+    "sharp_reformulation": check_sharp_reformulation,
 }

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -58,13 +59,14 @@ class TestCompute:
         assert code == 0 and out.endswith("2/2 checks passed\n")
 
     def test_import_loads_no_thread_pool(self):
+        # verify's fork pool imports pickle only when it forks
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, arborq.cli; print('concurrent.futures' in sys.modules)"],
+            [sys.executable, "-c", "import sys, arborq.cli; print(sorted(m for m in ("
+             "'pickle', 'multiprocessing', 'concurrent.futures') if m in sys.modules))"],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
     def test_closed_pipe_exits_quietly(self):
         # the 689 KB pawn order-8 json fills the pipe before the reader goes
@@ -1070,6 +1072,141 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "2/2 checks passed" in out
+
+
+# the ten checks of the qrat_oracles workload in perfbench/run.py
+BENCH_SUITE = ("oracle_interpolation,oracle_colorings,valeur_n_positif,valeur_n_negatif,"
+               "valeur_speciale,action_delta,prop_gen,associativity,suspension_formula,"
+               "sharp_reformulation")
+TIMING_COLUMN = re.compile(r"(?m) +\d+\.\d+s$")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the forks of this process, with os.cpu_count() giving 2 so that
+    no run starts more than two workers; after the test, every worker has
+    been reaped."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestVerifyWorkers:
+    """verify --workers N runs the checks on forked workers and prints what
+    the in-process loop prints."""
+
+    @pytest.mark.parametrize("suite, max_order", [(BENCH_SUITE, "6"), ("all", "4")])
+    def test_output_is_the_same_at_any_worker_count(self, suite, max_order, forks, capsys,
+                                                    monkeypatch):
+        # the checks this process runs; a worker's calls stay in its own copy
+        here = []
+        check = vf.check_theorem
+        monkeypatch.setattr(vf, "check_theorem", lambda *a, **k: here.append(a) or check(*a, **k))
+        outs = []
+        for workers in ("1", "2", "3"):
+            code, out, err = run_cli(["verify", "--suite", suite, "--max-order", max_order,
+                                      "--workers", workers], capsys)
+            assert code == 0 and err == ""
+            outs.append(TIMING_COLUMN.sub(" #s", out))
+        assert outs[0] == outs[1] == outs[2]
+        passed = outs[0].count("PASS")
+        assert outs[0].endswith(f"{passed}/{passed} checks passed\n")
+        assert len(forks) == 4 and len(here) == passed
+
+    def test_a_failure_crosses_the_pipe(self, forks, capsys, monkeypatch):
+        # the workers inherit the corrupted memo through the fork
+        corrupt(monkeypatch, CORRUPT_TREE, {5: (1,)})
+        argv = ["verify", "--suite", "sharp_reformulation,x_infinity", "--max-order", "5"]
+        code, out, _ = run_cli([*argv, "--workers", "1"], capsys)
+        assert code == 1 and not forks
+        code2, out2, _ = run_cli([*argv, "--workers", "2"], capsys)
+        assert code2 == 1 and len(forks) == 2
+        assert TIMING_COLUMN.sub(" #s", out2) == TIMING_COLUMN.sub(" #s", out)
+        lines = out2.splitlines()
+        assert lines[0].startswith("FAIL  sharp_reformulation ")
+        assert lines[2].startswith("FAIL  x_infinity ")
+        assert lines[3] == ('      witness: {"degree":"5","size":"4","tree":"%s"}'
+                            % T.encoding(CORRUPT_TREE))
+        assert lines[4:] == ["0/2 checks passed"]
+
+    def test_a_check_that_raises_is_raised_by_the_parent(self, forks, capsys, monkeypatch):
+        def boom(report, max_order, **_):
+            raise ArithmeticError("boom in a worker")
+
+        monkeypatch.setitem(vf._THEOREMS, "prop_gen", (boom, 6))
+        with pytest.raises(RuntimeError, match="check 'prop_gen' raised") as exc:
+            run_cli(["verify", "--suite", "q1_no_pole,prop_gen,associativity",
+                     "--max-order", "4", "--workers", "2"], capsys)
+        assert "ArithmeticError: boom in a worker" in str(exc.value)
+        assert len(forks) == 2 and capsys.readouterr().out == ""
+
+    def test_a_worker_that_dies_is_reported(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def die(report, max_order, **_):
+            if os.getpid() != parent:
+                os._exit(3)
+            raise AssertionError("ran in the parent")
+
+        monkeypatch.setitem(vf._THEOREMS, "prop_gen", (die, 6))
+        with pytest.raises(RuntimeError, match="without the reports of prop_gen"):
+            list(vf.run_checks(["prop_gen", "q1_no_pole"], 2, 4))
+        assert len(forks) == 2
+
+    def test_workers_are_capped_by_the_cpu_count(self, forks, capsys, monkeypatch):
+        argv = ["verify", "--suite", BENCH_SUITE, "--max-order", "3", "--workers", "64"]
+        assert run_cli(argv, capsys)[0] == 0
+        assert len(forks) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_cli(argv, capsys)[0] == 0
+        assert len(forks) == 2
+        # the task pipe carries one byte per check index
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        reports = list(vf.run_checks(["fbar_vs_cover"] * 257, 2, 1))
+        assert len(reports) == 257 and all(r.ok() for r in reports)
+        assert len(forks) == 2
+
+    def test_no_fork_while_another_thread_runs(self, forks, capsys):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30,))
+        waiter.start()
+        try:
+            code, out, _ = run_cli(["verify", "--suite", "q1_no_pole,prop_gen",
+                                    "--max-order", "3", "--workers", "2"], capsys)
+        finally:
+            release.set()
+            waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert code == 0 and out.endswith("2/2 checks passed\n") and not forks
+
+    def test_traced_run_prints_once(self, tmp_path):
+        # a worker that returned into perfbench/tracer.py would print and
+        # write its spans a second time
+        spans = tmp_path / "spans.json"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "tracer.py"), str(spans),
+             "verify", "--suite", BENCH_SUITE, "--max-order", "6", "--workers", "2"],
+            capture_output=True, text=True, cwd=root, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(set(lines)) == 11
+        assert lines[-1] == "10/10 checks passed"
+        record = json.loads(spans.read_text())
+        assert {"root_s", "stats", "main", "import_s"} <= set(record)
 
 
 class TestConjectureCommand:

@@ -163,6 +163,7 @@ CORRUPTIONS = {
     "action_delta": {1: (1,)},
     "facteurs_connus": {0: (1,)},
     "x_infinity": {4: (1,)},
+    "sharp_reformulation": {0: (1,)},
 }
 # the witness key besides tree, got and want
 WITNESS_PARAM = {"valeur_n_positif": "n", "valeur_n_negatif": "n", "facteurs_connus": "i"}
@@ -191,8 +192,9 @@ def corrupt(monkeypatch, t: int, terms: dict) -> None:
 
 
 class TestZqIdentities:
-    """The x-checks run as identities in Z[q] on the engine numerators N_T;
-    the QRat bodies they replaced are the references."""
+    """The x-checks and sharp_reformulation run as identities in Z[q] on
+    the engine numerators N_T; the QRat bodies they replaced are the
+    references."""
 
     @pytest.mark.parametrize("name", sorted(R.CHECKS))
     def test_agrees_with_qrat_reference(self, name):
