@@ -19,9 +19,13 @@ and omega_bar_coeff reduce N_T on every call and keep nothing.  Values meet
 Q(q) only at that edge, through the one cyclotomic reduction,
 algebra.divide_cyclotomics: qrat_over cancels the Phi_d of [n]_q! from each
 x-coefficient of N_T, pawn_fraction from N_T as a whole, with no QRat at
-all, and pawn_at from N_T at the node over q^a [n]_q!.  Only what a command
-or a check runs lives here: the closed form of the linear trees and the older
-Q(q) routes the tests compare the engine against are in tests/qrat_reference.py.
+all, and pawn_at from N_T at the node over q^a [n]_q!.
+
+On the corolla crl(m) the omega recursion is Carlitz's recursion for his
+q-Bernoulli numbers, (q^(m+1) - 1) b_m = [m = 1] - sum_{k<m} C(m,k) q^(k+1) b_k,
+so omega_numerator(crl(m)) is [m+1]_q! b_m.  Only what a command or a check
+runs lives here: the closed form of the linear trees and the older Q(q)
+routes the tests compare the engine against are in tests/qrat_reference.py.
 
 The per-tree solvers are demand-driven and memoized: asking for one
 coefficient only computes the trees reachable from it by leaf pruning and
@@ -31,12 +35,10 @@ root-branch extraction, never a full enumeration by size.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .algebra import (
-    PoleError,
     QPOLY_ONE,
     QPoly,
     QRAT_ONE,
@@ -45,13 +47,14 @@ from .algebra import (
     XPOLY_ONE,
     XPOLY_ZERO,
     XPoly,
+    as_qrat,
     cyclotomic_product,
     divide_cyclotomics,
     one_plus_qx,
     q_factorial_exponents,
     q_factorial_quotient,
     qrat_over,
-    qrat_sum,
+    qrat_sum,  # noqa: F401  (re-exported: perfbench's selftest reads it)
     slot_bits,
     zpoly_pack,
     zxpack_div_q_minus_1,
@@ -233,11 +236,6 @@ def pawn_coeff(t: int) -> XPoly:
     return XPoly(_PAWN_ENGINE.reduced(t))
 
 
-def solve_pawn(order: int) -> TreeSeries:
-    """The unique solution of the defining equation, to the given order."""
-    return _series(order, "xpoly", pawn_coeff)
-
-
 def pawn_values(order: int):
     """(tree, coefficient) for each tree up to the order, sorted by (size,
     encoding).  Each coefficient is reduced from N_T when it is reached and is
@@ -312,7 +310,7 @@ def coloring_poly(t: int, n: int, mode: str = "weak") -> QPoly:
 
 
 def coloring_series(order: int, n: int, mode: str = "weak") -> TreeSeries:
-    return _series(order, "qrat", lambda t: QRat(coloring_poly(t, n, mode)))
+    return _series(order, "qrat", lambda t: as_qrat(coloring_poly(t, n, mode)))
 
 
 def fbar_type(t: int) -> int:
@@ -343,6 +341,8 @@ def pawn_corolla(n: int) -> XPoly:
     generating identity:
       (q^(n+1)-1) c_n = sum_{k<n} (-1)^(n-k) C(n,k) c_k
                         + q^(n+1) (1+(q-1)x) (1+qx)^n,   c_0 = 1+qx.
+    This runs in general Q(q) arithmetic, a gcd per QRat step: `conjecture
+    corolla-denominator` is the one command that still runs a gcd per value.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -390,6 +390,11 @@ def omega_bar_coeff(t: int) -> QRat:
     return _OMEGA_BAR_ENGINE.reduced(t)[0]
 
 
+def omega_numerator(t: int) -> tuple:
+    """[#T]_q! * omega_T, the engine's memoized numerator, as a zxpoly."""
+    return _OMEGA_ENGINE.numerator(t)
+
+
 def omega_bar_numerator(t: int) -> tuple:
     """[#T]_q! * omega_bar_T, the engine's memoized numerator, as a zxpoly."""
     return _OMEGA_BAR_ENGINE.numerator(t)
@@ -401,47 +406,3 @@ def solve_omega(order: int) -> TreeSeries:
 
 def solve_omega_bar(order: int) -> TreeSeries:
     return _series(order, "qrat", omega_bar_coeff)
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli-Carlitz numbers and the umbral form
-
-_CARLITZ: dict[int, QRat] = {}
-
-
-@tr.memoized(_CARLITZ)
-def bernoulli_carlitz(n: int) -> QRat:
-    """q-analog Bernoulli numbers: b_0 = 1 and
-      (q^(n+1) - 1) b_n = [n == 1] - q * sum_{j<n} C(n,j) q^j b_j."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n == 0:
-        return QRAT_ONE
-    terms = [QRAT_ONE if n == 1 else QRAT_ZERO]
-    for j in range(n):
-        terms.append(bernoulli_carlitz(j) * QRat(QPoly.q_power(j + 1).scale(-math.comb(n, j))))
-    return qrat_sum(terms) / QRat(QPoly.q_power(n + 1) - 1)
-
-
-def psi_umbral(p: XPoly) -> QRat:
-    """Linear form sending x^n to the n-th Bernoulli-Carlitz number."""
-    return qrat_sum(c * bernoulli_carlitz(j) for j, c in enumerate(p.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Limits
-
-def pawn_q1_limit(order: int) -> TreeSeries:
-    """Substitute q = 1 in every reduced coefficient.  A vanishing reduced
-    denominator at q = 1 is an arithmetic bug and raises loudly."""
-    pawn = solve_pawn(order)
-
-    def at_one(t, f: XPoly) -> XPoly:
-        try:
-            return f.map_coeffs(lambda c: QRat(QPoly.const(c.evaluate(Fraction(1)))))
-        except PoleError as exc:
-            raise PoleError(
-                f"residual pole at q=1 on tree {tr.encoding(t)}: {exc}"
-            ) from exc
-
-    return pawn.map_coeffs(at_one)

@@ -5,6 +5,13 @@ colorings / vertex subsets / permutations over the canonical labeled
 representative, so agreement with the algebraic recursions is a genuine
 cross-check.  Each named check returns a CheckReport; a failing report always
 carries a serializable witness.
+
+The checks on the series values run on the engine numerators
+N_T = [#T]_q! * value_T as identities in Z[q] (q1_no_pole evaluates the
+reduced values at q = 1); ombral_iti and ombral_nui read Carlitz's
+q-Bernoulli numbers off the omega engine's corollas.  No check does general
+Q(q) arithmetic: once the q-factorial tables are built, a run makes no gcd
+call.  The QRat bodies these checks replaced are in tests/qrat_reference.py.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from fractions import Fraction
 from typing import Iterator, NoReturn
 
 from .algebra import (
+    PoleError,
     QPoly,
-    XPOLY_ONE,
     XPoly,
     convex_hull_chains,
     cyclotomic,
@@ -279,28 +286,40 @@ def _check_action_delta(report, max_order, **_):
     return report
 
 
-def _check_ombral_iti(report, max_order, **_):
+def _check_umbral(report, max_order, graft: bool):
+    # psi sends x^k to Carlitz's b_k = W_k / [k+1]_q!, W_k the omega numerator
+    # of crl(k).  With A = prod_c N_c and D = prod_c [#c]_q! over the root
+    # branches c of T, Omega_bar_T = psi(prod_c P_c) reads
+    #   N_bar_T D = sum_j A_j W_j [#T]_q! / [j+1]_q!,
+    # and Omega_bar_G = psi(-x prod_c P_c) for G = B+(T) reads
+    #   N_bar_G D = -sum_j A_j W_(j+1) [#G]_q! / [j+2]_q!
     for t in tr.trees_upto(max_order):
-        prod = XPOLY_ONE
+        g = tr.b_plus([t]) if graft else t
+        a, d = ((1,),), (1,)
         for c in tr.children(t):
-            prod = prod * sv.pawn_coeff(c)
-        if sv.omega_bar_coeff(t) != sv.psi_umbral(prod):
-            return _fail(report, tree=tr.encoding(t),
-                         omega_bar=sv.omega_bar_coeff(t), umbral=sv.psi_umbral(prod))
+            a = zxpoly_mul(a, sv.pawn_numerator(c))
+            d = zpoly_mul(d, q_factorial_quotient(tr.size(c), ()))
+        bar = sv.omega_bar_numerator(g)
+        got = zpoly_mul(bar[0], d) if bar else ()
+        want: list[int] = []
+        for k, a_k in enumerate(a, start=int(graft)):
+            w = sv.omega_numerator(tr.crl(k))
+            if w:
+                scale = zpoly_mul(w[0], q_factorial_quotient(tr.size(g), (k + 1,)))
+                zpoly_add_scaled(want, zpoly_mul(a_k, scale), -1 if graft else 1)
+        want = zpoly_trim(want)
+        if got != want:
+            grafted = {"grafted": tr.encoding(g)} if graft else {}
+            return _fail(report, tree=tr.encoding(t), **grafted, got=QPoly(got), want=QPoly(want))
     return report
+
+
+def _check_ombral_iti(report, max_order, **_):
+    return _check_umbral(report, max_order, graft=False)
 
 
 def _check_ombral_nui(report, max_order, **_):
-    for t in tr.trees_upto(max_order):
-        prod = XPOLY_ONE
-        for c in tr.children(t):
-            prod = prod * sv.pawn_coeff(c)
-        got = sv.psi_umbral(prod * XPoly((0, -1)))
-        want = sv.omega_bar_coeff(tr.b_plus([t]))
-        if got != want:
-            return _fail(report, tree=tr.encoding(t), grafted=tr.encoding(tr.b_plus([t])),
-                         got=got, want=want)
-    return report
+    return _check_umbral(report, max_order, graft=True)
 
 
 def _check_facteurs_connus(report, max_order, **_):
@@ -331,12 +350,14 @@ def _check_x_infinity(report, max_order, **_):
 
 
 def _check_q1_no_pole(report, max_order, **_):
-    try:
-        z = sv.pawn_q1_limit(max_order)
-    except Exception as exc:  # a residual pole is a failure, not a crash
-        return _fail(report, error=exc)
-    if z.coeff(tr.leaf()) != XPoly((1, 1)):
-        return _fail(report, degree_one_term=z.coeff(tr.leaf()))
+    # no reduced coefficient of P_T keeps a pole at q = 1, and P_dot is 1 + x there
+    for t in tr.trees_upto(max_order):
+        try:
+            at_one = [c.evaluate(1) for c in sv.pawn_coeff(t).coeffs]
+        except PoleError as exc:  # a residual pole is a failure, not a crash
+            return _fail(report, tree=tr.encoding(t), error=exc)
+        if t == tr.leaf() and at_one != [1, 1]:
+            return _fail(report, tree=tr.encoding(t), got=XPoly(at_one), want=XPoly((1, 1)))
     return report
 
 

@@ -1,10 +1,12 @@
 """QRat references: the Q(q) routes the tests compare the engine against.
 
 These are the earlier Q(q) implementations of the x-checks, of the
-#-product reformulation, of pawn_at and of the specializations at x = -1/q
-and x = 1/(1 - q), the closed form of the linear trees, the other
-construction of omega_bar, and the XPoly operations they need (the
-substitution x -> 1 + qx, long division and the divided difference Delta).
+#-product reformulation, of the umbral checks with Carlitz's q-Bernoulli
+numbers and the form psi, of pawn_at, of the limit at q = 1 and of the
+specializations at x = -1/q and x = 1/(1 - q), the closed form of the linear
+trees, the other construction of omega_bar, and the XPoly operations they
+need (the substitution x -> 1 + qx, long division and the divided difference
+Delta).
 Every value is a reduced QRat and every step a gcd-reduced QRat operation.
 The tests compare the integer identities of verify and solvers against
 them, and the exponent lcm of algebra.xpoly_denominator against the gcd lcm
@@ -13,13 +15,16 @@ them, and the exponent lcm of algebra.xpoly_denominator against the gcd lcm
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from arborq import solvers as sv
 from arborq import trees as tr
 from arborq import verify as V
 from arborq.algebra import (
     ExactDivisionError,
+    PoleError,
     Q,
     QPOLY_ONE,
     QPoly,
@@ -91,6 +96,45 @@ def hahn_delta(f: XPoly) -> XPoly:
 
 # ---------------------------------------------------------------------------
 # Closed forms and the other routes to the solvers' values
+
+
+def solve_pawn(order: int) -> TreeSeries:
+    """The pawn series to the given order, one reduced XPoly per tree."""
+    return TreeSeries(order, "xpoly", {t: sv.pawn_coeff(t) for t in tr.trees_upto(order)})
+
+
+@lru_cache(maxsize=None)
+def bernoulli_carlitz(n: int) -> QRat:
+    """Carlitz's q-Bernoulli numbers in QRat: b_0 = 1 and
+      (q^(n+1) - 1) b_n = [n == 1] - q * sum_{j<n} C(n,j) q^j b_j.
+    The omega engine solves the same recursion on the corollas."""
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    if n == 0:
+        return QRAT_ONE
+    terms = [QRAT_ONE if n == 1 else QRAT_ZERO]
+    for j in range(n):
+        terms.append(bernoulli_carlitz(j) * QRat(QPoly.q_power(j + 1).scale(-math.comb(n, j))))
+    return qrat_sum(terms) / QRat(QPoly.q_power(n + 1) - 1)
+
+
+def psi_umbral(p: XPoly) -> QRat:
+    """Linear form sending x^n to the n-th Bernoulli-Carlitz number."""
+    return qrat_sum(c * bernoulli_carlitz(j) for j, c in enumerate(p.coeffs))
+
+
+def pawn_q1_limit(order: int) -> TreeSeries:
+    """Substitute q = 1 in every reduced coefficient.  A vanishing reduced
+    denominator at q = 1 is an arithmetic bug and raises loudly."""
+    def at_one(t, f: XPoly) -> XPoly:
+        try:
+            return f.map_coeffs(lambda c: QRat(QPoly.const(c.evaluate(Fraction(1)))))
+        except PoleError as exc:
+            raise PoleError(
+                f"residual pole at q=1 on tree {tr.encoding(t)}: {exc}"
+            ) from exc
+
+    return solve_pawn(order).map_coeffs(at_one)
 
 
 def pawn_linear(n: int) -> XPoly:
@@ -229,7 +273,7 @@ def solve_pawn_specialized(x0: QRat, order: int) -> TreeSeries:
 
 
 def check_valeur_n_positif(report, max_order, n_range=(0, 4)):
-    pawn = sv.solve_pawn(max_order)
+    pawn = solve_pawn(max_order)
     for n in range(n_range[0], n_range[1] + 1):
         got = eval_pawn_at_qint(pawn, n)
         want = sv.coloring_series(max_order, n, "weak")
@@ -241,7 +285,7 @@ def check_valeur_n_positif(report, max_order, n_range=(0, 4)):
 
 
 def check_valeur_n_negatif(report, max_order, n_range=(2, 4)):
-    pawn = sv.solve_pawn(max_order)
+    pawn = solve_pawn(max_order)
     for n in range(n_range[0], n_range[1] + 1):
         ev = eval_pawn_at_qint(pawn, -n)
         for t in tr.trees_upto(max_order):
@@ -255,7 +299,7 @@ def check_valeur_n_negatif(report, max_order, n_range=(2, 4)):
 
 
 def check_valeur_speciale(report, max_order):
-    got = limit_minus_one_over_q(sv.solve_pawn(max_order))
+    got = limit_minus_one_over_q(solve_pawn(max_order))
     want = sv.solve_omega_bar(max_order)
     bad = series_equal_reports(got, want)
     if bad:
@@ -300,7 +344,7 @@ def check_x_infinity(report, max_order):
 
 
 def check_sharp_reformulation(report, max_order):
-    pawn = sv.solve_pawn(max_order)
+    pawn = solve_pawn(max_order)
     q_scalar = XPoly.const(QRAT_Q)
     scal = XPoly((QPoly.q_power(1), QPoly((0, -1, 1))))  # q + q(q-1)x
     qsp = suspension(pawn, q_scalar).scale(q_scalar)
@@ -313,6 +357,32 @@ def check_sharp_reformulation(report, max_order):
     return report
 
 
+def _branch_product(t: int) -> XPoly:
+    prod = XPOLY_ONE
+    for c in tr.children(t):
+        prod = prod * sv.pawn_coeff(c)
+    return prod
+
+
+def check_ombral_iti(report, max_order):
+    for t in tr.trees_upto(max_order):
+        got = psi_umbral(_branch_product(t))
+        want = sv.omega_bar_coeff(t)
+        if got != want:
+            return V._fail(report, tree=tr.encoding(t), got=got, want=want)
+    return report
+
+
+def check_ombral_nui(report, max_order):
+    for t in tr.trees_upto(max_order):
+        got = psi_umbral(_branch_product(t) * XPoly((0, -1)))
+        want = sv.omega_bar_coeff(tr.b_plus([t]))
+        if got != want:
+            return V._fail(report, tree=tr.encoding(t), grafted=tr.encoding(tr.b_plus([t])),
+                           got=got, want=want)
+    return report
+
+
 CHECKS = {
     "valeur_n_positif": check_valeur_n_positif,
     "valeur_n_negatif": check_valeur_n_negatif,
@@ -321,4 +391,6 @@ CHECKS = {
     "facteurs_connus": check_facteurs_connus,
     "x_infinity": check_x_infinity,
     "sharp_reformulation": check_sharp_reformulation,
+    "ombral_iti": check_ombral_iti,
+    "ombral_nui": check_ombral_nui,
 }

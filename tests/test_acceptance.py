@@ -42,7 +42,7 @@ def lin_factor(i: int) -> XPoly:
 
 def test_criterion_01_golden_pawn_terms():
     t0 = time.perf_counter()
-    pawn = S.solve_pawn(3)
+    pawn = R.solve_pawn(3)
     assert pawn.coeff(T.leaf()) == one_plus_qx()
     assert pawn.coeff(T.lnr(2)) == (one_plus_qx() * lin_factor(2)) / QRat(PHI2)
     assert pawn.coeff(T.lnr(3)) == (
@@ -133,10 +133,10 @@ def test_criterion_05_theorem_sweeps():
 def test_criterion_06_bernoulli_data():
     want = [F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30), F(0), F(1, 42), F(0),
             F(-1, 30), F(0), F(5, 66), F(0), F(-691, 2730)]
-    got = [S.bernoulli_carlitz(k).evaluate(1) for k in range(13)]
+    got = [R.bernoulli_carlitz(k).evaluate(1) for k in range(13)]
     assert got == want
     for k in range(2, 11):
-        b = S.bernoulli_carlitz(k)
+        b = R.bernoulli_carlitz(k)
         sign = 1 if k % 2 == 0 else -1
         assert b.reciprocal_q() == b * QRat(QPoly.q_power(k - 1).scale(sign))
     _report(6, "Carlitz numbers at q=1 and reflection identity")

@@ -16,7 +16,7 @@ import pytest
 
 from arborq import algebra, cache as C, serialize, solvers as S, trees as T, verify as vf
 from arborq.algebra import QPoly, QRat, XPoly
-from arborq.cli import COSTLY_ORDER, main
+from arborq.cli import COSTLY_ORDER, SERIES, main
 from tests import serialize_reference as SR
 from tests.test_verify import CORRUPT_TREE, corrupt
 
@@ -177,6 +177,23 @@ class TestCompute:
         code, _, err = run_cli(["compute", "E", "--order", str(COSTLY_ORDER - 1)], capsys)
         assert code == 0 and err == ""
 
+    def test_second_pass_over_every_series_runs_no_gcd(self, monkeypatch):
+        # once a first pass has filled the memos and the q-factorial tables,
+        # every value is reduced from an engine numerator over q^a prod Phi_d^e
+        # or is a coloring polynomial, with no gcd
+        def run():
+            for name, (_ring, n_usage, values) in SERIES.items():
+                for n in (3, -3) if name == "pawn_at" else (2,) if n_usage else (None,):
+                    assert list(values(S, n, 7))
+
+        run()
+        calls = []
+        for name in ("qpoly_gcd", "qpoly_gcd_cofactors"):
+            monkeypatch.setattr(algebra, name, lambda a, b, gcd=getattr(algebra, name):
+                                calls.append(1) or gcd(a, b))
+        run()
+        assert not calls
+
 
 # Run in a fresh interpreter: the CLI's main(argv) with stdout captured, then
 # print the exit code and the names of every loaded module.
@@ -263,6 +280,7 @@ class TestModuleLoading:
         assert set(arborq.__all__) <= set(dir(arborq))
         with pytest.raises(AttributeError):
             arborq.no_such_name
+
 
 
 class TestByteIdentity:

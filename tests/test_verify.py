@@ -152,34 +152,42 @@ class TestCheckReports:
         assert a.params == b.params
 
 
-# a tree whose numerator is corrupted, and per check the (x-degree, zpoly)
-# terms added to N_T so that the identity no longer holds; the
-# valeur_speciale one adds (1 + qx) x, which keeps N_T divisible by 1 + qx
+# per check: the engine, the tree whose numerator N_T is corrupted, the
+# (x-degree, zpoly) terms added to N_T so that the identity no longer holds,
+# and the tree the witness names.  The valeur_speciale terms add (1 + qx) x,
+# which keeps N_T divisible by 1 + qx.  ombral_iti meets the corrupted branch
+# first in B+(CORRUPT_TREE); ombral_nui meets the corrupted b_2 first at
+# lnr(2), since psi(-x P_dot) = -b_1 - q b_2
 CORRUPT_TREE = T.b_plus([T.lnr(2), T.leaf()])
 CORRUPTIONS = {
-    "valeur_n_positif": {0: (1,)},
-    "valeur_n_negatif": {0: (1,)},
-    "valeur_speciale": {1: (1,), 2: (0, 1)},
-    "action_delta": {1: (1,)},
-    "facteurs_connus": {0: (1,)},
-    "x_infinity": {4: (1,)},
-    "sharp_reformulation": {0: (1,)},
+    name: (S._PAWN_ENGINE, CORRUPT_TREE, terms, CORRUPT_TREE)
+    for name, terms in {
+        "valeur_n_positif": {0: (1,)},
+        "valeur_n_negatif": {0: (1,)},
+        "valeur_speciale": {1: (1,), 2: (0, 1)},
+        "action_delta": {1: (1,)},
+        "facteurs_connus": {0: (1,)},
+        "x_infinity": {4: (1,)},
+        "sharp_reformulation": {0: (1,)},
+    }.items()
 }
+CORRUPTIONS["ombral_iti"] = (S._PAWN_ENGINE, CORRUPT_TREE, {0: (1,)}, T.b_plus([CORRUPT_TREE]))
+CORRUPTIONS["ombral_nui"] = (S._OMEGA_ENGINE, T.crl(2), {0: (1,)}, T.lnr(2))
 # the witness key besides tree, got and want
-WITNESS_PARAM = {"valeur_n_positif": "n", "valeur_n_negatif": "n", "facteurs_connus": "i"}
+WITNESS_PARAM = {"valeur_n_positif": "n", "valeur_n_negatif": "n", "facteurs_connus": "i",
+                 "ombral_nui": "grafted"}
 
 
-def corrupt(monkeypatch, t: int, terms: dict) -> None:
+def corrupt(monkeypatch, t: int, terms: dict, engine=S._PAWN_ENGINE) -> None:
     """Replace N_t in the engine memo (packed at the engine's slots) by a
     corrupted value."""
     for u in T.trees_upto(T.size(t) + 1):
-        S.pawn_coeff(u)  # solve the neighbours from the true values first
-    num = [list(c) for c in S.pawn_numerator(t)]
+        engine.packed(u)  # solve the neighbours from the true values first
+    num = [list(c) for c in engine.numerator(t)]
     num.extend([] for _ in range(max(terms) + 1 - len(num)))
     for j, p in terms.items():
         algebra.zpoly_add_scaled(num[j], p)
     bad = algebra.zxpoly_trim(num)
-    engine = S._PAWN_ENGINE
     # a packed value means something only at the slots it was packed at, and
     # a later solve may widen the slots and repack the memo: the whole state
     # is replaced by a copy and restored together
@@ -188,13 +196,13 @@ def corrupt(monkeypatch, t: int, terms: dict) -> None:
     for name in ("bits", "width"):
         monkeypatch.setattr(engine, name, getattr(engine, name))
     engine.memo[t] = algebra.zxpoly_pack(bad, engine.bits, engine.width)
-    assert S.pawn_numerator(t) == bad
+    assert engine.numerator(t) == bad
 
 
 class TestZqIdentities:
-    """The x-checks and sharp_reformulation run as identities in Z[q] on
-    the engine numerators N_T; the QRat bodies they replaced are the
-    references."""
+    """The x-checks, sharp_reformulation and the umbral checks run as
+    identities in Z[q] on the engine numerators; the QRat bodies they
+    replaced are the references."""
 
     @pytest.mark.parametrize("name", sorted(R.CHECKS))
     def test_agrees_with_qrat_reference(self, name):
@@ -203,15 +211,19 @@ class TestZqIdentities:
 
     @pytest.mark.parametrize("name", sorted(R.CHECKS))
     def test_corrupted_numerator_fails(self, name, monkeypatch):
-        corrupt(monkeypatch, CORRUPT_TREE, CORRUPTIONS[name])
+        engine, t, terms, witness_tree = CORRUPTIONS[name]
+        corrupt(monkeypatch, t, terms, engine)
         report = V.check_theorem(name, 5)
         assert report.status == "fail"
         w = report.witness
-        assert w["tree"] == T.encoding(CORRUPT_TREE)
+        assert w["tree"] == T.encoding(witness_tree)
         assert w["got"] != w["want"]
         if name in WITNESS_PARAM:
             assert WITNESS_PARAM[name] in w
-        assert not R.CHECKS[name](V.CheckReport(name=name), 5).ok()
+        # the references read the pawn engine, and compute Carlitz's numbers
+        # on their own
+        ref = R.CHECKS[name](V.CheckReport(name=name), 5)
+        assert ref.ok() == (engine is S._OMEGA_ENGINE)
 
     def test_numerator_not_divisible_by_one_plus_qx(self, monkeypatch):
         corrupt(monkeypatch, CORRUPT_TREE, {0: (1,)})
@@ -227,6 +239,23 @@ class TestZqIdentities:
         assert report.status == "fail"
         assert report.witness == {"tree": T.encoding(CORRUPT_TREE), "degree": "5", "size": "4"}
 
+    def test_q1_no_pole_reports_a_pole_and_raises_anything_else(self, monkeypatch):
+        pawn_coeff = S.pawn_coeff
+
+        def check_with(t, value):
+            monkeypatch.setattr(S, "pawn_coeff", lambda u: value if u == t else pawn_coeff(u))
+            return V.check_theorem("q1_no_pole", 5)
+
+        report = check_with(CORRUPT_TREE, XPoly((QRat(1, QPoly((-1, 1))),)))  # 1/(q - 1)
+        assert report.witness == {"tree": T.encoding(CORRUPT_TREE), "error": "pole at q = 1"}
+        report = check_with(T.leaf(), XPoly((1, 2)))
+        assert report.status == "fail" and report.witness["tree"] == T.encoding(T.leaf())
+        assert report.witness["got"] != report.witness["want"]
+        # any other error is not a pole, and reaches the caller
+        monkeypatch.setattr(S, "pawn_coeff", lambda u: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            V.check_theorem("q1_no_pole", 5)
+
     def test_corrupt_restores_a_widened_engine(self):
         engine = S._PAWN_ENGINE
         with pytest.MonkeyPatch.context() as mp:
@@ -240,11 +269,12 @@ class TestZqIdentities:
             assert S.pawn_numerator(t) == ref.numerator(t)
 
     def test_runs_no_gcd(self, monkeypatch):
-        # after one run has built the q-factorial tables, the checks and
-        # pawn_at are integer arithmetic and cyclotomic division
+        # after one run has built the q-factorial tables, every check of
+        # verify --suite all (at its default order) and pawn_at are integer
+        # arithmetic and cyclotomic division
         def run():
-            for name in R.CHECKS:
-                assert V.check_theorem(name, 6).ok()
+            for name in V.THEOREM_NAMES:
+                assert V.check_theorem(name).ok()
             S.eval_pawn_at_qint(6, -3)
             S.eval_pawn_at_qint(6, 4)
             R.colorings_limit_series(6, 8)
