@@ -12,13 +12,18 @@ copy_payload then copies it back out of the entry in chunks.  A file laid
 out exactly as store writes it is read in one pass over the open file: the
 stored hash from its fixed-length tail, the key from its head, then the
 payload a chunk at a time, each chunk hashed and decoded as UTF-8, and each
-of the payload's entries decoded as soon as it is complete, checked to be
-canonical and handed to the caller's each.  A loaded entry keeps that file
-open, so a json hit copies out the very bytes the load checked.  A file with
-any other layout (spacing, another key order, a non-canonical entry, or no
-JSON at all) is parsed whole, and the checks that follow are the same for
-both readings, so every corrupt entry is reported as it would be on a whole
-parse.
+of the payload's entries checked to be canonical as soon as it is complete
+and its text handed to the caller's each.  An entry of the form arborq
+writes is checked by one match of the entry grammar (_ENTRY_GRAMMAR), a
+subset of canonical JSON, and is not decoded; any other entry is decoded and
+must re-encode to its own text.  So a json hit, list and verify-hashes decode
+only the key and the payload's header of a file arborq wrote.  A loaded
+entry keeps that file open, so a json hit copies out the very bytes the load
+checked.  A file with any other layout (spacing, another key order, a
+non-canonical entry, or no JSON at all) is parsed whole, each gets the
+canonical text of each of its entries too, and the checks that follow are
+the same for both readings, so every corrupt entry is reported as it would
+be on a whole parse.
 
 The module needs only the standard library, so a cache command loads none of
 the math layers.  It hashes with the interpreter's built-in SHA-256 (_sha2,
@@ -61,7 +66,7 @@ class CacheEntry:
     and series; None when the payload is not an object with a list of
     entries), the stored payload hash and the hash of the payload as read.
     The entries are not kept; items lists what the load's each returned for
-    each of them.
+    the canonical text of each of them.
 
     The payload itself is either text, the canonical text of a payload that
     was parsed whole, or the bytes at span of file, the entry file the load
@@ -110,9 +115,36 @@ _SHA_LEN = 64
 _TAIL = len(_SHA_OPEN) + _SHA_LEN + len(_CLOSE)
 _DECODER = json.JSONDecoder()
 _CHUNK = 1 << 16
+# what _Text.value gives for a value whose text its pattern matched
+_MATCHED = object()
+# the match method of the compiled _ENTRY_GRAMMAR, set on first use
+_ENTRY_MATCH = None
 # the characters that may go on a number that ends where the text read so far
 # does: it is complete only once a character not among them follows
 _NUMBER_GOES_ON = frozenset("0123456789.eE+-")
+
+
+# The entries arborq writes, ["E",V], as a pattern.  E is a tree encoding
+# and V a value: a rational function {"den":P,"num":P}, or an x-polynomial
+# [[J,{"den":P,"num":P}],...], or [].  P is a pair list [[K,"S"],...] or [].
+# Every text it matches is canonical JSON: the keys are sorted, there are no
+# spaces, an int has no leading zero and at most 640 digits (the least limit
+# Python may put on converting a decimal int, so json decodes each), and no
+# string needs an escape.  No alternation is ambiguous and every repetition
+# starts with a literal, so a text it fails on fails in linear time.
+_INT = r"(?:0|[1-9][0-9]{0,639})"
+_PAIRS = rf'\[(?:\[{_INT},"-?[0-9]+/[0-9]+"\](?:,\[{_INT},"-?[0-9]+/[0-9]+"\])*)?\]'
+_QRAT = rf'\{{"den":{_PAIRS},"num":{_PAIRS}\}}'
+_ENTRY_GRAMMAR = rf'\["[()]+",(?:{_QRAT}|\[(?:\[{_INT},{_QRAT}\](?:,\[{_INT},{_QRAT}\])*)?\])\]'
+
+
+def _entry_match():
+    global _ENTRY_MATCH
+    if _ENTRY_MATCH is None:
+        import re
+
+        _ENTRY_MATCH = re.compile(_ENTRY_GRAMMAR).match
+    return _ENTRY_MATCH
 
 
 # json.dumps(obj, sort_keys=True, separators=(",", ":")) without the cycle
@@ -218,10 +250,10 @@ def _decoded(fh, size: int, digest=None):
 
 def load(directory: str, key: dict, each=None) -> CacheEntry | None:
     """Return the checked entry of the key, or None if absent; raise on
-    corruption.  each, if given, is called on every entry of the payload as
-    it is read, before the last checks, and entry.items lists what it
-    returned.  The entry may hold its file open: close it, or use it in a
-    with block."""
+    corruption.  each, if given, is called on the canonical text of every
+    entry of the payload as it is read, before the last checks, and
+    entry.items lists what it returned.  The entry may hold its file open:
+    close it, or use it in a with block."""
     path = entry_path(directory, key)
     if not os.path.exists(path):
         return None
@@ -270,7 +302,7 @@ def _read_whole(path: str, each) -> CacheEntry:
     if isinstance(payload, dict) and isinstance(payload.get("entries"), list):
         header = {f: payload[f] for f in _HEADER if f in payload}
         if each is not None:
-            items = [each(entry) for entry in payload["entries"]]
+            items = [each(canonical_json(entry)) for entry in payload["entries"]]
     return CacheEntry(key, header, obj["sha256"], payload_hash(text), items, text=text)
 
 
@@ -360,16 +392,27 @@ class _Text:
     def at_end(self) -> bool:
         return self.at == len(self.text) and not self._more(1)
 
-    def value(self) -> tuple[object, str]:
-        """Read one JSON value; return it and its text.  Text that is not
-        JSON once the pieces end raises ValueError."""
+    def keep(self, n: int) -> None:
+        """Take pieces, if there are any, until n characters are unread."""
+        if len(self.text) - self.at < n:
+            self._more(n)
+
+    def value(self, match=None) -> tuple[object, str]:
+        """Read one JSON value; return it and its text.  A value whose text
+        match (a compiled pattern's match method) matches where the unread
+        text starts is not decoded, and is returned as _MATCHED.  Text that
+        is not JSON once the pieces end raises ValueError."""
         while True:
+            found = match and match(self.text, self.at)
+            if found:
+                self.at = found.end()
+                return _MATCHED, found.group()
             try:
                 obj, end = _DECODER.raw_decode(self.text, self.at)
             except ValueError:
                 # the value may go on past the text read so far: read as
-                # much again, so a long value is decoded a bounded number
-                # of times
+                # much again, so a long value is matched and decoded a
+                # bounded number of times
                 if self._more(2 * (len(self.text) - self.at)):
                     continue
                 raise
@@ -384,19 +427,26 @@ class _Text:
 
 def _read_payload(text: _Text, each) -> tuple[dict, list] | None:
     """The header of a payload text laid out as payload_pieces writes it, and
-    each on its entries, after decoding each entry in turn and checking that
-    it is canonical; None on any departure.  A value that is not JSON raises
-    ValueError."""
+    each on the text of its entries, after checking that each entry in turn
+    is canonical; None on any departure.  An entry the entry grammar matches
+    is canonical as it stands; any other is decoded and re-encoded.  A value
+    that is not JSON raises ValueError."""
     if not text.take(_ENTRIES_OPEN):
         return None
     items = []
     if not text.take("]"):
+        match = _entry_match()
+        longest = 0
         while True:
-            entry, raw = text.value()
-            if canonical_json(entry) != raw:
+            # an entry at most twice as long as every one before it is whole
+            # in the text it is matched on; a longer one is read on
+            text.keep(2 * longest)
+            entry, raw = text.value(match)
+            if entry is not _MATCHED and canonical_json(entry) != raw:
                 return None
+            longest = max(longest, len(raw))
             if each is not None:
-                items.append(each(entry))
+                items.append(each(raw))
             if not text.take(","):
                 break
         if not text.take("]"):
@@ -446,6 +496,9 @@ def gc(directory: str) -> int:
                 pass  # renamed or removed meanwhile by its writer
     for name, entry in scan(directory):
         if isinstance(entry, CacheError) or entry.key.get("version") != FORMAT_VERSION:
-            os.remove(os.path.join(directory, name))
+            try:
+                os.remove(os.path.join(directory, name))
+            except FileNotFoundError:
+                continue  # removed meanwhile, by another gc
             removed += 1
     return removed

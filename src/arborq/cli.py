@@ -15,14 +15,18 @@ checks --workers (>= 1) for compatibility, and runs on one thread.
 At module level this file imports only the standard library and the cache,
 which needs nothing else.  Each handler imports the layers it runs, so a json
 cache hit, `cache list` and `cache verify-hashes` never load the solver,
-algebra, verify or serialize modules.
+algebra, verify or serialize modules.  The entry grammar of the cache and
+the value grammar of serialize are compiled on first use, so a command that
+reads no cache entry compiles neither.
 
 A compute writes its output one tree at a time.  A cold compute solves,
 reduces and writes each tree in turn: the json text goes to the output, or
 into the cache entry and then from it to the output, and a csv or tex row is
 rendered from the same value.  A csv or tex cache hit renders each entry as
-the load decodes and checks it, with no series of values built.  A tex value
-is written over the exponents of its denominator q^a prod Phi_d^e alone.
+the load checks it, with no series of values built: the value of an entry
+of the form arborq writes is read straight from its text
+(serialize.value_from_text), and any other entry is decoded.  A tex value is
+written over the exponents of its denominator q^a prod Phi_d^e alone.
 """
 
 from __future__ import annotations
@@ -186,18 +190,30 @@ _UNREADABLE = (ValueError, KeyError, TypeError, ArithmeticError)
 
 def _hit_reader(ring: str, order: int, text):
     """The load's each for a csv or tex hit: (tree, coefficient text, or None
-    for a zero value) of one entry, or what reading it raised; an entry beyond
-    the order is unreadable, as it is in a TreeSeries."""
+    for a zero value) of the canonical text of one entry, or what reading it
+    raised; an entry beyond the order is unreadable, as it is in a
+    TreeSeries.  An entry ["E",V] whose encoding E is all parentheses has V
+    read straight from its text; any other entry, or a V that reader leaves,
+    is decoded."""
+    import json
+
     from . import trees as tr
-    from .serialize import value_from_obj
+    from .serialize import value_from_obj, value_from_text
 
     def read(entry):
         try:
-            enc, obj = entry
+            i = entry.find('",', 2)
+            enc = entry[2:i]
+            v = None
+            if entry.startswith('["') and i > 2 and not enc.strip("()"):
+                v = value_from_text(ring, entry[i + 2:-1])
+            if v is None:
+                enc, obj = json.loads(entry)
             t = tr.parse(enc)
             if tr.size(t) > order:
                 raise ValueError("coefficient beyond the truncation order")
-            v = value_from_obj(ring, obj)
+            if v is None:
+                v = value_from_obj(ring, obj)
             return t, text(v) if v else None
         except _UNREADABLE as exc:  # reported only if the entry passes its checks
             return exc

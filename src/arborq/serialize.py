@@ -15,16 +15,24 @@ time: every number is a decimal int and every string is a "p/r" of digits,
 order.  The text of each distinct denominator is made once; the values of a
 series share few of them (1 011 among 12 415 values at pawn order 10).
 
-Reading a value back needs no polynomial gcd.  A pair list of canonical
-"k/1" strings, which is every list arborq writes, is read by int in one
-pass, any other by Fraction (memoized) over the lcm of its denominators.
-Exponents, those of an x-polynomial too, must be distinct nonnegative ints.
-A denominator must be q^a prod Phi_d^e, the form arborq writes: it is read
-as its exponents (algebra.cyclotomic_exponents), and algebra.qrat_over, the
-reduction the solvers use, cancels any power of q or Phi_d the numerator
-shares with it, so a value read is the canonical QRat.  Any other exponent
-or denominator makes the value unreadable (ValueError).  A denominator is
-parsed once per distinct pair list.
+Reading a value back needs no polynomial gcd.  value_from_text reads the
+canonical text of a value of the form arborq writes (its pattern, _QRAT or
+_XPOLY, must match the whole text) straight from the text: the exponents
+and the ints k of its "k/1" strings are found by pattern and read by int,
+with no JSON decoding.  It returns None for any other text, and for a value
+that value_from_obj would reject, which the caller then decodes and gives
+to value_from_obj, so an unreadable value fails as it always has.
+value_from_obj reads a decoded value: a pair list of canonical "k/1"
+strings by int in one pass, any other by Fraction (memoized) over the lcm of
+its denominators.  Either way, exponents, those of an x-polynomial too, must
+be distinct nonnegative ints, and a denominator must be q^a prod Phi_d^e,
+the form arborq writes: it is read as its exponents
+(algebra.cyclotomic_exponents), and algebra.qrat_over, the reduction the
+solvers use, cancels any power of q or Phi_d the numerator shares with it,
+so a value read is the canonical QRat.  Any other exponent or denominator
+makes the value unreadable (ValueError).  A denominator's exponents are
+memoized per distinct denominator: per pair list text by value_from_text,
+per decoded pair list by value_from_obj.
 """
 
 from __future__ import annotations
@@ -152,3 +160,94 @@ _READERS = {"qrat": qrat_from_obj, "xpoly": xpoly_from_obj}
 
 def value_from_obj(ring: str, obj):
     return _READERS[ring](obj)
+
+
+# The values arborq writes, as patterns over their canonical text (a subset
+# of cache._ENTRY_GRAMMAR's values): a qrat {"den":P,"num":P}, with both P
+# captured, and an xpoly [[J,{"den":P,"num":P}],...] or [].  An exponent is
+# below 10^6 and a string is "k/1" with at most 640 digits, so int reads it;
+# a larger exponent, which would make a dense list of a million slots, or any
+# other string is left to value_from_obj.
+_EXP = r"(?:0|[1-9][0-9]{0,5})"
+_PAIR = rf'\[{_EXP},"-?[0-9]{{1,640}}/1"\]'
+_PAIRS = rf"\[(?:{_PAIR}(?:,{_PAIR})*)?\]"
+_QRAT = rf'\{{"den":({_PAIRS}),"num":({_PAIRS})\}}'
+_TERM = rf'\[{_EXP},\{{"den":{_PAIRS},"num":{_PAIRS}\}}\]'
+_XPOLY = rf"\[(?:{_TERM}(?:,{_TERM})*)?\]"
+
+
+@lru_cache(maxsize=None)
+def _grammar():
+    """The compiled patterns of the value reader: the fullmatch of _QRAT and
+    of _XPOLY; then, for a text that matched, the finditer of the (j, den
+    text, num text) of each x-coefficient, and the findall of a pair list's
+    exponents and of its ints k."""
+    import re
+
+    return (re.compile(_QRAT).fullmatch, re.compile(_XPOLY).fullmatch,
+            re.compile(r'\[([0-9]+),\{"den":([^:]*),"num":([^}]*)\}\]').finditer,
+            re.compile(r"\[([0-9]+),").findall, re.compile(r'"(-?[0-9]+)/1"').findall)
+
+
+def _ints_from_text(pairs: str) -> list[int] | None:
+    """The dense int list of a pair list text that _PAIRS matched, or None if
+    an exponent repeats."""
+    *_, exponents, ks = _grammar()
+    exps = list(map(int, exponents(pairs)))
+    ks = list(map(int, ks(pairs)))
+    if not exps:
+        return []
+    if exps == list(range(exps[0], exps[0] + len(exps))):  # ascending, no gap
+        return [0] * exps[0] + ks
+    if len(set(exps)) != len(exps):
+        return None
+    ints = [0] * (max(exps) + 1)
+    for e, k in zip(exps, ks):
+        ints[e] = k
+    return ints
+
+
+@lru_cache(maxsize=None)
+def _den_exponents_of_text(den: str) -> tuple[tuple[int, int], ...] | None:
+    """The exponents of the denominator with the pair list text den, or None
+    if an exponent repeats or it is not q^a prod Phi_d^e."""
+    ints = _ints_from_text(den)
+    if ints is None:
+        return None
+    try:
+        return cyclotomic_exponents(QPoly.from_ints(ints))
+    except ValueError:
+        return None
+
+
+def _qrat_from_text(den: str, num: str) -> QRat | None:
+    exps = _den_exponents_of_text(den)
+    ints = _ints_from_text(num)
+    if exps is None or ints is None:
+        return None
+    return qrat_over(ints, exps)
+
+
+def value_from_text(ring: str, text: str):
+    """The value of the canonical text of a value, read straight from its
+    pairs, or None.  The value is what value_from_obj reads from the decoded
+    text, and returned only when that would not raise; None when the text is
+    not of the form arborq writes for the ring or the value is unreadable,
+    which value_from_obj then reports."""
+    qrat, xpoly, coefficients, *_ = _grammar()
+    if ring == "qrat":
+        found = qrat(text)
+        return found and _qrat_from_text(*found.groups())
+    if ring != "xpoly" or not xpoly(text):
+        return None
+    coeffs: dict[int, QRat] = {}
+    for found in coefficients(text):
+        j, den, num = found.groups()
+        c = _qrat_from_text(den, num)
+        if c is None or int(j) in coeffs:
+            return None
+        coeffs[int(j)] = c
+    dense: list = [0] * (max(coeffs, default=-1) + 1)
+    for j, c in coeffs.items():
+        dense[j] = c
+    return XPoly(dense)

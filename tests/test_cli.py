@@ -13,6 +13,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborq import algebra, cache as C, serialize, solvers as S, trees as T, verify as vf
 from arborq.algebra import QPoly, QRat, XPoly
@@ -208,6 +209,18 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+GRAMMARS_AFTER = """
+import contextlib, io, json, sys
+import arborq.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert arborq.cli.main(sys.argv[1:]) == 0
+serialize = sys.modules.get("arborq.serialize")
+print(json.dumps([arborq.cache._ENTRY_MATCH is not None,
+                  bool(serialize and serialize._grammar.cache_info().currsize)]))
+"""
+
+
 def modules_after(argv) -> tuple[int | None, set[str]]:
     proc = subprocess.run(
         [sys.executable, "-c", MODULES_AFTER, *argv], capture_output=True, text=True,
@@ -245,6 +258,30 @@ class TestModuleLoading:
         code, modules = modules_after(argv)
         assert code == 0 and "arborq.solvers" in modules
         assert not modules & {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("argv, stored, compiled", [
+        ([], False, [False, False]),
+        (["compute", "omega", "--order", "3"], False, [False, False]),
+        (["verify", "--suite", "prop_gen", "--max-order", "3"], False, [False, False]),
+        (["compute", "omega", "--order", "3", "--cache-dir", "{dir}"], False, [False, False]),
+        (["compute", "omega", "--order", "3", "--cache-dir", "{dir}"], True, [True, False]),
+        (["compute", "omega", "--order", "3", "--format", "csv", "--cache-dir", "{dir}"], True,
+         [True, True]),
+    ])
+    def test_grammars_are_compiled_on_first_use(self, tmp_path, capsys, argv, stored,
+                                                compiled):
+        # a command that reads no cache entry compiles neither the entry
+        # grammar nor the value grammar; a json hit compiles the first, and
+        # a csv hit both
+        if stored:
+            run_cli(["compute", "omega", "--order", "3", "--cache-dir", str(tmp_path)], capsys)
+        proc = subprocess.run(
+            [sys.executable, "-c", GRAMMARS_AFTER,
+             *[arg.replace("{dir}", str(tmp_path)) for arg in argv]],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert json.loads(proc.stdout) == compiled
 
     def test_compute_without_cache_loads_no_openssl(self):
         code, modules = modules_after(["compute", "omega", "--order", "3"])
@@ -474,10 +511,11 @@ class TestCache:
         args = ["compute", "pawn", "--order", "3", "--cache-dir", cdir]
         _, fresh, _ = run_cli(args, capsys)
 
-        def no_parse(_ring, _obj):
+        def no_parse(_ring, _value):
             raise AssertionError("json cache hit parsed the payload")
 
         monkeypatch.setattr("arborq.serialize.value_from_obj", no_parse)
+        monkeypatch.setattr("arborq.serialize.value_from_text", no_parse)
         code, cached, _ = run_cli(args, capsys)
         assert code == 0 and cached == fresh
         with pytest.raises(AssertionError):
@@ -645,8 +683,9 @@ class TestCache:
         monkeypatch.setattr(cli, "canonical_json", counting)
         monkeypatch.setitem(serialize._WRITERS, "xpoly", writing)
         # no cache, then a cold compute that stores, then a hit: each entry is
-        # encoded once (written from its value, or checked by canonical_json
-        # on the load), and the payload is never encoded whole
+        # encoded once, written from its value; the hit's entry grammar shows
+        # each stored entry canonical with no encoding, and the payload is
+        # never encoded whole
         for extra, cold in (([], True), (["--cache-dir", str(tmp_path)], True),
                             (["--cache-dir", str(tmp_path)], False)):
             encoded.clear()
@@ -654,7 +693,7 @@ class TestCache:
             code, out, _ = run_cli(argv + extra, capsys)
             assert code == 0 and out == want, extra
             assert len(written) == (len(entries) if cold else 0), extra
-            assert [obj for obj in encoded if isinstance(obj, list)] == ([] if cold else entries)
+            assert [obj for obj in encoded if isinstance(obj, list)] == []
             assert not [obj for obj in encoded if isinstance(obj, dict) and "entries" in obj]
         assert len(os.listdir(tmp_path)) == 1
 
@@ -866,8 +905,9 @@ class TestCache:
             decoded.clear()
             code, out, _ = run_cli([*argv, "--format", fmt], capsys)
             assert code == 0 and out
-            # the key, each entry, then the three header fields: once each
-            assert decoded[1:-3] == entries and len(decoded) == len(entries) + 4
+            # the key, then the three header fields, once each: every entry
+            # of a file arborq wrote is matched by the entry grammar instead
+            assert entries and decoded == [C.make_key("pawn", {}, 4), 4, {}, "pawn"]
 
     @pytest.mark.parametrize("fmt", ["csv", "tex"])
     @pytest.mark.parametrize("coeff, error", [("1/0", "ZeroDivisionError"), (5, "TypeError")])
@@ -970,6 +1010,27 @@ class TestCache:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "x.json" in err and len(err.splitlines()) == 1
 
+    def test_gc_skips_an_entry_removed_meanwhile(self, tmp_path, capsys, monkeypatch):
+        # two gc runs at once: the other one removes each entry this one is
+        # about to remove, which is then neither an error nor counted
+        cdir = str(tmp_path)
+        run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
+        C.store(cdir, dict(C.make_key("E", {}, 3), version=C.FORMAT_VERSION - 1),
+                [C.canonical_json({"series": "E", "params": {}, "order": 3, "entries": []})])
+        with open(os.path.join(cdir, "x-corrupt.json"), "w") as fh:
+            fh.write("{")
+        kept = C.entry_path(cdir, C.make_key("E", {}, 2))
+        remove = os.remove
+
+        def raced(path):
+            remove(path)  # the other gc
+            remove(path)
+
+        monkeypatch.setattr(os, "remove", raced)
+        assert run_cli(["cache", "gc", "--dir", cdir], capsys) == (
+            0, "removed 0 stale entries\n", "")
+        assert os.listdir(cdir) == [os.path.basename(kept)]
+
     def test_cache_dir_that_is_a_file(self, tmp_path, capsys):
         target = tmp_path / "file"
         target.write_text("")
@@ -1056,6 +1117,151 @@ class TestCache:
         monkeypatch.setenv("ARBORQ_CACHE_DIR", missing)
         assert run_cli(["cache", action], capsys)[0] == 2
         assert not os.path.exists(missing)
+
+
+# The pieces of entry texts on the grammar of cache._ENTRY_GRAMMAR and just
+# off it: exponents, "p/r" strings, pair lists, denominators, values and
+# encodings.  Of each one_of the last strategy is off the grammar, and the
+# first is drawn three times as often.
+
+
+def mostly(on, off):
+    return st.integers(0, 3).flatmap(lambda i: on if i else off)
+
+
+EXPONENT = mostly(st.integers(0, 3).map(str), st.sampled_from(["-1", "true", "03", "1.0"]))
+COEFF_STRING = mostly(
+    st.integers(-9, 9).map(lambda k: f"{k}/1"),
+    st.sampled_from(["6/4", "1/0", "03/1", "+3/1", "-0/1", "1/2", "3", "\\u0033/1"]))
+PAIRS_TEXT = st.lists(st.tuples(EXPONENT, COEFF_STRING), max_size=4).map(
+    lambda pairs: "[" + ",".join(f'[{e},"{c}"]' for e, c in pairs) + "]")
+# 1, q, Phi_1, Phi_2, Phi_3, q Phi_2 Phi_4 and the zero list; q^2 + 2 is
+# not of the form q^a prod Phi_d^e
+DEN_TEXT = st.one_of(st.sampled_from([
+    '[[0,"1/1"]]', '[[1,"1/1"]]', '[[0,"-1/1"],[1,"1/1"]]', '[[0,"1/1"],[1,"1/1"]]',
+    '[[0,"1/1"],[1,"1/1"],[2,"1/1"]]', '[[1,"1/1"],[2,"1/1"],[3,"1/1"],[4,"1/1"]]', "[]",
+    '[[0,"2/1"],[2,"1/1"]]']), PAIRS_TEXT)
+QRAT_TEXT = mostly(
+    st.builds(lambda den, num: f'{{"den":{den},"num":{num}}}', DEN_TEXT, PAIRS_TEXT),
+    st.builds(lambda den, num: f'{{"num":{num},"den":{den}}}', DEN_TEXT, PAIRS_TEXT))
+XPOLY_TEXT = st.lists(st.tuples(EXPONENT, QRAT_TEXT), max_size=3).map(
+    lambda terms: "[" + ",".join(f"[{j},{c}]" for j, c in terms) + "]")
+ENCODING_TEXT = mostly(st.sampled_from(['"()"', '"(())"', '"(()())"', '"((()))"']),
+                       st.sampled_from(['"\\u0028)"', '"x"', '"(()"', '""', "1"]))
+ENTRY_TEXT = st.builds(lambda enc, sep, value: f"[{enc},{sep}{value}]",
+                       ENCODING_TEXT, mostly(st.just(""), st.just(" ")),
+                       st.one_of(QRAT_TEXT, XPOLY_TEXT, st.just("[]")))
+
+
+def decoded_read(ring: str, order: int, entry: str):
+    """What the csv hit reader gave for the text of an entry when it decoded
+    every entry: (tree, the str of its value or None), or the exception."""
+    try:
+        enc, obj = json.loads(entry)
+        t = T.parse(enc)
+        if T.size(t) > order:
+            raise ValueError("coefficient beyond the truncation order")
+        v = serialize.value_from_obj(ring, obj)
+        return t, str(v) if v else None
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+        return exc
+
+
+def comparable(read):
+    return (type(read), read.args) if isinstance(read, Exception) else read
+
+
+class TestEntryGrammar:
+    """The entry grammar and the value reader against the decoder: a text the
+    grammar matches is canonical JSON, and a value read from its text is the
+    value read from the decoded text."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(ENTRY_TEXT, st.sampled_from(["qrat", "xpoly"]), st.integers(1, 3))
+    def test_grammar_and_value_reader_agree_with_the_decoder(self, entry, ring, order):
+        import arborq.cli as cli
+
+        found = C._entry_match()(entry)
+        try:
+            obj = json.loads(entry)
+        except ValueError:
+            obj = None
+        if found and found.end() == len(entry):
+            assert C.canonical_json(obj) == entry
+        value = entry[entry.index(",") + 1:-1].lstrip()
+        read = serialize.value_from_text(ring, value)
+        if read is not None:
+            assert serialize.value_from_obj(ring, json.loads(value)) == read
+        # the hit reader is given canonical text: it reads as the decoder did
+        if obj is not None and C.canonical_json(obj) == entry:
+            assert comparable(cli._hit_reader(ring, order, str)(entry)) == comparable(
+                decoded_read(ring, order, entry))
+
+    def test_every_entry_of_the_order_8_pawn_file(self, tmp_path, capsys):
+        _, out, _ = run_cli(["compute", "pawn", "--order", "8"], capsys)
+        entries = json.loads(out)["entries"]
+        assert len(entries) == 200
+        for obj in entries:
+            entry = C.canonical_json(obj)
+            found = C._entry_match()(entry)
+            assert found and found.end() == len(entry)
+            value = C.canonical_json(obj[1])
+            assert serialize.value_from_text("xpoly", value) == serialize.value_from_obj(
+                "xpoly", obj[1])
+
+    @staticmethod
+    def store_omega_entry(cdir: str, num: list) -> str:
+        """The path of an omega entry of one value over 1 with numerator num,
+        stored through store."""
+        payload = {"series": "omega", "params": {}, "order": 1,
+                   "entries": [["()", {"den": [[0, "1/1"]], "num": num}]]}
+        return C.store(cdir, C.make_key("omega", {}, 1), [C.canonical_json(payload)])
+
+    def test_an_entry_above_the_chunk_takes_the_grammar(self, tmp_path, capsys, monkeypatch):
+        # one entry of about 200 KB: the load reads on until it is whole, and
+        # matches it with no decoding
+        cdir = str(tmp_path)
+        path = self.store_omega_entry(cdir, [[e, f"{e + 1}/1"] for e in range(15_000)])
+        assert os.path.getsize(path) > 3 * C._CHUNK
+        decoded = []
+
+        class Counting(json.JSONDecoder):
+            def raw_decode(self, s, idx=0):
+                obj, end = super().raw_decode(s, idx)
+                decoded.append(obj)
+                return obj, end
+
+        monkeypatch.setattr(C, "_DECODER", Counting())
+        with C.load(cdir, C.make_key("omega", {}, 1), lambda entry: entry) as entry:
+            assert len(entry.items) == 1 and len(entry.items[0]) > 3 * C._CHUNK
+        assert decoded == [C.make_key("omega", {}, 1), 1, {}, "omega"]
+
+    def test_a_long_near_miss_entry_reads_as_it_did(self, tmp_path, capsys, monkeypatch):
+        # an entry of about 600 KB with a negative exponent near its end: the
+        # grammar fails on it in linear time and the decoder reads it, with no
+        # whole-file parse; a json hit and verify-hashes accept it, and a csv
+        # hit finds the value unreadable
+        cdir = str(tmp_path)
+        num = [[e, "1/1"] for e in range(45_000)]
+        num[-2][0] = -1
+        path = self.store_omega_entry(cdir, num)
+        assert os.path.getsize(path) > 512_000
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("an entry file was parsed whole")
+
+        monkeypatch.setattr(json, "load", no_parse)
+        start = time.perf_counter()
+        code, out, _ = run_cli(["compute", "omega", "--order", "1", "--cache-dir", cdir], capsys)
+        assert code == 0 and json.loads(out)["entries"][0][1]["num"] == num
+        assert run_cli(["cache", "verify-hashes", "--dir", cdir], capsys)[0] == 0
+        code, out, err = run_cli(["compute", "omega", "--order", "1", "--format", "csv",
+                                  "--cache-dir", cdir], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: unreadable cached value (ValueError(")
+        # a backtracking blow-up would take hours here; linear reading, well
+        # under a second
+        assert time.perf_counter() - start < 20
 
 
 class TestVerifyCommand:
