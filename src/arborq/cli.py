@@ -16,8 +16,8 @@ At module level this file imports only the standard library and the cache,
 which needs nothing else.  Each handler imports the layers it runs, so a json
 cache hit, `cache list` and `cache verify-hashes` never load the solver,
 algebra, verify or serialize modules.  The entry grammar of the cache and
-the value grammar of serialize are compiled on first use, so a command that
-reads no cache entry compiles neither.
+the value patterns serialize compiles from it are compiled on first use, so
+a command that reads no cache entry compiles neither.
 
 A compute writes its output one tree at a time.  A cold compute solves,
 reduces and writes each tree in turn: the json text goes to the output, or

@@ -16,35 +16,35 @@ order.  The text of each distinct denominator is made once; the values of a
 series share few of them (1 011 among 12 415 values at pawn order 10).
 
 Reading a value back needs no polynomial gcd.  value_from_text reads the
-canonical text of a value of the form arborq writes (its pattern, _QRAT or
-_XPOLY, must match the whole text) straight from the text: the exponents
-and the ints k of its "k/1" strings are found by pattern and read by int,
-with no JSON decoding.  It returns None for any other text, and for a value
-that value_from_obj would reject, which the caller then decodes and gives
-to value_from_obj, so an unreadable value fails as it always has.
-value_from_obj reads a decoded value: a pair list of canonical "k/1"
-strings by int in one pass, any other by Fraction (memoized) over the lcm of
-its denominators.  Either way, exponents, those of an x-polynomial too, must
-be distinct nonnegative ints, and a denominator must be q^a prod Phi_d^e,
+canonical text of a value of the form arborq writes, one that the value
+pattern of the ring in the cache's entry grammar (cache.QRAT_VALUE or
+cache.XPOLY_VALUE, the one grammar of a stored entry) matches whole,
+straight from the text: the exponents and the ints k of its "k/1" strings
+are found by pattern and read by int, with no JSON decoding.  It returns
+None for any other text, and for a value that value_from_obj would reject,
+which the caller then decodes and gives to value_from_obj, so an
+unreadable value fails as it always has.  value_from_obj reads a decoded
+value: each string by Fraction, over the lcm of a pair list's
+denominators; a coefficient that is not a string is a TypeError.  Either
+way, exponents, those of an x-polynomial too, must be distinct ints in
+[0, 10^6), the grammar's bound, and a denominator must be q^a prod Phi_d^e,
 the form arborq writes: it is read as its exponents
-(algebra.cyclotomic_exponents), and algebra.qrat_over, the reduction the
-solvers use, cancels any power of q or Phi_d the numerator shares with it,
-so a value read is the canonical QRat.  Any other exponent or denominator
-makes the value unreadable (ValueError).  A denominator's exponents are
-memoized per distinct denominator: per pair list text by value_from_text,
-per decoded pair list by value_from_obj.
+(algebra.cyclotomic_exponents, memoized per polynomial), and
+algebra.qrat_over, the reduction the solvers use, cancels any power of q or
+Phi_d the numerator shares with it, so a value read is the canonical QRat.
+Any other exponent or denominator makes the value unreadable (ValueError).
+value_from_text memoizes a denominator's exponents per pair list text too.
 """
 
 from __future__ import annotations
 
 import json
-import marshal
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import QPOLY_ZERO, QPoly, QRat, XPoly, cyclotomic_exponents, qrat_over
-from .cache import canonical_json  # noqa: F401  (re-exported)
+from .cache import EXPONENT_BOUND, QRAT_VALUE, XPOLY_VALUE, canonical_json  # noqa: F401
 from . import trees as tr
 
 
@@ -88,28 +88,13 @@ def entries_json(ring: str, values):
 # Readers
 
 
-@lru_cache(maxsize=None)
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def _canonical_ints(strings: list) -> list[int] | None:
-    """The ints k of strings that are all the canonical "k/1", else None."""
-    ks = [s[:-2] for s in strings if s[-2:] == "/1"]
-    if len(ks) != len(strings):
-        return None
-    try:
-        values = list(map(int, ks))
-    except ValueError:
-        return None
-    return values if list(map(str, values)) == ks else None
-
-
 def _slots(exps: list) -> int:
-    """The length of a dense list indexed by exps, which must be distinct
-    nonnegative ints (a JSON true is a bool, not an int), else ValueError."""
-    if not all(type(e) is int and e >= 0 for e in exps) or len(set(exps)) != len(exps):
-        raise ValueError(f"exponents are not distinct nonnegative ints: {exps}")
+    """The length of a dense list indexed by exps, which must be distinct ints
+    in [0, EXPONENT_BOUND), the exponents the entry grammar admits (a JSON
+    true is a bool, not an int), else ValueError."""
+    if (not all(type(e) is int and 0 <= e < EXPONENT_BOUND for e in exps)
+            or len(set(exps)) != len(exps)):
+        raise ValueError(f"exponents are not distinct ints in [0, {EXPONENT_BOUND}): {exps}")
     return max(exps) + 1
 
 
@@ -118,30 +103,19 @@ def qpoly_from_pairs(pairs) -> QPoly:
         return QPOLY_ZERO
     exps = [e for e, _ in pairs]
     strings = [s for _, s in pairs]
-    # a stored polynomial has int coefficients, read in one pass; any other
-    # string is read by Fraction
-    coeffs = _canonical_ints(strings)
-    den = 1
-    if coeffs is None:
-        coeffs = list(map(frac_from_str, strings))
-        den = math.lcm(*(c.denominator for c in coeffs))
-        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+    # Fraction would read an int or a float too
+    if not all(type(s) is str for s in strings):
+        raise TypeError(f"coefficients are not strings: {strings}")
+    coeffs = list(map(Fraction, strings))
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [0] * _slots(exps)
     for e, c in zip(exps, coeffs):
-        ints[e] = c
+        ints[e] = c.numerator * (den // c.denominator)
     return QPoly.from_ints(ints, den)
 
 
-@lru_cache(maxsize=None)
-def _den_exponents(key: bytes) -> tuple[tuple[int, int], ...]:
-    """The exponents of the denominator whose decoded pair list marshals to
-    key: marshal tells 1, 1.0 and True apart, so equal keys read to equal
-    polynomials."""
-    return cyclotomic_exponents(qpoly_from_pairs(marshal.loads(key)))
-
-
 def qrat_from_obj(obj) -> QRat:
-    exps = _den_exponents(marshal.dumps(obj["den"]))
+    exps = cyclotomic_exponents(qpoly_from_pairs(obj["den"]))
     num = qpoly_from_pairs(obj["num"])
     return qrat_over(num.ints, exps, num.den)
 
@@ -162,35 +136,22 @@ def value_from_obj(ring: str, obj):
     return _READERS[ring](obj)
 
 
-# The values arborq writes, as patterns over their canonical text (a subset
-# of cache._ENTRY_GRAMMAR's values): a qrat {"den":P,"num":P}, with both P
-# captured, and an xpoly [[J,{"den":P,"num":P}],...] or [].  An exponent is
-# below 10^6 and a string is "k/1" with at most 640 digits, so int reads it;
-# a larger exponent, which would make a dense list of a million slots, or any
-# other string is left to value_from_obj.
-_EXP = r"(?:0|[1-9][0-9]{0,5})"
-_PAIR = rf'\[{_EXP},"-?[0-9]{{1,640}}/1"\]'
-_PAIRS = rf"\[(?:{_PAIR}(?:,{_PAIR})*)?\]"
-_QRAT = rf'\{{"den":({_PAIRS}),"num":({_PAIRS})\}}'
-_TERM = rf'\[{_EXP},\{{"den":{_PAIRS},"num":{_PAIRS}\}}\]'
-_XPOLY = rf"\[(?:{_TERM}(?:,{_TERM})*)?\]"
-
-
 @lru_cache(maxsize=None)
 def _grammar():
-    """The compiled patterns of the value reader: the fullmatch of _QRAT and
-    of _XPOLY; then, for a text that matched, the finditer of the (j, den
-    text, num text) of each x-coefficient, and the findall of a pair list's
-    exponents and of its ints k."""
+    """The compiled patterns of the value reader: the fullmatch of the entry
+    grammar's QRAT_VALUE and XPOLY_VALUE; then, on a text one of them
+    matched, the finditer of the (j, den text, num text) of each
+    x-coefficient, and the findall of a pair list's exponents and of its
+    ints k."""
     import re
 
-    return (re.compile(_QRAT).fullmatch, re.compile(_XPOLY).fullmatch,
+    return (re.compile(QRAT_VALUE).fullmatch, re.compile(XPOLY_VALUE).fullmatch,
             re.compile(r'\[([0-9]+),\{"den":([^:]*),"num":([^}]*)\}\]').finditer,
             re.compile(r"\[([0-9]+),").findall, re.compile(r'"(-?[0-9]+)/1"').findall)
 
 
 def _ints_from_text(pairs: str) -> list[int] | None:
-    """The dense int list of a pair list text that _PAIRS matched, or None if
+    """The dense int list of a pair list text the grammar matched, or None if
     an exponent repeats."""
     *_, exponents, ks = _grammar()
     exps = list(map(int, exponents(pairs)))
@@ -236,8 +197,8 @@ def value_from_text(ring: str, text: str):
     which value_from_obj then reports."""
     qrat, xpoly, coefficients, *_ = _grammar()
     if ring == "qrat":
-        found = qrat(text)
-        return found and _qrat_from_text(*found.groups())
+        # {"den":P,"num":P}, where no pair list P holds "num"
+        return qrat(text) and _qrat_from_text(*text[7:-1].split(',"num":'))
     if ring != "xpoly" or not xpoly(text):
         return None
     coeffs: dict[int, QRat] = {}

@@ -15,7 +15,7 @@ from fractions import Fraction
 from arborq import trees as tr
 from arborq.algebra import QPoly, QRat, XPoly
 from arborq.cache import canonical_json
-from arborq.serialize import frac_from_str, qrat_from_obj, xpoly_from_obj
+from arborq.serialize import qrat_from_obj, xpoly_from_obj
 from arborq.series import TreeSeries
 
 
@@ -37,7 +37,7 @@ def xpoly_to_obj(f: XPoly) -> list:
 
 # ring -> (writer, reader) of one coefficient
 _CODECS = {
-    "rational": (frac_to_str, frac_from_str),
+    "rational": (frac_to_str, Fraction),
     "qrat": (qrat_to_obj, qrat_from_obj),
     "xpoly": (xpoly_to_obj, xpoly_from_obj),
 }

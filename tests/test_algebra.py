@@ -673,7 +673,7 @@ class TestQRat:
             qpoly_from_pairs([[0, "1/0"]])
 
     def test_pairs_read_integer_strings_as_fraction_does(self):
-        # only the canonical "k/1" is read by int; these go through Fraction
+        # every string is read by Fraction, "k/1" and these alike
         for s in ("+3/1", "03/1", "-0/1", "3/1 ", "-7/1", "0/1", "12/1"):
             p = qpoly_from_pairs([[0, "1/2"], [1, s]])
             assert p == QPoly((F(1, 2), F(s)))
@@ -682,7 +682,7 @@ class TestQRat:
             qpoly_from_pairs([[0, "3./1"]])
 
     def test_rational_reader_gives_fractions(self):
-        # the int reading of "k/1" is private to the q-polynomial pairs
+        # the rational ring reads each string by Fraction too
         for s in ("3/1", "-7/1", "0/1", "5/6"):
             v = value_from_obj("rational", s)
             assert type(v) is F and v == F(s)

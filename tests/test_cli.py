@@ -938,6 +938,11 @@ class TestCache:
         ("omega", [0, 0]),  # a repeated exponent once kept the last term
         ("omega", [True]),  # a JSON true is a bool, not an exponent
         ("pawn", [-1, 0]),  # an x-exponent of a pawn value
+        # exponents from 10^6 on, past the entry grammar's bound, were read
+        # into a dense list that size: 10^15 once ended in a MemoryError
+        ("omega", [10**15]),
+        ("pawn", [10**15]),
+        ("omega", [10**6]),
     ])
     def test_bad_exponent_with_a_valid_hash(self, tmp_path, capsys, fmt, series, exponents):
         # stored through store, so the hash holds and only the reading can
@@ -1030,6 +1035,42 @@ class TestCache:
         assert run_cli(["cache", "gc", "--dir", cdir], capsys) == (
             0, "removed 0 stale entries\n", "")
         assert os.listdir(cdir) == [os.path.basename(kept)]
+
+    def test_scan_skips_an_entry_removed_meanwhile(self, tmp_path, capsys, monkeypatch):
+        # a gc running at once removes each entry after it is listed and
+        # before it is read: it is gone, not corrupt
+        cdir = str(tmp_path)
+        run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
+        listdir = os.listdir
+
+        def raced(path):
+            names = listdir(path)
+            for name in names:
+                os.remove(os.path.join(path, name))  # the other gc
+            return names
+
+        monkeypatch.setattr(os, "listdir", raced)
+        assert run_cli(["cache", "verify-hashes", "--dir", cdir], capsys) == (
+            0, "0/0 entries verified\n", "")
+
+    def test_a_load_misses_an_entry_removed_meanwhile(self, tmp_path, capsys, monkeypatch):
+        # removed between the load's exists check and its open: a miss, so
+        # the series is computed and stored again
+        cdir = str(tmp_path)
+        argv = ["compute", "E", "--order", "2", "--cache-dir", cdir]
+        want = run_cli(argv, capsys)
+        path = C.entry_path(cdir, C.make_key("E", {}, 2))
+        exists = os.path.exists
+
+        def raced(p):
+            found = exists(p)
+            if p == path and found:
+                os.remove(p)  # a gc
+            return found
+
+        monkeypatch.setattr(os.path, "exists", raced)
+        assert run_cli(argv, capsys) == want
+        assert exists(path)
 
     def test_cache_dir_that_is_a_file(self, tmp_path, capsys):
         target = tmp_path / "file"
@@ -1197,17 +1238,55 @@ class TestEntryGrammar:
             assert comparable(cli._hit_reader(ring, order, str)(entry)) == comparable(
                 decoded_read(ring, order, entry))
 
-    def test_every_entry_of_the_order_8_pawn_file(self, tmp_path, capsys):
-        _, out, _ = run_cli(["compute", "pawn", "--order", "8"], capsys)
+    @pytest.mark.parametrize("series, n", [
+        (series, n) for series in sorted(SERIES)
+        for n in {"F": [3], "G": [3], "pawn_at": [-3, 3]}.get(series, [None])])
+    def test_every_entry_arborq_writes_matches_the_grammar(self, capsys, series, n):
+        # a form of arborq's own that the grammar missed would send its
+        # entries down the decoding path unnoticed
+        ring = SERIES[series][0]
+        argv = ["compute", series, "--order", "8", *([] if n is None else ["--n", str(n)])]
+        _, out, _ = run_cli(argv, capsys)
         entries = json.loads(out)["entries"]
-        assert len(entries) == 200
+        assert entries
         for obj in entries:
             entry = C.canonical_json(obj)
             found = C._entry_match()(entry)
             assert found and found.end() == len(entry)
             value = C.canonical_json(obj[1])
-            assert serialize.value_from_text("xpoly", value) == serialize.value_from_obj(
-                "xpoly", obj[1])
+            assert serialize.value_from_text(ring, value) == serialize.value_from_obj(
+                ring, obj[1])
+
+    @pytest.mark.parametrize("series", ["omega", "pawn"])
+    @pytest.mark.parametrize("coeff, error", [
+        ("3/2", None), ("1" * 641 + "/1", None), (5, "TypeError")])
+    def test_an_entry_off_the_grammar_reads_as_it_did(self, tmp_path, capsys, series, coeff,
+                                                      error):
+        # a "p/r" that is no "k/1", a k of more than 640 digits and a
+        # coefficient that is not a string are canonical JSON off the
+        # grammar: decoded, accepted by a json hit and verify-hashes, and
+        # read by a csv or tex hit as the decoding reader reads them
+        cdir = str(tmp_path)
+        value = {"den": [[0, "1/1"]], "num": [[0, coeff]]}
+        entry = ["()", value if series == "omega" else [[0, value]]]
+        assert C._entry_match()(C.canonical_json(entry)) is None
+        payload = {"series": series, "params": {}, "order": 1, "entries": [entry]}
+        path = C.store(cdir, C.make_key(series, {}, 1), [C.canonical_json(payload)])
+        argv = ["compute", series, "--order", "1", "--cache-dir", cdir]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and json.loads(out) == payload
+        assert run_cli(["cache", "verify-hashes", "--dir", cdir], capsys)[0] == 0
+        k = str(coeff).removesuffix("/1")
+        want = {"csv": f"size,encoding,coefficient\n1,(),{k}\n",
+                "tex": (f"% series {series}, order 1\n\\begin{{align*}}\n"
+                        f"&{k} \\cdot \\texttt{{()}} \\\\\n\\end{{align*}}\n")}
+        for fmt in ("csv", "tex"):
+            code, out, err = run_cli([*argv, "--format", fmt], capsys)
+            if error is None:
+                assert (code, out, err) == (0, want[fmt], "")
+            else:
+                assert code == 1 and out == ""
+                assert err.startswith(f"error: {path}: unreadable cached value ({error}(")
 
     @staticmethod
     def store_omega_entry(cdir: str, num: list) -> str:
