@@ -854,16 +854,24 @@ def zxpoly_div_x_minus(a: Sequence[Sequence[int]], r: Sequence[int]) -> tuple:
 
 def zxpoly_eval(a: Sequence[Sequence[int]], num: Sequence[int],
                 den: Sequence[int] = (1,)) -> tuple[int, ...]:
-    """den^d * a(num / den) in Z[q], d the x-degree of a: the sum of
-    a_j num^j den^(d-j), by homogeneous Horner."""
-    acc: tuple[int, ...] = ()
-    power: tuple[int, ...] = (1,)
+    """den^d * a(num / den) in Z[q], d = len(a) - 1: the sum of
+    a_j num^j den^(d-j), by homogeneous Horner on ints packed at q = 2^bits.
+
+    The L1 norm is submultiplicative, so no coefficient of the sum exceeds
+    sum_j |a_j|_1 |num|_1^j |den|_1^(d-j); bits holds that bound, and the
+    packed sum is read back once."""
+    num_norm, den_norm = sum(map(abs, num)), sum(map(abs, den))
+    bound, power = 0, 1
     for c in reversed(a):
-        acc = list(zpoly_mul(acc, num))
-        zpoly_add_scaled(acc, zpoly_mul(c, power))
-        acc = zpoly_trim(acc)
-        power = zpoly_mul(power, den)
-    return acc
+        bound = bound * num_norm + sum(map(abs, c)) * power
+        power *= den_norm
+    bits = slot_bits(bound.bit_length() + 1)
+    x, y = zpoly_pack(num, bits), zpoly_pack(den, bits)
+    acc, power = 0, 1
+    for c in reversed(a):
+        acc = acc * x + zpoly_pack(c, bits) * power
+        power *= y
+    return zpoly_unpack(acc, bits)
 
 
 def zxpoly_subst_one_plus_qx(a: Sequence[Sequence[int]]) -> tuple:

@@ -39,6 +39,7 @@ to one of order 10.
 from __future__ import annotations
 
 import codecs
+import io
 import json
 import os
 import time
@@ -283,7 +284,7 @@ def _read_entry(path: str, each=None) -> CacheEntry | None:
                 fh = open(path, "rb")
             except FileNotFoundError:
                 return None
-            entry = _read_stored(fh, each) or _read_whole(path, each)
+            entry = _read_stored(fh, each) or _read_whole(fh, each)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CacheError(f"{path}: unreadable cache entry ({exc})") from exc
         if not isinstance(entry.key, dict):
@@ -302,11 +303,17 @@ def _read_entry(path: str, each=None) -> CacheEntry | None:
             fh.close()
 
 
-def _read_whole(path: str, each) -> CacheEntry:
-    """Parse an entry file whole: the reading of a file that store did not
-    lay out, which gives what _read_stored gives on one it did."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+def _read_whole(fh, each) -> CacheEntry:
+    """Parse the binary file fh whole, as UTF-8 text from its start: the
+    reading of a file that store did not lay out, which gives what
+    _read_stored gives on one it did.  fh stays open, for its opener to
+    close."""
+    fh.seek(0)
+    reader = io.TextIOWrapper(fh, encoding="utf-8")
+    try:
+        obj = json.load(reader)
+    finally:
+        reader.detach()
     key, payload = obj["key"], obj["payload"]
     text = canonical_json(payload)
     header = None

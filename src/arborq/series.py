@@ -5,7 +5,9 @@ class in the convention  A = sum_T A_T * T / aut(T); the stored value for T
 is A_T and absent keys mean zero.  Coefficients live in one of the
 registered rings ("rational", "qrat", "xpoly") and the ring plus the
 truncation order must match before any binary operation; no operation
-changes the order of a series.
+changes the order of a series.  The rational ring holds Python ints and
+Fractions; its zero and one are the ints 0 and 1, so a series of ints stays
+on ints until a Fraction meets it.
 
 The insertion product with outer corollas is computed from root-subtree
 decompositions: the coefficient of T collects, over every root-containing
@@ -16,20 +18,19 @@ product: they run on the fraction-free engine in solvers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Callable
 
 from .algebra import QRAT_ONE, QRAT_ZERO, XPOLY_ONE, XPOLY_ZERO
 from . import trees as tr
 
 RING_ZERO: dict[str, Any] = {
-    "rational": Fraction(0),
+    "rational": 0,
     "qrat": QRAT_ZERO,
     "xpoly": XPOLY_ZERO,
 }
 
 RING_ONE: dict[str, Any] = {
-    "rational": Fraction(1),
+    "rational": 1,
     "qrat": QRAT_ONE,
     "xpoly": XPOLY_ONE,
 }

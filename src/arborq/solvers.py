@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .algebra import (
-    QPOLY_ONE,
     QPoly,
     QRAT_ONE,
     QRAT_ZERO,
@@ -56,7 +55,10 @@ from .algebra import (
     qrat_over,
     qrat_sum,  # noqa: F401  (re-exported: perfbench's selftest reads it)
     slot_bits,
+    zpoly_add_scaled,
+    zpoly_mul,
     zpoly_pack,
+    zpoly_trim,
     zxpack_div_q_minus_1,
     zxpoly_eval,
     zxpoly_pack,
@@ -284,29 +286,42 @@ def series_E(order: int) -> TreeSeries:
 # ---------------------------------------------------------------------------
 # Coloring polynomials
 
-_COLOR: dict[tuple[int, int, str], QPoly] = {}
+# F_n(T) as a zpoly, keyed (t, n, mode); a tree's rows are held for n = 0..k
+_COLOR: dict[tuple[int, int, str], tuple[int, ...]] = {}
 
 
-@tr.memoized(_COLOR)
 def coloring_poly(t: int, n: int, mode: str = "weak") -> QPoly:
     """Generating polynomial sum q^(sum of colors) over colorings of t by
     {0..n} that decrease (weakly or strictly) away from the root."""
     if mode not in ("weak", "strict"):
         raise ValueError(f"unknown coloring mode {mode!r}")
+    return QPoly._raw(_coloring_row(t, n, mode))
+
+
+def _coloring_row(t: int, n: int, mode: str) -> tuple[int, ...]:
+    """F_n(T) by the root's color: F_n(T) = F_(n-1)(T) + q^n prod_c F_(n')(c)
+    over the root branches c, n' = n for weak colorings and n - 1 for strict
+    ones, F_(-1) = 0.  The rows are built up from the first one not held."""
     if n < 0:
-        return QPoly()
+        return ()
+    row = _COLOR.get((t, n, mode))
+    if row is not None:
+        return row
+    k = n
+    while k and (t, k - 1, mode) not in _COLOR:
+        k -= 1
+    acc = list(_COLOR[t, k - 1, mode]) if k else []
     kids = tr.children(t)
-    total = QPoly()
-    for j in range(n + 1):
-        sub = j if mode == "weak" else j - 1
-        prod = QPOLY_ONE
+    drop = 0 if mode == "weak" else 1
+    for j in range(k, n + 1):
+        prod: tuple[int, ...] = (1,)
         for c in kids:
-            prod = prod * coloring_poly(c, sub, mode)
-            if prod.is_zero():
+            prod = zpoly_mul(prod, _coloring_row(c, j - drop, mode))
+            if not prod:
                 break
-        if not prod.is_zero():
-            total = total + prod.shift(j)
-    return total
+        zpoly_add_scaled(acc, prod, 1, j)
+        row = _COLOR[t, j, mode] = zpoly_trim(acc)
+    return row
 
 
 def coloring_series(order: int, n: int, mode: str = "weak") -> TreeSeries:

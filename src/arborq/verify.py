@@ -3,8 +3,11 @@
 The oracles here never touch the tree-series machinery: they enumerate raw
 colorings / vertex subsets / permutations over the canonical labeled
 representative, so agreement with the algebraic recursions is a genuine
-cross-check.  Each named check returns a CheckReport; a failing report always
-carries a serializable witness.
+cross-check.  The coloring walk enumerates the colors of the internal
+vertices and counts those of the leaves in closed form; it and the
+interpolation through its sums run on ints packed at q = 2^B.  Each named
+check returns a CheckReport; a failing report always carries a serializable
+witness.
 
 The checks on the series values run on the engine numerators
 N_T = [#T]_q! * value_T as identities in Z[q] (q1_no_pole evaluates the
@@ -16,11 +19,13 @@ call.  The QRat bodies these checks replaced are in tests/qrat_reference.py.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NoReturn
 
 from .algebra import (
@@ -33,17 +38,21 @@ from .algebra import (
     q_factorial_exponents,
     q_factorial_quotient,
     qrat_over,
+    slot_bits,
     xpoly_denominator,
     zpoly_add_scaled,
     zpoly_mul,
     zpoly_trim,
+    zpoly_unpack,
     zxpoly_div_x_minus,
     zxpoly_divmod_one_plus_qx,
     zxpoly_eval,
     zxpoly_mul,
+    zxpoly_pack,
     zxpoly_subst_one_plus_qx,
     zxpoly_support,
     zxpoly_trim,
+    zxpoly_unpack,
 )
 from . import solvers as sv
 from . import trees as tr
@@ -103,37 +112,129 @@ def _fail(report: CheckReport, **witness) -> CheckReport:
 # Oracles
 
 
-def oracle_colorings(t: int, n: int, mode: str = "weak", bound: int = DEFAULT_COLORING_BOUND) -> QPoly:
-    """Brute-force coloring polynomial: walk the canonical representative and
-    enumerate every decreasing coloring by {0..n}, summing q^(sum of colors)."""
+@lru_cache(maxsize=None)
+def _leaf_factors(n: int, leaves: int, strict: bool, bits: int) -> tuple[int, ...]:
+    """q^c [c + 1]_q^leaves for c = 0..n ([c]_q^leaves when strict), packed at
+    q = 2^bits: what a vertex of color c and its leaf children weigh."""
+    unit = (1 << bits) - 1
+    low = 0 if strict else 1
+    return tuple((((1 << bits * (c + low)) - 1) // unit) ** leaves << bits * c
+                 for c in range(n + 1))
+
+
+def _coloring_walk(t: int, n: int, strict: bool, bits: int) -> list[int]:
+    """g_c for c = 0..n, packed at q = 2^bits: the sum of q^(sum of colors)
+    over the decreasing colorings of t by {0..n} whose root has color c.
+    bits must hold every coefficient: (n + 1)^#t bounds them.
+
+    The walk enumerates the colors of the internal vertices only, in
+    preorder, with the root's as the outer loop; a vertex multiplies in its
+    _leaf_factors, the colors of its leaf children summed in closed form.
+    Every vertex after the last internal one in preorder is a leaf, so the
+    colors of that last one are summed at once, from prefix sums of its
+    factors.
+    """
+    parents = tr.parent_array(t)
+    inner = sorted({0, *parents[1:]})  # the root, and every vertex with a child
+    index = {v: i for i, v in enumerate(inner)}
+    leaves = [0] * len(inner)
+    for v, p in enumerate(parents[1:], start=1):
+        if v not in index:
+            leaves[index[p]] += 1
+    up = [index[parents[v]] for v in inner[1:]]
+    factors = [_leaf_factors(n, k, strict, bits) for k in leaves]
+    last = len(inner) - 1
+    # closed[top + 1]: the last internal vertex summed over colors 0..top
+    closed = list(itertools.accumulate(factors[last], initial=0))
+    drop = 1 if strict else 0
+    colors = [0] * len(inner)
+
+    def walk(i: int, acc: int) -> int:
+        top = colors[up[i - 1]] - drop
+        if i == last:
+            return acc * closed[top + 1]
+        total = 0
+        for c, f in enumerate(factors[i][:top + 1]):
+            if f:
+                colors[i] = c
+                total += walk(i + 1, acc * f)
+        return total
+
+    out = []
+    for c, f in enumerate(factors[0]):
+        colors[0] = c
+        out.append(walk(1, f) if last and f else f)
+    return out
+
+
+def oracle_coloring_sums(t: int, n: int, mode: str = "weak",
+                         bound: int = DEFAULT_COLORING_BOUND) -> list[QPoly]:
+    """Brute-force coloring polynomials by {0..m} for m = 0..n, from one walk
+    over the canonical representative (_coloring_walk): the m-th is the sum
+    of the root-color sums g_c over c <= m."""
     if tr.size(t) > bound:
         raise ValueError(f"tree size {tr.size(t)} exceeds brute-force bound {bound}")
     if mode not in ("weak", "strict"):
         raise ValueError(f"unknown coloring mode {mode!r}")
     if n < 0:
-        return QPoly()
-    parents = tr.parent_array(t)
-    nv = len(parents)
-    counts = [0] * (n * nv + 1)
-    colors = [0] * nv
+        return []
+    bits = slot_bits(((n + 1) ** tr.size(t)).bit_length() + 1)
+    sums = itertools.accumulate(_coloring_walk(t, n, mode == "strict", bits))
+    return [QPoly._raw(zpoly_unpack(v, bits)) for v in sums]
 
-    def walk(v: int, sigma: int):
-        top = n if v == 0 else (colors[parents[v]] - (0 if mode == "weak" else 1))
-        if v == nv - 1:  # the last vertex in preorder is a leaf: count its colors at once
-            counts[sigma:sigma + top + 1] = [c + 1 for c in counts[sigma:sigma + top + 1]]
-            return
-        for c in range(0, top + 1):
-            colors[v] = c
-            walk(v + 1, sigma + c)
 
-    walk(0, 0)
-    return QPoly(counts)
+def oracle_colorings(t: int, n: int, mode: str = "weak", bound: int = DEFAULT_COLORING_BOUND) -> QPoly:
+    """Brute-force coloring polynomial: the sum of q^(sum of colors) over
+    every decreasing coloring of t by {0..n}."""
+    sums = oracle_coloring_sums(t, n, mode, bound)
+    return sums[-1] if sums else QPoly()
+
+
+@lru_cache(maxsize=None)
+def _lagrange_weights(n: int) -> tuple[int, int, tuple[int, ...]]:
+    """(bits, width, weights) of the interpolation through n + 1 nodes:
+    weight m is (-1)^(n-m) q^(K-e_m) binom(n, m)_q W(x) / (x - [m]_q) (see
+    oracle_interpolate_pawn), packed at q = 2^bits and x = 2^(bits*width).
+    v_m counts at most (m + 1)^n colorings and has q-degree m n, so bits and
+    width hold the sum of v_m times weight m for every tree of size n."""
+    nodes = [(1,) * m for m in range(n + 1)]
+    w: tuple = ((1,),)
+    for r in nodes:
+        w = zxpoly_mul(w, (tuple(-c for c in r), (1,)))
+    top = n * (n - 1) // 2
+    terms = []
+    norm = deg = 0
+    for m, r in enumerate(nodes):
+        shift = top - (m * (m - 1) // 2 + m * (n - m))
+        sign = -1 if (n - m) % 2 else 1
+        binom = q_factorial_quotient(n, (m, n - m))
+        rows = [_shift(zpoly_mul(binom, c), shift) for c in zxpoly_div_x_minus(w, r)]
+        terms.append((sign, rows))
+        norm += sum(abs(c) for row in rows for c in row) * (m + 1) ** n
+        deg = max(deg, m * n + max(map(len, rows)) - 1)
+    bits, width = slot_bits(norm.bit_length() + 1), deg + 1
+    return bits, width, tuple(sign * zxpoly_pack(rows, bits, width) for sign, rows in terms)
+
+
+def _interpolation_numerator(t: int, bound: int) -> tuple:
+    """q^K [n]_q! P_T as the interpolation through v_0..v_n gives it, in
+    Z[q][x]: the packed sum of v_m times _lagrange_weights(n)[m], read back
+    once."""
+    n = tr.size(t)
+    if n > bound:
+        raise ValueError(f"tree size {n} exceeds interpolation bound {bound}")
+    bits, width, weights = _lagrange_weights(n)
+    total = v = 0
+    for g, weight in zip(_coloring_walk(t, n, False, bits), weights):
+        v += g
+        total += v * weight
+    return zxpoly_unpack(total, bits, width)
 
 
 def oracle_interpolate_pawn(t: int, bound: int = DEFAULT_INTERPOLATION_BOUND) -> XPoly:
     """Recover the coefficient of t by Lagrange interpolation in x through the
     nodes ([m]_q, v_m) for m = 0..n, n = #t, where v_m is the weak coloring
-    polynomial by {0..m} from the raw coloring oracle.
+    polynomial by {0..m}; one walk at n gives every v_m (_coloring_walk).
 
     Fraction-free: [m]_q - [j]_q is q^j [m-j]_q for j < m and -q^m [j-m]_q
     for j > m, so prod_{j != m} ([m]_q - [j]_q) = (-1)^(n-m) q^e_m [m]_q!
@@ -142,36 +243,22 @@ def oracle_interpolate_pawn(t: int, bound: int = DEFAULT_INTERPOLATION_BOUND) ->
 
         N(x) = sum_m (-1)^(n-m) q^(K-e_m) binom(n, m)_q v_m(q) W(x) / (x - [m]_q)
 
-    in Z[q][x], with W = prod_j (x - [j]_q) built once and each quotient an
-    exact synthetic division.  Each x-coefficient of N is reduced at the end
-    by algebra.qrat_over with the pairs (0, K) and those of [n]_q!, which
-    cancels its power of q and the Phi_d it shares with q^K [n]_q!, so no gcd
-    runs.
+    in Z[q][x], with W = prod_j (x - [j]_q) and each quotient an exact
+    synthetic division, all but the v_m built once per size
+    (_lagrange_weights) and summed on packed ints.  Each x-coefficient of N
+    is reduced at the end by algebra.qrat_over with the pairs (0, K) and
+    those of [n]_q!, which cancels its power of q and the Phi_d it shares
+    with q^K [n]_q!, so no gcd runs.
     """
     n = tr.size(t)
-    if n > bound:
-        raise ValueError(f"tree size {n} exceeds interpolation bound {bound}")
-    nodes = [(1,) * m for m in range(n + 1)]
-    w: tuple = ((1,),)
-    for r in nodes:
-        w = zxpoly_mul(w, (tuple(-c for c in r), (1,)))
-    top = n * (n - 1) // 2
-    num = [[] for _ in range(n + 1)]
-    for m, r in enumerate(nodes):
-        weight = zpoly_mul(q_factorial_quotient(n, (m, n - m)),
-                           oracle_colorings(t, m, "weak", bound=bound + 1).ints)
-        shift = top - (m * (m - 1) // 2 + m * (n - m))
-        sign = -1 if (n - m) % 2 else 1
-        for acc, c in zip(num, zxpoly_div_x_minus(w, r)):
-            zpoly_add_scaled(acc, zpoly_mul(weight, c), sign, shift)
-    exps = ((0, top),) + q_factorial_exponents(n)
-    return XPoly([qrat_over(c, exps) for c in num])
+    exps = ((0, n * (n - 1) // 2),) + q_factorial_exponents(n)
+    return XPoly([qrat_over(c, exps) for c in _interpolation_numerator(t, bound)])
 
 
 def random_series(order: int, seed: int, lo: int = -3, hi: int = 3) -> TreeSeries:
     """Seeded random series with small integer coefficients (rational ring)."""
     rng = random.Random(seed)
-    coeffs = {t: Fraction(rng.randint(lo, hi)) for t in tr.trees_upto(order)}
+    coeffs = {t: rng.randint(lo, hi) for t in tr.trees_upto(order)}
     return TreeSeries(order, "rational", coeffs)
 
 
@@ -245,8 +332,8 @@ def _check_valeur_speciale(report, max_order, **_):
 
 
 def _check_prop_gen(report, max_order, **_):
-    e_ones = sv.series_E(max_order).map_coeffs(lambda _t, _v: Fraction(1), ring="rational")
-    minus_dot = unit_vertex(Fraction(-1), max_order, "rational")
+    e_ones = sv.series_E(max_order).map_coeffs(lambda _t, _v: 1, ring="rational")
+    minus_dot = unit_vertex(-1, max_order, "rational")
     for seed in (11, 22, 33):
         a = random_series(max_order, seed)
         got = diamond_crls(diamond_crls(a, e_ones), minus_dot)
@@ -258,9 +345,9 @@ def _check_prop_gen(report, max_order, **_):
     # divisible by k+1 on every tree with a removable leaf (size >= 2; the
     # single vertex always carries 1, matching Crls<>(E, -dot) = dot)
     div_order = min(max_order, 7)
-    e7 = sv.series_E(div_order).map_coeffs(lambda _t, _v: Fraction(1), ring="rational")
+    e7 = sv.series_E(div_order).map_coeffs(lambda _t, _v: 1, ring="rational")
     for k in range(1, 6):
-        s = diamond_crls(e7, unit_vertex(Fraction(k), div_order, "rational"))
+        s = diamond_crls(e7, unit_vertex(k, div_order, "rational"))
         for t, v in s.items():
             if tr.size(t) >= 2 and (v.denominator != 1 or v.numerator % (k + 1)):
                 return _fail(report, k=k, tree=tr.encoding(t), value=v)
@@ -444,11 +531,13 @@ def _check_suspension_formula(report, max_order, **_):
 
 def _check_oracle_colorings(report, max_order, n_range=(0, 3),
                             bound=DEFAULT_COLORING_BOUND, **_):
+    lo, hi = n_range
     for t in tr.trees_upto(min(max_order, bound)):
-        for n in range(n_range[0], n_range[1] + 1):
+        sums = {mode: oracle_coloring_sums(t, hi, mode, bound) for mode in ("weak", "strict")}
+        for n in range(lo, hi + 1):
             for mode in ("weak", "strict"):
                 got = sv.coloring_poly(t, n, mode)
-                want = oracle_colorings(t, n, mode, bound=bound)
+                want = sums[mode][n]
                 if got != want:
                     return _fail(report, tree=tr.encoding(t), n=n, mode=mode,
                                  recursion=got, oracle=want)
@@ -456,11 +545,12 @@ def _check_oracle_colorings(report, max_order, n_range=(0, 3),
 
 
 def _check_oracle_interpolation(report, max_order, bound=DEFAULT_INTERPOLATION_BOUND, **_):
-    for t in tr.trees_upto(min(max_order, bound)):
-        got = sv.pawn_coeff(t)
-        want = oracle_interpolate_pawn(t, bound=bound)
-        if got != want:
-            return _fail(report, tree=tr.encoding(t), solver=got, interpolated=want)
+    # the interpolated numerator against q^K N_T, K = n(n-1)/2, in Z[q][x]
+    for t, size, num in _pawn_numerators(min(max_order, bound)):
+        top = size * (size - 1) // 2
+        if _interpolation_numerator(t, bound) != tuple(_shift(c, top) for c in num):
+            return _fail(report, tree=tr.encoding(t), solver=sv.pawn_coeff(t),
+                         interpolated=oracle_interpolate_pawn(t, bound))
     return report
 
 

@@ -1,9 +1,11 @@
-"""The list form of the fraction-free engine, the reference for the packed one.
+"""The list forms of the packed kernels, the references the tests hold them to.
 
 ListRecursion is the recursion of solvers.FractionFreeRecursion run on int
 coefficient lists, one coefficient at a time: every N_T is a zxpoly, and the
 division by q - 1 is synthetic division at q = 1.  The tests require the
-packed engine's numerators to equal it.
+packed engine's numerators to equal it.  zxpoly_eval is the list Horner that
+algebra.zxpoly_eval runs packed, and raw_colorings the walk over every
+vertex that verify's coloring oracle runs over the internal ones.
 """
 
 from __future__ import annotations
@@ -33,6 +35,44 @@ def zpoly_div_q_minus_1(a: Sequence[int]) -> tuple[int, ...]:
     if sum(a):
         raise ExactDivisionError(f"{QPoly(a)} is not divisible by q - 1")
     return tuple(itertools.accumulate(a[:0:-1]))[::-1]
+
+
+def zxpoly_eval(a: Sequence[Sequence[int]], num: Sequence[int],
+                den: Sequence[int] = (1,)) -> tuple[int, ...]:
+    """den^d * a(num / den) in Z[q], d = len(a) - 1: the sum of
+    a_j num^j den^(d-j), by homogeneous Horner on zpolys."""
+    acc: tuple[int, ...] = ()
+    power: tuple[int, ...] = (1,)
+    for c in reversed(a):
+        acc = list(zpoly_mul(acc, num))
+        zpoly_add_scaled(acc, zpoly_mul(c, power))
+        acc = zpoly_trim(acc)
+        power = zpoly_mul(power, den)
+    return acc
+
+
+def raw_colorings(t: int, n: int, mode: str = "weak") -> QPoly:
+    """The coloring polynomial of t by {0..n}: every decreasing coloring of
+    the canonical representative enumerated vertex by vertex, summing
+    q^(sum of colors)."""
+    if n < 0:
+        return QPoly()
+    parents = tr.parent_array(t)
+    nv = len(parents)
+    counts = [0] * (n * nv + 1)
+    colors = [0] * nv
+
+    def walk(v: int, sigma: int):
+        top = n if v == 0 else (colors[parents[v]] - (0 if mode == "weak" else 1))
+        if v == nv - 1:  # the last vertex in preorder is a leaf: count its colors at once
+            counts[sigma:sigma + top + 1] = [c + 1 for c in counts[sigma:sigma + top + 1]]
+            return
+        for c in range(0, top + 1):
+            colors[v] = c
+            walk(v + 1, sigma + c)
+
+    walk(0, 0)
+    return QPoly(counts)
 
 
 def _row(rows: list[list[int]], j: int) -> list[int]:

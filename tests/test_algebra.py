@@ -62,6 +62,7 @@ from arborq.algebra import (
     zxpoly_unpack,
 )
 from arborq.serialize import qpoly_from_pairs, qrat_from_obj, xpoly_from_obj
+from tests import engine_reference as ER
 from tests.qrat_reference import qpoly_lcm, subst_one_plus_qx, xpoly_divmod, xpoly_exact_div
 from tests.serialize_reference import (
     qpoly_to_pairs,
@@ -994,6 +995,29 @@ class TestFractionFree:
         want = QRat(QPoly(num), den)
         got = qrat_over(num, ((0, a), (1, b)) + q_factorial_exponents(n))
         assert got.num == want.num and got.den == want.den
+
+    @PROPERTY
+    @given(st.lists(st.tuples(ZPOLY, st.integers(0, 2)).map(lambda r: (*r[0], *(0,) * r[1])),
+                    max_size=5),
+           ZPOLY, ZPOLY)
+    def test_packed_eval_matches_list_horner(self, a, num, den):
+        # rows with trailing zeros and zero rows at the top, negative and
+        # zero nodes and denominators, and coefficients above 2^64
+        assert zxpoly_eval(a, num, den) == ER.zxpoly_eval(a, num, den)
+        assert zxpoly_eval(a, num) == ER.zxpoly_eval(a, num)
+
+    def test_packed_eval_edges(self, monkeypatch):
+        assert zxpoly_eval((), (1, 1), (0, 1)) == () == ER.zxpoly_eval((), (1, 1), (0, 1))
+        # zero rows on top still count in d: den^2 * (a_0 + a_1 num / den)
+        assert zxpoly_eval(((1,), (), ()), (0, 1), (-1, 1)) == (1, -2, 1)
+        digits = []
+        unpack = algebra.zpoly_unpack
+        monkeypatch.setattr(algebra, "zpoly_unpack",
+                            lambda v, bits: digits.append(bits) or unpack(v, bits))
+        a = ((2 ** 63 + 1, -1), (0, -(2 ** 64)), (3,))
+        for num, den in (((1, 1, 1), (1,)), ((-1, -1), (0, 0, 1)), ((0, -5), (2, -1))):
+            assert zxpoly_eval(a, num, den) == ER.zxpoly_eval(a, num, den)
+        assert min(digits) >= 128
 
     def test_zxpoly_eval_matches_qrat(self):
         rng = random.Random(5)

@@ -1053,6 +1053,32 @@ class TestCache:
         assert run_cli(["cache", "verify-hashes", "--dir", cdir], capsys) == (
             0, "0/0 entries verified\n", "")
 
+    def test_a_whole_parse_survives_its_file_being_removed(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a file not in store's layout is parsed whole from the handle the
+        # streamed reading had open, so a gc that removes the file meanwhile
+        # does not make a good entry read as corrupt
+        cdir = str(tmp_path)
+        run_cli(["compute", "E", "--order", "2", "--cache-dir", cdir], capsys)
+        (name,) = os.listdir(cdir)
+        path = os.path.join(cdir, name)
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=1)
+        read_stored, streamed = C._read_stored, []
+
+        def raced(fh, each):
+            entry = read_stored(fh, each)
+            streamed.append(entry is not None)
+            os.remove(path)  # a gc
+            return entry
+
+        monkeypatch.setattr(C, "_read_stored", raced)
+        assert run_cli(["cache", "verify-hashes", "--dir", cdir], capsys) == (
+            0, f"ok   {name}\n1/1 entries verified\n", "")
+        assert streamed == [False]
+
     def test_a_load_misses_an_entry_removed_meanwhile(self, tmp_path, capsys, monkeypatch):
         # removed between the load's exists check and its open: a miss, so
         # the series is computed and stored again

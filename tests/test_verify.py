@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborq import algebra
 from arborq import solvers as S
@@ -35,6 +36,24 @@ class TestColoringOracle:
                 for k in range(0, 4):
                     for mode in ("weak", "strict"):
                         assert V.oracle_colorings(t, k, mode) == S.coloring_poly(t, k, mode)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(1, 7).flatmap(lambda n: st.sampled_from(T.enumerate_trees(n))),
+           st.sampled_from(("weak", "strict")), st.integers(-1, 4))
+    def test_one_walk_matches_the_raw_walk_and_the_recursion(self, t, mode, n):
+        got = V.oracle_colorings(t, n, mode)
+        assert got == ER.raw_colorings(t, n, mode)
+        assert got == S.coloring_poly(t, n, mode)
+        # one walk at n sums, by root color, the walk at every m <= n
+        sums = V.oracle_coloring_sums(t, n, mode)
+        assert sums == [V.oracle_colorings(t, m, mode) for m in range(n + 1)]
+
+    def test_mode_and_bound_checked_before_the_walk(self):
+        with pytest.raises(ValueError, match="mode"):
+            V.oracle_colorings(T.leaf(), -1, "loose")
+        with pytest.raises(ValueError, match="bound"):
+            V.oracle_coloring_sums(T.crl(3), -1, "weak", bound=3)
+        assert V.oracle_colorings(T.crl(3), -1, "strict") == QPoly()
 
 
 def lagrange_in_qrat(t: int) -> XPoly:
@@ -232,6 +251,17 @@ class TestZqIdentities:
         assert report.witness["tree"] == T.encoding(CORRUPT_TREE)
         # 1 = (1 + qx)(1 - qx + ... - q^3 x^3) + q^4 x^4
         assert report.witness["got"] == "q^4" and report.witness["want"] == "0"
+
+    def test_corrupted_numerator_fails_the_interpolation(self, monkeypatch):
+        corrupt(monkeypatch, CORRUPT_TREE, {0: (1,)})
+        report = V.check_theorem("oracle_interpolation", 5)
+        assert report.status == "fail"
+        w = report.witness
+        assert set(w) == {"tree", "solver", "interpolated"}
+        assert w["tree"] == T.encoding(CORRUPT_TREE)
+        assert w["solver"] == str(S.pawn_coeff(CORRUPT_TREE))
+        assert w["interpolated"] == str(V.oracle_interpolate_pawn(CORRUPT_TREE))
+        assert w["solver"] != w["interpolated"]
 
     def test_wrong_x_degree_fails(self, monkeypatch):
         corrupt(monkeypatch, CORRUPT_TREE, {5: (1,)})
