@@ -808,30 +808,41 @@ def zpoly_add_scaled(acc: list[int], p: Sequence[int], c: int = 1, shift: int = 
 
 
 def zpoly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Schoolbook product of two trimmed integer polynomials."""
-    if not a or not b:
-        return ()
-    if len(a) < len(b):
-        a, b = b, a
-    la = len(a)
-    out = [0] * (la + len(b) - 1)
-    for j, cb in enumerate(b):
-        if cb:
-            out[j:j + la] = [x + cb * y for x, y in zip(out[j:j + la], a)]
-    return tuple(out)
+    """Product of two integer polynomials: one product of their packings at
+    q = 2^bits (Kronecker substitution), read back once.  No coefficient of
+    the product exceeds |a|_1 |b|_1, the product of the L1 norms, so bits
+    holds it with its sign.  A one-term operand is a scalar multiply."""
+    if len(a) == 1 or len(b) == 1:
+        if len(b) != 1:
+            a, b = b, a
+        c = b[0]
+        return tuple(c * x for x in a)
+    bits = slot_bits((sum(map(abs, a)) * sum(map(abs, b))).bit_length() + 1)
+    return zpoly_unpack(zpoly_pack(a, bits) * zpoly_pack(b, bits), bits)
 
 
 def zxpoly_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
-    """Product of two polynomials in x over Z[q]."""
-    if not a or not b:
-        return ()
-    out: list[list[int]] = [[] for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    zpoly_add_scaled(out[i + j], zpoly_mul(ca, cb))
-    return zxpoly_trim(out)
+    """Product of two polynomials in x over Z[q]: zxpoly_sum_of_products of
+    the one term (1, a, b)."""
+    return zxpoly_sum_of_products(((1, a, b),))
+
+
+def zxpoly_sum_of_products(terms: Iterable[Sequence]) -> tuple:
+    """The sum of c * f_1 * ... * f_k over the terms (c, f_1, ..., f_k), each
+    f_i a polynomial in x over Z[q]: one sum of products of the packings at
+    (bits, width), read back once, as zpoly_mul takes a product.  No
+    coefficient of the sum exceeds the sum of |c| |f_1|_1 ... |f_k|_1, so
+    bits holds it with its sign; a row of a product is no longer than the
+    sum of the longest rows of its factors, and width is the largest such
+    sum."""
+    terms = [(c, fs) for c, *fs in terms]
+    norm, width = 0, 1
+    for c, fs in terms:
+        norm += abs(c) * math.prod(sum(sum(map(abs, row)) for row in f) for f in fs)
+        width = max(width, sum(max(map(len, f), default=0) for f in fs))
+    bits = slot_bits(norm.bit_length() + 1)
+    total = sum(c * math.prod(zxpoly_pack(f, bits, width) for f in fs) for c, fs in terms)
+    return zxpoly_unpack(total, bits, width)
 
 
 def zxpoly_div_x_minus(a: Sequence[Sequence[int]], r: Sequence[int]) -> tuple:
@@ -875,14 +886,18 @@ def zxpoly_eval(a: Sequence[Sequence[int]], num: Sequence[int],
 
 
 def zxpoly_subst_one_plus_qx(a: Sequence[Sequence[int]]) -> tuple:
-    """a(1 + qx): its x^k coefficient is q^k sum_{j >= k} C(j, k) a_j."""
-    out = []
-    for k in range(len(a)):
-        acc: list[int] = []
-        for j in range(k, len(a)):
-            zpoly_add_scaled(acc, a[j], math.comb(j, k), k)
-        out.append(acc)
-    return zxpoly_trim(out)
+    """a(1 + qx), by Horner on ints packed at (bits, width), where a product
+    by 1 + qx is a shift and an add.  Its x^k coefficient is q^k sum_{j >= k}
+    C(j, k) a_j, so no coefficient exceeds sum_j 2^j |a_j|_1, and no q-degree
+    reaches len(a) plus the longest row."""
+    if not a:
+        return ()
+    bits = slot_bits(sum(sum(map(abs, row)) << j for j, row in enumerate(a)).bit_length() + 1)
+    width = len(a) + max(map(len, a))
+    acc = 0
+    for row in reversed(a):
+        acc += (acc << bits * (width + 1)) + zpoly_pack(row, bits)
+    return zxpoly_unpack(acc, bits, width)
 
 
 def zxpoly_divmod_one_plus_qx(a: Sequence[Sequence[int]]) -> tuple[tuple, tuple[int, ...]]:

@@ -40,7 +40,6 @@ from .algebra import (
     qrat_over,
     slot_bits,
     xpoly_denominator,
-    zpoly_add_scaled,
     zpoly_mul,
     zpoly_trim,
     zpoly_unpack,
@@ -50,8 +49,8 @@ from .algebra import (
     zxpoly_mul,
     zxpoly_pack,
     zxpoly_subst_one_plus_qx,
+    zxpoly_sum_of_products,
     zxpoly_support,
-    zxpoly_trim,
     zxpoly_unpack,
 )
 from . import solvers as sv
@@ -197,20 +196,17 @@ def _lagrange_weights(n: int) -> tuple[int, int, tuple[int, ...]]:
     oracle_interpolate_pawn), packed at q = 2^bits and x = 2^(bits*width).
     v_m counts at most (m + 1)^n colorings and has q-degree m n, so bits and
     width hold the sum of v_m times weight m for every tree of size n."""
-    nodes = [(1,) * m for m in range(n + 1)]
-    w: tuple = ((1,),)
-    for r in nodes:
-        w = zxpoly_mul(w, (tuple(-c for c in r), (1,)))
+    w = zxpoly_sum_of_products([(1, *(((-1,) * m, (1,)) for m in range(n + 1)))])
     top = n * (n - 1) // 2
     terms = []
     norm = deg = 0
-    for m, r in enumerate(nodes):
+    for m in range(n + 1):
         shift = top - (m * (m - 1) // 2 + m * (n - m))
         sign = -1 if (n - m) % 2 else 1
-        binom = q_factorial_quotient(n, (m, n - m))
-        rows = [_shift(zpoly_mul(binom, c), shift) for c in zxpoly_div_x_minus(w, r)]
+        binom = _shift(q_factorial_quotient(n, (m, n - m)), shift)
+        rows = zxpoly_mul((binom,), zxpoly_div_x_minus(w, (1,) * m))
         terms.append((sign, rows))
-        norm += sum(abs(c) for row in rows for c in row) * (m + 1) ** n
+        norm += sum(sum(map(abs, row)) for row in rows) * (m + 1) ** n
         deg = max(deg, m * n + max(map(len, rows)) - 1)
     bits, width = slot_bits(norm.bit_length() + 1), deg + 1
     return bits, width, tuple(sign * zxpoly_pack(rows, bits, width) for sign, rows in terms)
@@ -274,6 +270,11 @@ def _pawn_numerators(max_order: int):
 
 def _shift(p: tuple, k: int) -> tuple:
     return (0,) * k + p if p else p
+
+
+def _constant(p: tuple) -> tuple:
+    """The x^0 coefficient of a zxpoly."""
+    return p[0] if p else ()
 
 
 def _as_xpoly(p: tuple) -> XPoly:
@@ -356,18 +357,14 @@ def _check_prop_gen(report, max_order, **_):
 
 def _check_action_delta(report, max_order, **_):
     # P_T(1+qx) - P_T(x) = q (1 + (q-1)x) prod_c P_c(1+qx), c the root
-    # branches; [#T]_q! / prod_c [#c]_q! is [#T]_q times a q-multinomial
+    # branches, times [#T]_q!: the c have #T - 1 vertices in all, so
+    # [#T]_q! / prod_c [#c]_q! is a polynomial
     for t, size, num in _pawn_numerators(max_order):
-        got = [list(c) for c in zxpoly_subst_one_plus_qx(num)]
-        for j, c in enumerate(num):
-            zpoly_add_scaled(got[j], c, -1)
-        got = zxpoly_trim(got)
+        got = zxpoly_sum_of_products([(1, zxpoly_subst_one_plus_qx(num)), (-1, num)])
         kids = tr.children(t)
-        scale = zpoly_mul((1,) * size, q_factorial_quotient(size - 1, tuple(map(tr.size, kids))))
-        prod = ((0, 1), (0, -1, 1))
-        for c in kids:
-            prod = zxpoly_mul(prod, zxpoly_subst_one_plus_qx(sv.pawn_numerator(c)))
-        want = tuple(zpoly_mul(p, scale) for p in prod)
+        scale = (q_factorial_quotient(size, tuple(map(tr.size, kids))),)
+        want = zxpoly_sum_of_products([(1, scale, ((0, 1), (0, -1, 1)), *(
+            zxpoly_subst_one_plus_qx(sv.pawn_numerator(c)) for c in kids))])
         if got != want:
             return _fail(report, tree=tr.encoding(t), got=_as_xpoly(got), want=_as_xpoly(want))
     return report
@@ -380,24 +377,22 @@ def _check_umbral(report, max_order, graft: bool):
     #   N_bar_T D = sum_j A_j W_j [#T]_q! / [j+1]_q!,
     # and Omega_bar_G = psi(-x prod_c P_c) for G = B+(T) reads
     #   N_bar_G D = -sum_j A_j W_(j+1) [#G]_q! / [j+2]_q!
+    # each side is a zpoly, read as the x^0 row of a sum of products
+    sign = -1 if graft else 1
     for t in tr.trees_upto(max_order):
         g = tr.b_plus([t]) if graft else t
-        a, d = ((1,),), (1,)
-        for c in tr.children(t):
-            a = zxpoly_mul(a, sv.pawn_numerator(c))
-            d = zpoly_mul(d, q_factorial_quotient(tr.size(c), ()))
-        bar = sv.omega_bar_numerator(g)
-        got = zpoly_mul(bar[0], d) if bar else ()
-        want: list[int] = []
-        for k, a_k in enumerate(a, start=int(graft)):
-            w = sv.omega_numerator(tr.crl(k))
-            if w:
-                scale = zpoly_mul(w[0], q_factorial_quotient(tr.size(g), (k + 1,)))
-                zpoly_add_scaled(want, zpoly_mul(a_k, scale), -1 if graft else 1)
-        want = zpoly_trim(want)
+        kids = tr.children(t)
+        a = zxpoly_sum_of_products([(1, *map(sv.pawn_numerator, kids))])
+        d = [(q_factorial_quotient(tr.size(c), ()),) for c in kids]
+        got = zxpoly_sum_of_products([(1, sv.omega_bar_numerator(g)[:1], *d)])
+        want = zxpoly_sum_of_products(
+            (sign, (a_k,), sv.omega_numerator(tr.crl(k))[:1],
+             (q_factorial_quotient(tr.size(g), (k + 1,)),))
+            for k, a_k in enumerate(a, start=int(graft)))
         if got != want:
             grafted = {"grafted": tr.encoding(g)} if graft else {}
-            return _fail(report, tree=tr.encoding(t), **grafted, got=QPoly(got), want=QPoly(want))
+            return _fail(report, tree=tr.encoding(t), **grafted,
+                         got=QPoly(_constant(got)), want=QPoly(_constant(want)))
     return report
 
 
@@ -427,9 +422,7 @@ def _check_x_infinity(report, max_order, **_):
         if len(num) - 1 != size:
             return _fail(report, tree=tr.encoding(t), degree=len(num) - 1, size=size)
         sizes = tr.tree_stats(t).subtree_sizes
-        got = num[size]
-        for s_v in sizes:
-            got = zpoly_mul(got, (1,) * s_v)
+        got = _constant(zxpoly_sum_of_products([(1, num[size:], *(((1,) * s,) for s in sizes))]))
         want = _shift(q_factorial_quotient(size, ()), sum(sizes))
         if got != want:
             return _fail(report, tree=tr.encoding(t), got=QPoly(got), want=QPoly(want))
@@ -464,29 +457,20 @@ def _check_sharp_reformulation(report, max_order, **_):
     # (-dot) # P = (q susp_q P) # (-(q + q(q-1)x) dot), times [n]_q!, n = #T:
     # -[T = dot] + sum count (-1)^#cut ([n]_q!/[#kept]_q!) N_kept over the
     # decompositions whose cut components are single vertices, against
-    # q^n N_T - q^n (1 + (q-1)x) [n]_q ([n-1]_q!/prod_c [#c]_q!) prod_c N_c
+    # q^n N_T - q^n (1 + (q-1)x) ([n]_q!/prod_c [#c]_q!) prod_c N_c
     dot = tr.leaf()
     for t, size, num in _pawn_numerators(max_order):
-        got = [[-1]] if t == dot else [[]]
-        for (kept, cut), count in tr.root_subtree_decompositions(t).items():
-            if any(c != dot for c in cut):
-                continue
-            scale = q_factorial_quotient(size, (tr.size(kept),))
-            sign = -count if len(cut) % 2 else count
-            kept_num = sv.pawn_numerator(kept)
-            got.extend([] for _ in range(len(kept_num) - len(got)))
-            for acc, c in zip(got, kept_num):
-                zpoly_add_scaled(acc, zpoly_mul(scale, c), sign)
+        terms = [(-1,)] if t == dot else []
+        terms += [(-count if len(cut) % 2 else count,
+                   (q_factorial_quotient(size, (tr.size(kept),)),), sv.pawn_numerator(kept))
+                  for (kept, cut), count in tr.root_subtree_decompositions(t).items()
+                  if all(c == dot for c in cut)]
+        got = zxpoly_sum_of_products(terms)
         kids = tr.children(t)
-        scale = zpoly_mul((1,) * size, q_factorial_quotient(size - 1, tuple(map(tr.size, kids))))
-        prod = ((1,), (-1, 1))
-        for c in kids:
-            prod = zxpoly_mul(prod, sv.pawn_numerator(c))
-        want = [list(_shift(c, size)) for c in num]
-        want.extend([] for _ in range(len(prod) - len(want)))
-        for acc, c in zip(want, prod):
-            zpoly_add_scaled(acc, zpoly_mul(scale, c), -1, size)
-        got, want = zxpoly_trim(got), zxpoly_trim(want)
+        power = (_shift((1,), size),)
+        scale = (q_factorial_quotient(size, tuple(map(tr.size, kids))),)
+        want = zxpoly_sum_of_products([(1, power, num), (-1, power, scale, ((1,), (-1, 1)),
+                                                        *map(sv.pawn_numerator, kids))])
         if got != want:
             return _fail(report, tree=tr.encoding(t), got=_as_xpoly(got), want=_as_xpoly(want))
     return report

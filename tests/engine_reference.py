@@ -3,14 +3,18 @@
 ListRecursion is the recursion of solvers.FractionFreeRecursion run on int
 coefficient lists, one coefficient at a time: every N_T is a zxpoly, and the
 division by q - 1 is synthetic division at q = 1.  The tests require the
-packed engine's numerators to equal it.  zxpoly_eval is the list Horner that
-algebra.zxpoly_eval runs packed, and raw_colorings the walk over every
-vertex that verify's coloring oracle runs over the internal ones.
+packed engine's numerators to equal it.  zpoly_mul and zxpoly_mul are the
+schoolbook products that algebra runs as one product of packed ints, and
+the list forms here use them, so they never pass through the packing layer.
+zxpoly_eval and zxpoly_subst_one_plus_qx are the list forms of what algebra
+runs as a packed Horner, and raw_colorings the walk over every vertex that
+verify's coloring oracle runs over the internal ones.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from arborq import trees as tr
@@ -19,11 +23,36 @@ from arborq.algebra import (
     QPoly,
     q_factorial_quotient,
     zpoly_add_scaled,
-    zpoly_mul,
     zpoly_trim,
-    zxpoly_mul,
     zxpoly_trim,
 )
+
+
+def zpoly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Schoolbook product of two trimmed integer polynomials."""
+    if not a or not b:
+        return ()
+    if len(a) < len(b):
+        a, b = b, a
+    la = len(a)
+    out = [0] * (la + len(b) - 1)
+    for j, cb in enumerate(b):
+        if cb:
+            out[j:j + la] = [x + cb * y for x, y in zip(out[j:j + la], a)]
+    return tuple(out)
+
+
+def zxpoly_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
+    """Schoolbook product of two polynomials in x over Z[q], row by row."""
+    if not a or not b:
+        return ()
+    out: list[list[int]] = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    zpoly_add_scaled(out[i + j], zpoly_mul(ca, cb))
+    return zxpoly_trim(out)
 
 
 def zpoly_div_q_minus_1(a: Sequence[int]) -> tuple[int, ...]:
@@ -49,6 +78,17 @@ def zxpoly_eval(a: Sequence[Sequence[int]], num: Sequence[int],
         acc = zpoly_trim(acc)
         power = zpoly_mul(power, den)
     return acc
+
+
+def zxpoly_subst_one_plus_qx(a: Sequence[Sequence[int]]) -> tuple:
+    """a(1 + qx): its x^k coefficient is q^k sum_{j >= k} C(j, k) a_j."""
+    out = []
+    for k in range(len(a)):
+        acc: list[int] = []
+        for j in range(k, len(a)):
+            zpoly_add_scaled(acc, a[j], math.comb(j, k), k)
+        out.append(acc)
+    return zxpoly_trim(out)
 
 
 def raw_colorings(t: int, n: int, mode: str = "weak") -> QPoly:

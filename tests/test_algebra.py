@@ -57,6 +57,7 @@ from arborq.algebra import (
     zxpoly_mul,
     zxpoly_pack,
     zxpoly_subst_one_plus_qx,
+    zxpoly_sum_of_products,
     zxpoly_support,
     zxpoly_trim,
     zxpoly_unpack,
@@ -880,6 +881,96 @@ class TestPacking:
                             lambda v, bits: unpacked_at.append(bits) or unpack(v, bits))
         assert [qrat_over(num, q_factorial_exponents(n)) for num, n in cases] == want
         assert max(unpacked_at) > 8
+
+
+@st.composite
+def split_norm(draw, norm: int) -> tuple[int, ...]:
+    """A trimmed zpoly of two to four terms, L1 norm norm >= 2, with zero
+    coefficients between them and random signs."""
+    cuts = sorted(draw(st.sets(st.integers(1, norm - 1), min_size=1, max_size=min(3, norm - 1))))
+    out = []
+    for lo, hi in zip([0, *cuts], [*cuts, norm]):
+        out.extend([0] * draw(st.integers(0, 2)))
+        out.append(draw(st.sampled_from((1, -1))) * (hi - lo))
+    return tuple(out)
+
+
+@st.composite
+def norms_at_a_slot_edge(draw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two operands whose L1 norms are 2^i and 2^(k-i), or one away from
+    them, so that their norm product is just below, at or just above 2^k,
+    for k at or next to a change of slot: the product's slot is at its
+    edge."""
+    k = draw(st.sampled_from((7, 8, 15, 16, 31, 32, 63, 64, 127, 128)))
+    i = draw(st.integers(1, k - 1))
+    na = max(2, (1 << i) + draw(st.integers(-1, 1)))
+    nb = max(2, (1 << (k - i)) + draw(st.integers(-1, 1)))
+    return draw(split_norm(na)), draw(split_norm(nb))
+
+
+ZXPOLY = st.lists(ZPOLY, max_size=5)  # untrimmed rows and zero rows inside
+
+
+class TestKroneckerProducts:
+    """zpoly_mul, zxpoly_mul and zxpoly_sum_of_products are one product of
+    packed ints, and zxpoly_subst_one_plus_qx a packed Horner; the list
+    forms in tests/engine_reference.py are their references."""
+
+    @PROPERTY
+    @given(ZPOLY.map(zpoly_trim), ZPOLY.map(zpoly_trim))
+    def test_zpoly_mul_matches_schoolbook(self, a, b):
+        # zero, one- and two-term operands, negative coefficients and
+        # coefficients above 2^64
+        assert zpoly_mul(a, b) == ER.zpoly_mul(a, b) == zpoly_mul(b, a)
+
+    @PROPERTY
+    @given(norms_at_a_slot_edge())
+    def test_zpoly_mul_at_a_slot_edge(self, ab):
+        a, b = ab
+        assert zpoly_mul(a, b) == ER.zpoly_mul(a, b)
+        # the same norms in x-degrees 1 and 2, with zero rows around them
+        assert zxpoly_mul(((), a), (b, (), ())) == ((), ER.zpoly_mul(a, b))
+
+    @pytest.mark.parametrize("k", [7, 8, 63, 64])
+    def test_extreme_coefficient_at_a_slot_edge(self, k):
+        # (s c, 1) (c, -1) = (s c^2, c - s c, -1) for s = +-1: the coefficient
+        # s c^2 is within 2c + 1 of the norm product (c + 1)^2, on either side
+        # of 2^k
+        for c in (math.isqrt(1 << k) - 2, math.isqrt(1 << k) - 1, math.isqrt(1 << k)):
+            for sign in (1, -1):
+                a, b = (sign * c, 1), (c, -1)
+                want = (sign * c * c, c - sign * c, -1)
+                assert zpoly_mul(a, b) == ER.zpoly_mul(a, b) == want
+                assert zxpoly_mul(((), a), (b,)) == ((), want)
+
+    def test_one_term_operand_is_a_scalar_multiply(self):
+        assert zpoly_mul((3,), (1, 0, -2)) == (3, 0, -6) == zpoly_mul((1, 0, -2), (3,))
+        assert zpoly_mul((2 ** 70,), (-1, 1)) == (-(2 ** 70), 2 ** 70)
+        assert zpoly_mul((), (5,)) == () == zpoly_mul((5,), ())
+        assert zpoly_mul((), (1, 2)) == ()
+
+    @PROPERTY
+    @given(ZXPOLY, ZXPOLY)
+    def test_zxpoly_mul_matches_schoolbook(self, a, b):
+        assert zxpoly_mul(a, b) == ER.zxpoly_mul(a, b)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.lists(ZXPOLY, max_size=3)), max_size=4))
+    def test_sum_of_products_matches_schoolbook(self, terms):
+        want: list[list[int]] = []
+        for c, fs in terms:
+            prod = ((c,),)
+            for f in fs:
+                prod = ER.zxpoly_mul(prod, f)
+            want.extend([] for _ in range(len(prod) - len(want)))
+            for acc, row in zip(want, prod):
+                algebra.zpoly_add_scaled(acc, row)
+        assert zxpoly_sum_of_products((c, *fs) for c, fs in terms) == zxpoly_trim(want)
+
+    @PROPERTY
+    @given(ZXPOLY)
+    def test_packed_subst_one_plus_qx_matches_the_list_form(self, a):
+        assert zxpoly_subst_one_plus_qx(a) == ER.zxpoly_subst_one_plus_qx(a)
 
 
 class TestFractionFree:
